@@ -18,9 +18,7 @@ from .evaluator import (
 from .governance import (
     Organization,
     UnrosteredEmitter,
-    apply_counts_as,
     build_governance_event,
-    governance_step,
     ruleset_from_spec,
 )
 from .incremental import NonContiguousBlock, apply_block, initial_state

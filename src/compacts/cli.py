@@ -30,50 +30,49 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 
+class _Exit(Exception):
+    """Ends a command with an exit code; a non-empty message goes to stderr."""
+
+    def __init__(self, code: int, message: str = ""):
+        super().__init__(message)
+        self.code = code
+
+
 def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise _Usage(f"cannot read {path}: {exc.strerror}") from exc
-
-
-class _Usage(Exception):
-    pass
+        raise _Exit(EXIT_USAGE, f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _load_spec(path: str):
-    """Parse + well-formedness; raises SystemExit-style codes via exceptions."""
+    """Parse and check a compact. On an error, prints the diagnostics and
+    raises _Exit with EXIT_PARSE or EXIT_WELL_FORMEDNESS."""
     text = _read_text(path)
-    spec = parse_compact(text)
+    try:
+        spec = parse_compact(text)
+    except ParseError as exc:
+        print(f"{path}:{exc.line}:{exc.col}: error: {exc.message}", file=sys.stderr)
+        raise _Exit(EXIT_PARSE) from exc
     diagnostics = check_well_formedness(spec)
+    if any(d.severity == "error" for d in diagnostics):
+        for diag in diagnostics:
+            print(diag.render(path), file=sys.stderr)
+        raise _Exit(EXIT_WELL_FORMEDNESS)
     return spec, diagnostics
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    try:
-        spec, diagnostics = _load_spec(args.spec)
-    except ParseError as exc:
-        print(f"{args.spec}:{exc.line}:{exc.col}: error: {exc.message}", file=sys.stderr)
-        return EXIT_PARSE
+    spec, diagnostics = _load_spec(args.spec)
     for diag in diagnostics:
         print(diag.render(args.spec), file=sys.stderr)
-    if any(d.severity == "error" for d in diagnostics):
-        return EXIT_WELL_FORMEDNESS
     print(f"{args.spec}: ok ({len(spec.norms)} norms)", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        spec, diagnostics = _load_spec(args.spec)
-    except ParseError as exc:
-        print(f"{args.spec}:{exc.line}:{exc.col}: error: {exc.message}", file=sys.stderr)
-        return EXIT_PARSE
-    if any(d.severity == "error" for d in diagnostics):
-        for diag in diagnostics:
-            print(diag.render(args.spec), file=sys.stderr)
-        return EXIT_WELL_FORMEDNESS
+    spec, _ = _load_spec(args.spec)
     scenario = fileformats.read_scenario(args.scenario)
     config, roles = fileformats.read_network_config(args.net)
     if args.seed is not None:
@@ -105,15 +104,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        spec, diagnostics = _load_spec(args.spec)
-    except ParseError as exc:
-        print(f"{args.spec}:{exc.line}:{exc.col}: error: {exc.message}", file=sys.stderr)
-        return EXIT_PARSE
-    if any(d.severity == "error" for d in diagnostics):
-        for diag in diagnostics:
-            print(diag.render(args.spec), file=sys.stderr)
-        return EXIT_WELL_FORMEDNESS
+    spec, _ = _load_spec(args.spec)
     chain = fileformats.read_chain(args.chain)
     bad = verify_chain(chain)
     if bad is not None:
@@ -198,9 +189,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except _Exit as exc:
+        if str(exc):
+            print(f"error: {exc}", file=sys.stderr)
+        return exc.code
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

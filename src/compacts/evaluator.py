@@ -9,10 +9,12 @@ Deadline and expiry lapses fire at block boundaries, at the first block whose
 height strictly exceeds the anchor height plus the allowance; boundary
 positions carry offset -1.
 
-This module recomputes condition matches from the full prefix at every step.
-The incremental engine in incremental.py reaches the same states through
-cached match sets; their agreement is a tested property, so keep the two
-implementations independent.
+Every lifecycle rule is written once, in _Run, which reads condition matches
+only through clause_matches. Here that method rescans the full prefix with
+match_condition; the incremental engine in incremental.py subclasses _Run and
+answers it from cached semi-naive match sets. The two matchers are a
+differential pair whose agreement is a tested property, so keep them
+independent of each other.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, Optional
 from .governance import EMPTY_ORGANIZATION, Organization, counts_as_facts_for_event
 from .lang import ast
 from .lang.checks import check_well_formedness
-from .ledger import Chain, Event, Position, Scalar, verify_chain
+from .ledger import Block, Chain, Event, Position, Scalar, verify_chain
 from .matching import (
     Bindings,
     DerivedFact,
@@ -112,7 +114,7 @@ def _sort_facts(facts: Iterable[DerivedFact]) -> tuple[DerivedFact, ...]:
 
 
 class _Run:
-    """Mutable working state of one batch evaluation."""
+    """Mutable working state of one evaluation; the one copy of the lifecycle."""
 
     def __init__(self, spec: ast.CompactSpec, org: Organization):
         self.spec = spec
@@ -130,12 +132,25 @@ class _Run:
         self.facts.append(fact)
         return True
 
+    def clause_matches(
+        self, norm: ast.NormDecl, clause: str, base: dict[str, Scalar], now: Position
+    ) -> list[Match]:
+        """Matches of one clause of a norm compatible with base, earliest first."""
+        return match_condition(getattr(norm, clause), self.trace, self.facts, base, now)
+
     # --- lifecycle -----------------------------------------------------
 
-    def process_boundary(self, height: int) -> None:
-        now = Position(height, -1)
-        self._lapse(height, now)
-        self._fixpoint(now)
+    def process_block(self, block: Block) -> Position:
+        """Lapses at the block boundary, then each event in order; returns
+        the last position processed."""
+        height = block.header.index
+        frontier = Position(height, -1)
+        self._lapse(height, frontier)
+        self._fixpoint(frontier)
+        for offset, event in enumerate(block.events):
+            frontier = Position(height, offset)
+            self.process_event(frontier, event)
+        return frontier
 
     def process_event(self, pos: Position, event: Event) -> None:
         self.trace.append((pos, event))
@@ -170,7 +185,7 @@ class _Run:
     def _spawn(self, now: Position) -> bool:
         changed = False
         for norm in self.spec.norms:
-            for match in match_condition(norm.create, self.trace, self.facts, None, now):
+            for match in self.clause_matches(norm, "create", {}, now):
                 key = (norm.id, match.bindings)
                 if key in self.instances:
                     continue
@@ -204,12 +219,12 @@ class _Run:
     ) -> bool:
         base = inst.binding_map
         if inst.state is NormState.ACTIVE and norm.antecedent is not None:
-            matches = match_condition(norm.antecedent, self.trace, self.facts, base, now)
+            matches = self.clause_matches(norm, "antecedent", base, now)
             if matches:
                 at = max(inst.created_at, matches[0].witness)
                 self._transition(key, replace(inst, state=NormState.DETACHED, detached_at=at), at)
                 return True
-        matches = match_condition(norm.consequent, self.trace, self.facts, base, now)
+        matches = self.clause_matches(norm, "consequent", base, now)
         if matches:
             at = max(inst.created_at, matches[0].witness)
             updated = replace(
@@ -231,7 +246,7 @@ class _Run:
         violation = self._first_unexempted(inst, norm, now)
         closure: Optional[Match] = None
         if norm.until is not None:
-            for match in match_condition(norm.until, self.trace, self.facts, base, now):
+            for match in self.clause_matches(norm, "until", base, now):
                 if inst.created_at <= match.witness:
                     closure = match
                     break
@@ -262,14 +277,15 @@ class _Run:
         at a strictly earlier position. Exemptions may predate creation;
         forbidden acts before creation are out of scope."""
         base = inst.binding_map
-        for match in match_condition(norm.forbids, self.trace, self.facts, base, now):
+        for match in self.clause_matches(norm, "forbids", base, now):
             if match.witness < inst.created_at:
                 continue
             if norm.exemption is not None:
-                merged = dict(match.bindings)
+                # a cached match need not carry the instance's own bindings
+                merged = {**base, **dict(match.bindings)}
                 covers = any(
                     m.witness < match.witness
-                    for m in match_condition(norm.exemption, self.trace, self.facts, merged, now)
+                    for m in self.clause_matches(norm, "exemption", merged, now)
                 )
                 if covers:
                     continue
@@ -293,7 +309,7 @@ class _Run:
         return EvalState(
             spec=self.spec,
             org=self.org,
-            instances=dict(self.instances),
+            instances=self.instances,
             facts=_sort_facts(self.facts),
             frontier=frontier,
             trace=tuple(self.trace),
@@ -317,39 +333,9 @@ def evaluate(
         raise ChainInvalid(f"block {bad.index}: {bad.rejection}")
     ensure_spec_well_formed(spec)
     run = _Run(spec, org)
-    frontier = Position(0, -1)
     for block in chain.blocks:
-        height = block.header.index
-        run.process_boundary(height)
-        frontier = Position(height, -1)
-        for offset, event in enumerate(block.events):
-            pos = Position(height, offset)
-            run.process_event(pos, event)
-            frontier = pos
+        frontier = run.process_block(block)
     return run.freeze(frontier)
-
-
-def new_instances_for_state(state: EvalState, spec: ast.CompactSpec) -> list[NormInstance]:
-    """One creation pass over an existing state (see governance_step)."""
-    created: list[NormInstance] = []
-    seen = set(state.instances.keys())
-    for norm in spec.norms:
-        for match in match_condition(norm.create, state.trace, state.facts, None, state.frontier):
-            key = (norm.id, match.bindings)
-            if key in seen:
-                continue
-            seen.add(key)
-            detach_on_create = norm.kind == ast.COMMITMENT and norm.antecedent is None
-            created.append(
-                NormInstance(
-                    norm_id=norm.id,
-                    key_bindings=match.bindings,
-                    state=NormState.DETACHED if detach_on_create else NormState.ACTIVE,
-                    created_at=match.witness,
-                    detached_at=match.witness if detach_on_create else None,
-                )
-            )
-    return created
 
 
 def resolve_party(

@@ -30,6 +30,19 @@ def _require(condition: bool, message: str) -> None:
         raise DataFormatError(message)
 
 
+def _is_u64(value) -> bool:
+    return isinstance(value, int) and 0 <= value < 2**64
+
+
+def _check_encodable(logical_ts, attributes, where: str) -> None:
+    """Reject values the canonical serialization cannot encode: logical_ts is
+    an unsigned and an integer attribute a signed 64-bit integer."""
+    _require(_is_u64(logical_ts), f"{where}: logical_ts {logical_ts!r} is not in [0, 2**64)")
+    for name, value in attributes:
+        encodable = isinstance(value, str) or (isinstance(value, int) and -(2**63) <= value < 2**63)
+        _require(encodable, f"{where}: attribute {name}={value!r} is not text, boolean or i64")
+
+
 # --- chain snapshots ------------------------------------------------------
 
 
@@ -46,7 +59,7 @@ def event_to_json(event: Event) -> dict:
 
 def event_from_json(data: dict) -> Event:
     try:
-        return Event.make(
+        event = Event.make(
             event_id=data["event_id"],
             event_type=data["event_type"],
             attributes=data["attributes"],
@@ -56,6 +69,8 @@ def event_from_json(data: dict) -> Event:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad event record: {exc}") from exc
+    _check_encodable(event.logical_ts, event.attributes, "bad event record")
+    return event
 
 
 def chain_to_json(chain: Chain) -> dict:
@@ -90,6 +105,10 @@ def chain_from_json(data: dict) -> Chain:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"bad block header: {exc}") from exc
+        _require(
+            _is_u64(header.index) and _is_u64(header.nonce),
+            "bad block header: index and nonce must be integers in [0, 2**64)",
+        )
         events = tuple(event_from_json(e) for e in item.get("events", ()))
         blocks.append(Block(header=header, events=events))
     _require(bool(blocks), "chain snapshot has no blocks")
@@ -126,17 +145,17 @@ def read_scenario(path: str) -> list[Submission]:
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             try:
-                submissions.append(
-                    Submission.make(
-                        round=data["round"],
-                        event_type=data["event_type"],
-                        attributes=data.get("attributes", {}),
-                        emitter=data["emitter"],
-                        logical_ts=data.get("logical_ts", data["round"]),
-                    )
+                submission = Submission.make(
+                    round=data["round"],
+                    event_type=data["event_type"],
+                    attributes=data.get("attributes", {}),
+                    emitter=data["emitter"],
+                    logical_ts=data.get("logical_ts", data["round"]),
                 )
             except (KeyError, TypeError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad submission: {exc}") from exc
+            _check_encodable(submission.logical_ts, submission.attributes, f"{path}:{lineno}")
+            submissions.append(submission)
     return submissions
 
 

@@ -128,33 +128,6 @@ def counts_as_facts_for_event(
     return facts
 
 
-def apply_counts_as(
-    trace: Sequence[tuple[Position, Event]],
-    rules: Sequence[ast.CountsAsRule],
-    org: Organization,
-) -> list[DerivedFact]:
-    """All counts-as facts derivable from a trace prefix, earliest witness
-    per (name, bindings)."""
-    seen: dict[tuple[str, tuple], DerivedFact] = {}
-    for pos, event in trace:
-        for fact in counts_as_facts_for_event(pos, event, rules, org):
-            seen.setdefault((fact.name, fact.bindings), fact)
-    return sorted(seen.values(), key=lambda f: (f.witness.block_index, f.witness.offset_in_block, f.name, f.bindings))
-
-
-def governance_step(state, spec: ast.CompactSpec):
-    """Instances the current derived facts entitle but the state lacks.
-
-    One idempotent pass: a fresh ``violated(...)`` fact (or any other fact)
-    matching a norm's create condition spawns an instance per unseen key
-    binding. Does not mutate the state; evaluate() runs this to fixpoint
-    internally.
-    """
-    from .evaluator import new_instances_for_state
-
-    return new_instances_for_state(state, spec)
-
-
 def build_governance_event(
     kind: str,
     bindings: Mapping[str, Scalar],

@@ -4,12 +4,14 @@ apply_block carries the instance table, fact set and per-condition match
 caches forward instead of replaying the chain. Caches hold the full match set
 of every norm clause and grow by semi-naive deltas: a new event (or fact)
 produces new leaf matches, which join against the other side's existing
-matches on the way up the condition tree. Lifecycle decisions then read the
-cached sets.
+matches on the way up the condition tree. The lifecycle rules are the batch
+evaluator's own (evaluator._Run); _IncrementalRun only answers their clause
+queries from the cached sets.
 
 Replay equivalence with the batch evaluator (evaluate(chain) equals folding
-apply_block over the blocks) is the correctness contract; the two
-implementations share only the leaf pattern semantics.
+apply_block over the blocks) is the correctness contract. The cached matcher
+here and the rescanning match_condition share only the leaf pattern
+semantics: they are a differential pair, so keep them independent.
 """
 
 from __future__ import annotations
@@ -17,25 +19,19 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from .evaluator import (
-    EvalState,
-    NormInstance,
-    NormState,
-    _sort_facts,
-    ensure_spec_well_formed,
-)
+from .evaluator import EvalState, _Run, ensure_spec_well_formed
 from .governance import Organization, counts_as_facts_for_event
 from .lang import ast
-from .ledger import Block, Event, Position
+from .ledger import Block, Event, Position, Scalar
 from .matching import (
     Bindings,
     DerivedFact,
     Match,
     compatible,
+    freeze_bindings,
     match_event_pattern,
     match_fact_pattern,
     match_sort_key,
-    norm_state_fact_name,
 )
 
 
@@ -96,8 +92,6 @@ class _CondIndex:
             extended = match_event_pattern(cond, event, {})
             if extended is None:
                 return []
-            from .matching import freeze_bindings
-
             return self._absorb([Match(freeze_bindings(extended), pos)])
         if isinstance(cond, (ast.FactPattern, ast.NormStateFactPattern)):
             if kind != "fact":
@@ -105,8 +99,6 @@ class _CondIndex:
             extended = match_fact_pattern(cond, fact, {})
             if extended is None:
                 return []
-            from .matching import freeze_bindings
-
             return self._absorb([Match(freeze_bindings(extended), pos)])
 
         left_before = list(self.left.matches)
@@ -184,10 +176,11 @@ def initial_state(spec: ast.CompactSpec, org: Organization) -> EvalState:
     )
 
 
-class _IncrementalRun:
+class _IncrementalRun(_Run):
+    """The shared lifecycle over cached match sets, advanced one block."""
+
     def __init__(self, state: EvalState):
-        self.spec = state.spec
-        self.org = state.org
+        super().__init__(state.spec, state.org)
         self.trace = list(state.trace)
         self.facts = list(state.facts)
         self._fact_keys = {(f.name, f.bindings) for f in self.facts}
@@ -201,178 +194,29 @@ class _IncrementalRun:
             for fact in self.facts:
                 self.caches.add_fact(fact)
 
-    # --- processing -----------------------------------------------------
+    def process_event(self, pos: Position, event: Event) -> None:
+        self.trace.append((pos, event))
+        self.caches.add_event(pos, event)
+        for fact in counts_as_facts_for_event(pos, event, self.spec.counts_as, self.org):
+            self.add_fact(fact)
+        self._fixpoint(pos)
 
-    def process_block(self, block: Block) -> Position:
-        height = block.header.index
-        now = Position(height, -1)
-        self._lapse(height, now)
-        self._fixpoint(now)
-        frontier = now
-        for offset, event in enumerate(block.events):
-            pos = Position(height, offset)
-            self.trace.append((pos, event))
-            self.caches.add_event(pos, event)
-            for fact in counts_as_facts_for_event(pos, event, self.spec.counts_as, self.org):
-                self._add_fact(fact)
-            self._fixpoint(pos)
-            frontier = pos
-        return frontier
-
-    def _add_fact(self, fact: DerivedFact) -> None:
-        key = (fact.name, fact.bindings)
-        if key in self._fact_keys:
-            return
-        self._fact_keys.add(key)
-        self.facts.append(fact)
+    def add_fact(self, fact: DerivedFact) -> bool:
+        if not super().add_fact(fact):
+            return False
         self.caches.add_fact(fact)
+        return True
 
-    def _clause_matches(self, norm_id: str, clause: str, base: dict) -> list[Match]:
-        idx = self.caches.indexes.get((norm_id, clause))
-        if idx is None:
-            return []
+    def clause_matches(
+        self, norm: ast.NormDecl, clause: str, base: dict[str, Scalar], now: Position
+    ) -> list[Match]:
+        # the caches hold nothing later than now, so no cutoff is needed
+        idx = self.caches.indexes[(norm.id, clause)]
         found = [m for m in idx.matches if compatible(base, dict(m.bindings))]
         return sorted(found, key=match_sort_key)
 
-    def _lapse(self, height: int, now: Position) -> None:
-        for key, inst in list(self.instances.items()):
-            norm = self.spec.norm(inst.norm_id)
-            if norm.kind != ast.COMMITMENT or inst.is_terminal():
-                continue
-            if (
-                inst.state is NormState.ACTIVE
-                and norm.expiry_blocks is not None
-                and height > inst.created_at.block_index + norm.expiry_blocks
-            ):
-                self._transition(key, replace(inst, state=NormState.EXPIRED, closed_at=now), now)
-            elif (
-                inst.state is NormState.DETACHED
-                and height > inst.detached_at.block_index + norm.deadline_blocks
-            ):
-                self._transition(key, replace(inst, state=NormState.VIOLATED, closed_at=now), now)
-
-    def _fixpoint(self, now: Position) -> None:
-        changed = True
-        while changed:
-            changed = self._spawn()
-            if self._transitions(now):
-                changed = True
-
-    def _spawn(self) -> bool:
-        changed = False
-        for norm in self.spec.norms:
-            idx = self.caches.indexes[(norm.id, "create")]
-            for match in sorted(idx.matches, key=match_sort_key):
-                key = (norm.id, match.bindings)
-                if key in self.instances:
-                    continue
-                detach_on_create = norm.kind == ast.COMMITMENT and norm.antecedent is None
-                self.instances[key] = NormInstance(
-                    norm_id=norm.id,
-                    key_bindings=match.bindings,
-                    state=NormState.DETACHED if detach_on_create else NormState.ACTIVE,
-                    created_at=match.witness,
-                    detached_at=match.witness if detach_on_create else None,
-                )
-                if detach_on_create:
-                    self._emit(norm.id, match.bindings, NormState.DETACHED, match.witness)
-                changed = True
-        return changed
-
-    def _transitions(self, now: Position) -> bool:
-        changed = False
-        for key, inst in list(self.instances.items()):
-            if inst.is_terminal():
-                continue
-            norm = self.spec.norm(inst.norm_id)
-            if norm.kind == ast.COMMITMENT:
-                changed |= self._step_commitment(key, inst, norm)
-            else:
-                changed |= self._step_prohibition(key, inst, norm)
-        return changed
-
-    def _step_commitment(self, key, inst: NormInstance, norm: ast.NormDecl) -> bool:
-        base = inst.binding_map
-        if inst.state is NormState.ACTIVE and norm.antecedent is not None:
-            matches = self._clause_matches(norm.id, "antecedent", base)
-            if matches:
-                at = max(inst.created_at, matches[0].witness)
-                self._transition(key, replace(inst, state=NormState.DETACHED, detached_at=at), at)
-                return True
-        matches = self._clause_matches(norm.id, "consequent", base)
-        if matches:
-            at = max(inst.created_at, matches[0].witness)
-            updated = replace(
-                inst,
-                state=NormState.SATISFIED,
-                closed_at=at,
-                detached_at=inst.detached_at if inst.detached_at is not None else at,
-            )
-            self._transition(key, updated, at)
-            return True
-        return False
-
-    def _step_prohibition(self, key, inst: NormInstance, norm: ast.NormDecl) -> bool:
-        base = inst.binding_map
-        violation = None
-        for match in self._clause_matches(norm.id, "forbids", base):
-            if match.witness < inst.created_at:
-                continue
-            if norm.exemption is not None:
-                merged = dict(base)
-                merged.update(dict(match.bindings))
-                exemptions = self._clause_matches(norm.id, "exemption", merged)
-                if any(m.witness < match.witness for m in exemptions):
-                    continue
-            violation = match
-            break
-        closure = None
-        if norm.until is not None:
-            for match in self._clause_matches(norm.id, "until", base):
-                if inst.created_at <= match.witness:
-                    closure = match
-                    break
-        if violation is not None and (closure is None or not closure.witness < violation.witness):
-            event_id = None
-            for pos, event in self.trace:
-                if pos == violation.witness:
-                    event_id = event.event_id
-                    break
-            self._transition(
-                key,
-                replace(
-                    inst,
-                    state=NormState.VIOLATED,
-                    closed_at=violation.witness,
-                    violating_event=event_id,
-                ),
-                violation.witness,
-            )
-            return True
-        if closure is not None:
-            self._transition(
-                key, replace(inst, state=NormState.SATISFIED, closed_at=closure.witness), closure.witness
-            )
-            return True
-        return False
-
-    def _transition(self, key, updated: NormInstance, at: Position) -> None:
-        self.instances[key] = updated
-        self._emit(updated.norm_id, updated.key_bindings, updated.state, at)
-
-    def _emit(self, norm_id: str, bindings: Bindings, state: NormState, at: Position) -> None:
-        self._add_fact(DerivedFact(norm_state_fact_name(state.value, norm_id), bindings, at))
-
     def freeze(self, frontier: Position) -> EvalState:
-        return EvalState(
-            spec=self.spec,
-            org=self.org,
-            instances=self.instances,
-            facts=_sort_facts(self.facts),
-            frontier=frontier,
-            trace=tuple(self.trace),
-            caches=self.caches,
-        )
+        return replace(super().freeze(frontier), caches=self.caches)
 
 
 def apply_block(state: EvalState, block: Block) -> EvalState:

@@ -8,8 +8,11 @@ constraints; ``and`` joins compatible matches (witness = the later one);
 earlier than the right and completes at the right witness. Derived-fact
 patterns match the fact store the same way events match the trace.
 
-Both the batch evaluator and the incremental engine build on these leaf
-semantics; everything above this module is implemented twice, on purpose.
+match_condition is the batch evaluator's matcher: it rescans the trace on
+every query. The incremental engine keeps cached match sets built on the same
+leaf functions. The two matchers are a differential pair that the tests
+compare, so keep them independent; the norm lifecycle above them is shared
+(evaluator._Run).
 """
 
 from __future__ import annotations

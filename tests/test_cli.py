@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from compacts.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -148,6 +150,54 @@ def test_verify_chain_malformed_json_exit_65(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{]")
     assert run_cli("verify-chain", str(broken)) == EXIT_DATA
+
+
+ADMIT = {"round": 0, "event_type": "Admit", "attributes": {"patient": "charlie", "nurse": "bob"},
+         "emitter": "hospital"}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        dict(ADMIT, logical_ts=-1),
+        dict(ADMIT, logical_ts=2**64),
+        dict(ADMIT, attributes={"patient": 2**63, "nurse": "bob"}),
+        dict(ADMIT, attributes={"patient": -(2**63) - 1, "nurse": "bob"}),
+        dict(ADMIT, attributes={"patient": 1.5, "nurse": "bob"}),
+    ],
+    ids=["negative-ts", "ts-over-u64", "attribute-over-i64", "attribute-under-i64", "float-attribute"],
+)
+def test_run_out_of_range_integer_exit_65(tmp_path, capsys, line):
+    scenario = tmp_path / "scenario.jsonl"
+    scenario.write_text(json.dumps(line) + "\n")
+    assert run_cli(
+        "run",
+        "--spec", str(DEMOS / "hospital.cpt"),
+        "--scenario", str(scenario),
+        "--net", str(DEMOS / "hospital_net.json"),
+        "--out", str(tmp_path / "report.json"),
+    ) == EXIT_DATA
+    assert "scenario.jsonl:1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("events", 0, "logical_ts"), -1),
+        (("events", 0, "attributes", "value"), 2**63),
+        (("header", "nonce"), 2**64),
+    ],
+    ids=["negative-ts", "attribute-over-i64", "nonce-over-u64"],
+)
+def test_verify_chain_out_of_range_integer_exit_65(tmp_path, path, value):
+    data = json.loads((FIXTURES / "golden_chain.json").read_text())
+    record = data["blocks"][4]
+    for key in path[:-1]:
+        record = record[key]
+    record[path[-1]] = value
+    snapshot = tmp_path / "chain.json"
+    snapshot.write_text(json.dumps(data))
+    assert run_cli("verify-chain", str(snapshot)) == EXIT_DATA
 
 
 def test_trust_subcommand_prints_scores(tmp_path, capsys):

@@ -15,6 +15,7 @@ from compacts.evaluator import (
     query_instances,
 )
 from compacts.governance import Organization
+from compacts.incremental import apply_block, initial_state
 from compacts.lang import parse_compact
 from compacts.lang.ast import And, Before, EventPattern, Constraint, Variable, Literal
 from compacts.ledger import Block, Chain, Event, Position
@@ -194,6 +195,43 @@ def test_share_before_admission_is_out_of_scope(hospital_spec, org):
     state = evaluate(build_chain(groups), hospital_spec, org)
     (p1,) = state.instances_in_order()
     assert p1.state is NormState.SATISFIED  # closed by discharge, not violated
+
+
+SAME_POSITION_SPEC = """compact Tie context org {
+  roles R;
+  schema A(x: text key);
+  schema B(x: text key, tag: text out);
+  channel m members R carries A, B;
+  prohibition P subject R object R {
+    create on A(x);
+    forbids B(x, tag: "leak");
+    until B(x);
+  }
+}"""
+
+
+def fold_apply_block(chain, spec, org):
+    state = initial_state(spec, org)
+    for block in chain.blocks[1:]:
+        state = apply_block(state, block)
+    return state
+
+
+@pytest.mark.parametrize("engine", [evaluate, fold_apply_block], ids=["evaluate", "apply_block"])
+def test_forbidden_act_at_the_closing_position_is_a_violation(engine):
+    # one event is both the forbidden act and the until closure: a violation
+    # is never hidden by a closure at the same position
+    spec = parse_compact(SAME_POSITION_SPEC)
+    org = Organization.make("org", {"r": ["R"]})
+    roster = {"r": "rk"}
+    chain = build_chain([
+        [signed_event("e0", "A", {"x": "v"}, "r", roster)],
+        [signed_event("e1", "B", {"x": "v", "tag": "leak"}, "r", roster)],
+    ])
+    (inst,) = engine(chain, spec, org).instances_in_order()
+    assert inst.state is NormState.VIOLATED
+    assert inst.closed_at == Position(2, 0)
+    assert inst.violating_event == "e1"
 
 
 DEADLINE_SPEC = """compact Deadlines context org {

@@ -2,17 +2,15 @@
 
 import pytest
 
-from compacts.evaluator import EvalState, NormState, evaluate
+from compacts.evaluator import NormState, evaluate, query_instances
 from compacts.governance import (
     Organization,
     UnrosteredEmitter,
-    apply_counts_as,
     build_governance_event,
-    governance_step,
+    counts_as_facts_for_event,
     ruleset_from_spec,
 )
 from compacts.ledger import Event, Position
-from compacts.matching import DerivedFact
 from compacts.validator import check_integrity, validate_event_schema
 
 from conftest import build_chain, hospital_events, HOSPITAL_ROSTER
@@ -36,85 +34,71 @@ def tumor_org():
     return Organization.make("clinic", TUMOR_ROLES)
 
 
+def counts_as_facts(trace, rules, org):
+    return [f for pos, event in trace for f in counts_as_facts_for_event(pos, event, rules, org)]
+
+
 def test_board_assertion_derives_benign_fact(tumor_spec, tumor_org):
-    facts = apply_counts_as(tumor_trace("board"), tumor_spec.counts_as, tumor_org)
+    facts = counts_as_facts(tumor_trace("board"), tumor_spec.counts_as, tumor_org)
     assert [(f.name, dict(f.bindings)) for f in facts] == [("Benign", {"tumor": "t7"})]
     assert facts[0].witness == Position(1, 1)
 
 
 def test_nonmember_assertion_derives_nothing(tumor_spec, tumor_org):
-    assert apply_counts_as(tumor_trace("onc"), tumor_spec.counts_as, tumor_org) == []
+    assert counts_as_facts(tumor_trace("onc"), tumor_spec.counts_as, tumor_org) == []
 
 
 def test_two_member_assertions_yield_one_fact_earliest_witness(tumor_spec):
     org = Organization.make("clinic", {"board": ["TumorBoard"], "board2": ["TumorBoard"]})
     roster = {"board": "bk", "board2": "b2k"}
-    trace = [
-        (Position(1, 0),
-         Event.make("e0", "Assert", {"assertion": "a1", "tumor": "t7", "finding": "benign"}, "board")
-         .with_signature(roster["board"])),
-        (Position(2, 0),
-         Event.make("e1", "Assert", {"assertion": "a2", "tumor": "t7", "finding": "benign"}, "board2")
-         .with_signature(roster["board2"])),
+    groups = [
+        [Event.make("e0", "Assert", {"assertion": "a1", "tumor": "t7", "finding": "benign"}, "board")
+         .with_signature(roster["board"])],
+        [Event.make("e1", "Assert", {"assertion": "a2", "tumor": "t7", "finding": "benign"}, "board2")
+         .with_signature(roster["board2"])],
     ]
-    facts = apply_counts_as(trace, tumor_spec.counts_as, org)
-    assert len(facts) == 1
-    assert facts[0].witness == Position(1, 0)
+    facts = evaluate(build_chain(groups), tumor_spec, org).facts
+    assert [f.witness for f in facts if f.name == "Benign"] == [Position(1, 0)]
 
 
 def test_counts_as_monotonicity_adding_rules_never_removes_facts(tumor_spec, tumor_org):
     from compacts.lang.ast import CountsAsRule, EventPattern, Constraint, Variable
 
-    base = apply_counts_as(tumor_trace("board"), tumor_spec.counts_as, tumor_org)
+    base = counts_as_facts(tumor_trace("board"), tumor_spec.counts_as, tumor_org)
     extra = CountsAsRule(
         fact="Reviewed",
         projection=(("tumor", "tumor"),),
         source=EventPattern("Assert", (Constraint("tumor", Variable("tumor")),)),
         required_role="TumorBoard",
     )
-    grown = apply_counts_as(tumor_trace("board"), tumor_spec.counts_as + (extra,), tumor_org)
+    grown = counts_as_facts(tumor_trace("board"), tumor_spec.counts_as + (extra,), tumor_org)
     assert set(base).issubset(set(grown))
 
 
 def test_facts_are_reproducible_from_the_prefix(tumor_spec, tumor_org):
-    trace = tumor_trace("board")
-    once = apply_counts_as(trace, tumor_spec.counts_as, tumor_org)
-    again = apply_counts_as(trace, tumor_spec.counts_as, tumor_org)
-    assert once == again
+    chain = build_chain([[event for _, event in tumor_trace("board")]])
+    once = evaluate(chain, tumor_spec, tumor_org).facts
+    assert any(f.name == "Benign" for f in once)
+    assert evaluate(chain, tumor_spec, tumor_org).facts == once
 
 
-# --- governance_step ---------------------------------------------------------
+# --- violation-driven activation ---------------------------------------------
 
 
 def test_violation_fact_spawns_governance_instance(hospital_spec, hospital_org):
-    # a state holding a fresh violated(P1) fact but no C1 instance yet
-    state = EvalState(
-        spec=hospital_spec,
-        org=hospital_org,
-        instances={},
-        facts=(DerivedFact("violated(P1)", (("nurse", "bob"), ("patient", "charlie")), Position(2, 0)),),
-        frontier=Position(2, 0),
-        trace=(),
-    )
-    created = governance_step(state, hospital_spec)
-    assert [(i.norm_id, dict(i.key_bindings), i.state) for i in created] == [
-        ("C1", {"patient": "charlie"}, NormState.ACTIVE)
-    ]
-    # idempotent: same state, same spawn set
-    assert governance_step(state, hospital_spec) == created
+    # Admit then Share without consent: P1 is violated and C1 is created
+    violation, _ = hospital_events()
+    state = evaluate(build_chain(violation[:2]), hospital_spec, hospital_org)
+    (violated,) = [f for f in state.facts if f.name == "violated(P1)"]
+    (c1,) = query_instances(state, norm_id="C1")
+    assert (dict(c1.key_bindings), c1.state) == ({"patient": "charlie"}, NormState.ACTIVE)
+    assert c1.created_at == violated.witness == Position(2, 0)
 
 
 def test_no_violations_no_new_instances(hospital_spec, hospital_org):
     _, compliant = hospital_events()
     state = evaluate(build_chain(compliant), hospital_spec, hospital_org)
-    assert governance_step(state, hospital_spec) == []
-
-
-def test_evaluated_state_is_already_saturated(hospital_spec, hospital_org):
-    violation, _ = hospital_events()
-    state = evaluate(build_chain(violation), hospital_spec, hospital_org)
-    # evaluate() runs activation to fixpoint; one more step adds nothing
-    assert governance_step(state, hospital_spec) == []
+    assert query_instances(state, norm_id="C1") == []
 
 
 def test_two_violations_spawn_two_distinct_instances(hospital_spec, hospital_org):
