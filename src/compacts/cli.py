@@ -1,10 +1,13 @@
 """Command-line surface: parse and check compacts, run scenarios, evaluate
 chains, verify snapshots, print trust tables.
 
-Exit codes: 0 success, 1 parse error, 2 well-formedness error, 3 chain
-verification failure, 64 usage error (bad invocation, unreadable file),
-65 data format error (malformed JSON input). Every command is deterministic
-given its file inputs and flags; randomness only enters through --seed.
+Exit codes: 0 success, 1 parse error (including a .cpt file that is not
+UTF-8), 2 well-formedness error, 3 chain verification failure, 64 usage error
+(bad invocation, unreadable file), 65 data format error (a scenario, chain
+snapshot, network config or report that is not UTF-8 JSON of its documented
+shape, or a scenario event from an emitter not on the roster). Every command
+is deterministic given its file inputs and flags; randomness only enters
+through --seed.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional
 from . import fileformats
 from .evaluator import evaluate
 from .fileformats import DataFormatError
-from .governance import ruleset_from_spec
+from .governance import UnrosteredEmitter, ruleset_from_spec
 from .lang import ParseError, check_well_formedness, parse_compact
 from .ledger import verify_chain
 from .network import run_network
@@ -44,6 +47,8 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise _Exit(EXIT_USAGE, f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise _Exit(EXIT_PARSE, f"{path}: not UTF-8: {exc}") from exc
 
 
 def _load_spec(path: str):
@@ -195,6 +200,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except UnrosteredEmitter as exc:
+        print(f"error: emitter {exc} is not on the network roster", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
         print(f"error: {exc.filename or ''}: {exc.strerror or exc}", file=sys.stderr)

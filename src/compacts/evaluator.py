@@ -100,17 +100,7 @@ class EvalState:
 
 
 def _sort_facts(facts: Iterable[DerivedFact]) -> tuple[DerivedFact, ...]:
-    return tuple(
-        sorted(
-            facts,
-            key=lambda f: (
-                f.witness.block_index,
-                f.witness.offset_in_block,
-                f.name,
-                bindings_sort_key(f.bindings),
-            ),
-        )
-    )
+    return tuple(sorted(facts, key=lambda f: (f.witness, f.name, bindings_sort_key(f.bindings))))
 
 
 class _Run:

@@ -11,12 +11,13 @@ stable order; docs/report-schema.json is the schema it validates against.
 from __future__ import annotations
 
 import json
+import re
 from typing import Optional
 
 from .evaluator import EvalState, NormInstance
 from .governance import Organization
 from .ledger import Block, BlockHeader, Chain, Event, Position
-from .matching import Bindings, DerivedFact
+from .matching import DerivedFact
 from .network import NetworkConfig, NetworkResult, Submission
 from .trust import TrustScore
 
@@ -34,13 +35,45 @@ def _is_u64(value) -> bool:
     return isinstance(value, int) and 0 <= value < 2**64
 
 
-def _check_encodable(logical_ts, attributes, where: str) -> None:
-    """Reject values the canonical serialization cannot encode: logical_ts is
-    an unsigned and an integer attribute a signed 64-bit integer."""
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _is_text(value) -> bool:
+    """A string UTF-8 can encode: JSON admits lone surrogates, which it cannot."""
+    return isinstance(value, str) and not _SURROGATE.search(value)
+
+
+def _is_text_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_text, value))
+
+
+def _check_encodable(texts, logical_ts, attributes, where: str) -> None:
+    """Reject values the canonical serialization cannot encode: the text
+    fields must be UTF-8 strings, logical_ts an unsigned and an integer
+    attribute a signed 64-bit integer."""
+    _require(all(map(_is_text, texts)), f"{where}: {texts!r} must all be text")
     _require(_is_u64(logical_ts), f"{where}: logical_ts {logical_ts!r} is not in [0, 2**64)")
     for name, value in attributes:
-        encodable = isinstance(value, str) or (isinstance(value, int) and -(2**63) <= value < 2**63)
-        _require(encodable, f"{where}: attribute {name}={value!r} is not text, boolean or i64")
+        encodable = _is_text(value) or (isinstance(value, int) and -(2**63) <= value < 2**63)
+        _require(
+            _is_text(name) and encodable,
+            f"{where}: attribute {name!r}={value!r} is not text, boolean or i64",
+        )
+
+
+def _read_utf8(path: str, what: str) -> str:
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{what} is not UTF-8: {exc}") from exc
+
+
+def _load_json(path: str, what: str):
+    try:
+        return json.loads(_read_utf8(path, what))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or too many digits
+        raise DataFormatError(f"{what} is not valid JSON: {exc}") from exc
 
 
 # --- chain snapshots ------------------------------------------------------
@@ -67,9 +100,10 @@ def event_from_json(data: dict) -> Event:
             logical_ts=data["logical_ts"],
             signature=bytes.fromhex(data["signature"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataFormatError(f"bad event record: {exc}") from exc
-    _check_encodable(event.logical_ts, event.attributes, "bad event record")
+    texts = (event.event_id, event.event_type, event.emitter)
+    _check_encodable(texts, event.logical_ts, event.attributes, "bad event record")
     return event
 
 
@@ -92,7 +126,10 @@ def chain_to_json(chain: Chain) -> dict:
 
 
 def chain_from_json(data: dict) -> Chain:
-    _require(isinstance(data, dict) and "blocks" in data, "chain snapshot needs a blocks array")
+    _require(
+        isinstance(data, dict) and isinstance(data.get("blocks"), list),
+        "chain snapshot needs a blocks array",
+    )
     blocks = []
     for item in data["blocks"]:
         try:
@@ -103,14 +140,15 @@ def chain_from_json(data: dict) -> Chain:
                 miner=item["header"]["miner"],
                 nonce=item["header"]["nonce"],
             )
+            events = item.get("events", [])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"bad block header: {exc}") from exc
         _require(
-            _is_u64(header.index) and _is_u64(header.nonce),
-            "bad block header: index and nonce must be integers in [0, 2**64)",
+            _is_u64(header.index) and _is_u64(header.nonce) and _is_text(header.miner),
+            "bad block header: index and nonce must be integers in [0, 2**64), miner text",
         )
-        events = tuple(event_from_json(e) for e in item.get("events", ()))
-        blocks.append(Block(header=header, events=events))
+        _require(isinstance(events, list), "bad block: events must be an array")
+        blocks.append(Block(header=header, events=tuple(map(event_from_json, events))))
     _require(bool(blocks), "chain snapshot has no blocks")
     return Chain(blocks=tuple(blocks))
 
@@ -122,12 +160,7 @@ def write_chain(chain: Chain, path: str) -> None:
 
 
 def read_chain(path: str) -> Chain:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"chain snapshot is not valid JSON: {exc}") from exc
-    return chain_from_json(data)
+    return chain_from_json(_load_json(path, "chain snapshot"))
 
 
 # --- scenarios --------------------------------------------------------------
@@ -135,27 +168,30 @@ def read_chain(path: str) -> Chain:
 
 def read_scenario(path: str) -> list[Submission]:
     submissions = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            try:
-                submission = Submission.make(
-                    round=data["round"],
-                    event_type=data["event_type"],
-                    attributes=data.get("attributes", {}),
-                    emitter=data["emitter"],
-                    logical_ts=data.get("logical_ts", data["round"]),
-                )
-            except (KeyError, TypeError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad submission: {exc}") from exc
-            _check_encodable(submission.logical_ts, submission.attributes, f"{path}:{lineno}")
-            submissions.append(submission)
+    lines = _read_utf8(path, "scenario").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            data = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise DataFormatError(f"{where}: not valid JSON: {exc}") from exc
+        try:
+            submission = Submission.make(
+                round=data["round"],
+                event_type=data["event_type"],
+                attributes=data.get("attributes", {}),
+                emitter=data["emitter"],
+                logical_ts=data.get("logical_ts", data["round"]),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise DataFormatError(f"{where}: bad submission: {exc}") from exc
+        _require(isinstance(submission.round, int), f"{where}: round must be an integer")
+        texts = (submission.event_type, submission.emitter)
+        _check_encodable(texts, submission.logical_ts, submission.attributes, where)
+        submissions.append(submission)
     return submissions
 
 
@@ -164,24 +200,29 @@ def read_scenario(path: str) -> list[Submission]:
 
 def read_network_config(path: str) -> tuple[NetworkConfig, dict[str, list[str]]]:
     """Returns the config plus the optional per-principal role map."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"network config is not valid JSON: {exc}") from exc
+    data = _load_json(path, "network config")
     try:
         principals = tuple((p["id"], p["secret"]) for p in data["principals"])
+        peers = data["peers"]
         config = NetworkConfig(
             principals=principals,
-            peers=tuple(data["peers"]),
+            peers=tuple(peers),
             target=int(data["target"], 16),
             gossip_seed=data["gossip_seed"],
             max_rounds=data["max_rounds"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad network config: {exc}") from exc
-    roles = {pid: list(role_list) for pid, role_list in data.get("roles", {}).items()}
-    return config, roles
+    roles = data.get("roles", {})
+    _require(
+        all(_is_text(x) for pair in principals for x in pair)
+        and bool(peers) and _is_text_list(peers) and config.target > 0
+        and isinstance(config.gossip_seed, int) and isinstance(config.max_rounds, int)
+        and isinstance(roles, dict) and all(map(_is_text_list, roles.values())),
+        "bad network config: principals, peers (at least one) and role lists must be "
+        "text, the target positive, gossip_seed and max_rounds integers",
+    )
+    return config, {pid: list(role_list) for pid, role_list in roles.items()}
 
 
 def organization_from_roles(context: str, roles: dict[str, list[str]]) -> Organization:
@@ -192,19 +233,13 @@ def organization_from_roles(context: str, roles: dict[str, list[str]]) -> Organi
 
 
 def _position_json(pos: Optional[Position]) -> Optional[dict]:
-    if pos is None:
-        return None
-    return {"block_index": pos.block_index, "offset_in_block": pos.offset_in_block}
-
-
-def _bindings_json(bindings: Bindings) -> dict:
-    return dict(bindings)
+    return None if pos is None else pos._asdict()
 
 
 def instance_to_json(instance: NormInstance) -> dict:
     return {
         "norm_id": instance.norm_id,
-        "bindings": _bindings_json(instance.key_bindings),
+        "bindings": dict(instance.key_bindings),
         "state": instance.state.value,
         "created_at": _position_json(instance.created_at),
         "detached_at": _position_json(instance.detached_at),
@@ -216,7 +251,7 @@ def instance_to_json(instance: NormInstance) -> dict:
 def fact_to_json(fact: DerivedFact) -> dict:
     return {
         "name": fact.name,
-        "bindings": _bindings_json(fact.bindings),
+        "bindings": dict(fact.bindings),
         "witness": _position_json(fact.witness),
     }
 
@@ -258,11 +293,24 @@ def write_report(report: dict, path: str) -> None:
         handle.write("\n")
 
 
+def _is_trust_row(row) -> bool:
+    return (
+        isinstance(row, dict)
+        and _is_text(row.get("principal"))
+        and _is_text(row.get("norm_id"))
+        and isinstance(row.get("satisfied"), int)
+        and isinstance(row.get("violated"), int)
+        and isinstance(row.get("score"), (int, float))
+    )
+
+
 def read_report(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"report is not valid JSON: {exc}") from exc
+    data = _load_json(path, "report")
     _require(isinstance(data, dict) and "instances" in data, "not an evaluation report")
+    trust = data.get("trust", [])
+    _require(
+        isinstance(trust, list) and all(map(_is_trust_row, trust)),
+        "report: each trust row needs text principal and norm_id, integer satisfied "
+        "and violated, and a numeric score",
+    )
     return data

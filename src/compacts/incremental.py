@@ -46,14 +46,16 @@ def _merge(a: Bindings, b: Bindings) -> Bindings:
 
 
 class _CondIndex:
-    """Cached match set of one condition, updated by deltas."""
+    """Cached match set of one condition, updated by deltas.
 
-    __slots__ = ("cond", "matches", "_keys", "left", "right")
+    matches is a dict used as an insertion-ordered set of Match tuples.
+    """
+
+    __slots__ = ("cond", "matches", "left", "right")
 
     def __init__(self, cond: ast.Condition, _empty: bool = False):
         self.cond = cond
-        self.matches: list[Match] = []
-        self._keys: set[tuple[Bindings, Position]] = set()
+        self.matches: dict[Match, None] = {}
         self.left: Optional[_CondIndex] = None
         self.right: Optional[_CondIndex] = None
         if not _empty and isinstance(cond, (ast.And, ast.Or, ast.Before)):
@@ -62,8 +64,7 @@ class _CondIndex:
 
     def clone(self) -> "_CondIndex":
         copy = _CondIndex(self.cond, _empty=True)
-        copy.matches = list(self.matches)
-        copy._keys = set(self._keys)
+        copy.matches = dict(self.matches)
         copy.left = self.left.clone() if self.left else None
         copy.right = self.right.clone() if self.right else None
         return copy
@@ -71,10 +72,8 @@ class _CondIndex:
     def _absorb(self, candidates: list[Match]) -> list[Match]:
         fresh = []
         for match in candidates:
-            key = (match.bindings, match.witness)
-            if key not in self._keys:
-                self._keys.add(key)
-                self.matches.append(match)
+            if match not in self.matches:
+                self.matches[match] = None
                 fresh.append(match)
         return fresh
 
@@ -123,9 +122,8 @@ class _CondIndex:
         for lm in lefts:
             left_map = dict(lm.bindings)
             for rm in rights:
-                if compatible(left_map, dict(rm.bindings)):
-                    witness = rm.witness if lm.witness < rm.witness else lm.witness
-                    out.append(Match(_merge(lm.bindings, rm.bindings), witness))
+                if compatible(left_map, rm.bindings):
+                    out.append(Match(_merge(lm.bindings, rm.bindings), max(lm.witness, rm.witness)))
         return out
 
     @staticmethod
@@ -134,7 +132,7 @@ class _CondIndex:
         for lm in lefts:
             left_map = dict(lm.bindings)
             for rm in rights:
-                if lm.witness < rm.witness and compatible(left_map, dict(rm.bindings)):
+                if lm.witness < rm.witness and compatible(left_map, rm.bindings):
                     out.append(Match(_merge(lm.bindings, rm.bindings), rm.witness))
         return out
 
@@ -212,7 +210,7 @@ class _IncrementalRun(_Run):
     ) -> list[Match]:
         # the caches hold nothing later than now, so no cutoff is needed
         idx = self.caches.indexes[(norm.id, clause)]
-        found = [m for m in idx.matches if compatible(base, dict(m.bindings))]
+        found = [m for m in idx.matches if compatible(base, m.bindings)]
         return sorted(found, key=match_sort_key)
 
     def freeze(self, frontier: Position) -> EvalState:

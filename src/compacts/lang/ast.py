@@ -116,14 +116,6 @@ def variables_of(condition: Condition) -> set[str]:
     return names
 
 
-def event_types_of(condition: Condition) -> set[str]:
-    return {
-        node.event_type
-        for node in patterns_of(condition)
-        if isinstance(node, EventPattern)
-    }
-
-
 @dataclass(frozen=True)
 class RoleClause:
     """``Role`` or ``Role: variable``; the variable names the bound principal."""

@@ -10,7 +10,7 @@ error).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..validator import ADORNMENTS, Channel, Parameter, SchemaDecl
@@ -511,50 +511,27 @@ def _resolve_fact_patterns(spec: ast.CompactSpec) -> ast.CompactSpec:
     if not fact_names:
         return spec
 
-    def fix(cond: ast.Condition) -> ast.Condition:
+    def fix(cond: Optional[ast.Condition]) -> Optional[ast.Condition]:
         if isinstance(cond, ast.EventPattern) and cond.event_type in fact_names:
             return ast.FactPattern(
                 fact=cond.event_type, constraints=cond.constraints, pos=cond.pos
             )
-        if isinstance(cond, ast.And):
-            return ast.And(fix(cond.left), fix(cond.right))
-        if isinstance(cond, ast.Or):
-            return ast.Or(fix(cond.left), fix(cond.right))
-        if isinstance(cond, ast.Before):
-            return ast.Before(fix(cond.left), fix(cond.right))
+        if isinstance(cond, (ast.And, ast.Or, ast.Before)):
+            return replace(cond, left=fix(cond.left), right=fix(cond.right))
         return cond
 
-    norms = []
-    for norm in spec.norms:
-        norms.append(
-            ast.NormDecl(
-                id=norm.id,
-                kind=norm.kind,
-                subject=norm.subject,
-                object=norm.object,
-                context=norm.context,
-                create=fix(norm.create),
-                antecedent=fix(norm.antecedent) if norm.antecedent else None,
-                consequent=fix(norm.consequent) if norm.consequent else None,
-                deadline_blocks=norm.deadline_blocks,
-                expiry_blocks=norm.expiry_blocks,
-                forbids=norm.forbids,
-                exemption=fix(norm.exemption) if norm.exemption else None,
-                exemption_guard=norm.exemption_guard,
-                until=fix(norm.until) if norm.until else None,
-                pos=norm.pos,
-            )
+    norms = tuple(
+        replace(
+            norm,
+            create=fix(norm.create),
+            antecedent=fix(norm.antecedent),
+            consequent=fix(norm.consequent),
+            exemption=fix(norm.exemption),
+            until=fix(norm.until),
         )
-    return ast.CompactSpec(
-        name=spec.name,
-        context=spec.context,
-        roles=spec.roles,
-        schemas=spec.schemas,
-        channels=spec.channels,
-        counts_as=spec.counts_as,
-        norms=tuple(norms),
-        pos=spec.pos,
+        for norm in spec.norms
     )
+    return replace(spec, norms=norms)
 
 
 def parse_compact(text: str) -> ast.CompactSpec:

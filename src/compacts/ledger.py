@@ -19,14 +19,13 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 Scalar = Union[str, int, bool]
 
 DIGEST_SIZE = 32
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
 MAX_NONCE = 2**64 - 1
-MAX_TARGET = 1 << 256
 
 
 class LedgerError(Exception):
@@ -69,25 +68,17 @@ def _attributes_bytes(attributes: Mapping[str, Scalar]) -> bytes:
     return b"".join(parts)
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(NamedTuple):
     """Total order over ledger occurrences: (block index, offset in block).
 
-    Offset -1 denotes the block boundary itself, before any event of that
-    block; deadline and expiry transitions anchor there.
+    A plain tuple: ordering, equality and hashing are the tuple's, so
+    positions compare lexicographically, block first. Offset -1 denotes the
+    block boundary itself, before any event of that block; deadline and
+    expiry transitions anchor there.
     """
 
     block_index: int
     offset_in_block: int
-
-    def _key(self) -> tuple[int, int]:
-        return (self.block_index, self.offset_in_block)
-
-    def __lt__(self, other: "Position") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "Position") -> bool:
-        return self._key() <= other._key()
 
 
 @dataclass(frozen=True, eq=True)

@@ -8,6 +8,11 @@ constraints; ``and`` joins compatible matches (witness = the later one);
 earlier than the right and completes at the right witness. Derived-fact
 patterns match the fact store the same way events match the trace.
 
+Match is a named tuple (bindings, witness) and Position is one too, so
+witnesses order with ``<`` and ``max`` and matches deduplicate by hashing
+themselves. Bindings are tuples of (name, value) pairs sorted by name;
+``compatible`` checks one against a dict of bindings already in force.
+
 match_condition is the batch evaluator's matcher: it rescans the trace on
 every query. The incremental engine keeps cached match sets built on the same
 leaf functions. The two matchers are a differential pair that the tests
@@ -18,7 +23,7 @@ compare, so keep them independent; the norm lifecycle above them is shared
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .lang import ast
 from .ledger import Event, Position, Scalar
@@ -47,8 +52,7 @@ def norm_state_fact_name(state: str, norm_id: str) -> str:
     return f"{state}({norm_id})"
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     bindings: Bindings
     witness: Position
 
@@ -70,14 +74,15 @@ def bindings_sort_key(bindings: Bindings) -> tuple:
 
 
 def match_sort_key(match: Match) -> tuple:
-    return (match.witness.block_index, match.witness.offset_in_block,
-            bindings_sort_key(match.bindings))
+    return (match.witness, bindings_sort_key(match.bindings))
 
 
-def compatible(a: Mapping[str, Scalar], b: Mapping[str, Scalar]) -> bool:
-    if len(b) < len(a):
-        a, b = b, a
-    return all(name not in b or b[name] == value for name, value in a.items())
+def compatible(base: Mapping[str, Scalar], bindings: Bindings) -> bool:
+    """No variable bound on both sides has unequal values."""
+    for name, value in bindings:
+        if name in base and base[name] != value:
+            return False
+    return True
 
 
 def _extend(
@@ -129,7 +134,7 @@ def match_fact_pattern(
 
 
 def _dedup_sorted(matches: Iterable[Match]) -> list[Match]:
-    unique = {(m.bindings, m.witness): m for m in matches}
+    unique = {m: m for m in matches}
     return sorted(unique.values(), key=match_sort_key)
 
 
@@ -178,7 +183,7 @@ def _match(
         out = []
         for left in _match(condition.left, trace, facts, base, now):
             for right in _match(condition.right, trace, facts, dict(left.bindings), now):
-                out.append(Match(right.bindings, max(left.witness, right.witness, key=_pos_key)))
+                out.append(Match(right.bindings, max(left.witness, right.witness)))
         return out
     if isinstance(condition, ast.Or):
         return _match(condition.left, trace, facts, base, now) + _match(
@@ -192,7 +197,3 @@ def _match(
                     out.append(Match(right.bindings, right.witness))
         return out
     raise TypeError(f"not a condition: {type(condition).__name__}")
-
-
-def _pos_key(pos: Position) -> tuple[int, int]:
-    return (pos.block_index, pos.offset_in_block)

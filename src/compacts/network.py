@@ -76,12 +76,6 @@ class NetworkResult:
     converged: bool
     rounds_used: int
 
-    def chain_of(self, peer: str) -> Chain:
-        for pid, chain in self.chains:
-            if pid == peer:
-                return chain
-        raise KeyError(peer)
-
     @property
     def active_chain(self) -> Chain:
         return select_active_chain([chain for _, chain in self.chains])

@@ -15,10 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from .ledger import Event, Scalar
 
-KINDS = ("text", "int", "bool")
 ADORNMENTS = ("key", "out", "in")
-
-_PYTHON_KIND = {"text": str, "int": int, "bool": bool}
 
 
 @dataclass(frozen=True)

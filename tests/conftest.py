@@ -30,6 +30,24 @@ HOSPITAL_ROLES = {
 }
 
 
+def cli_argv(fmt: str, path, out) -> list[str]:
+    """The compacts command that reads a file of one input format at path;
+    a command that writes a report writes it to out."""
+    spec, net = str(DEMOS / "hospital.cpt"), str(DEMOS / "hospital_net.json")
+    scenario = str(DEMOS / "hospital_compliant.jsonl")
+    if fmt == "cpt":
+        return ["parse", str(path)]
+    if fmt == "scenario":
+        return ["run", "--spec", spec, "--scenario", str(path), "--net", net, "--out", str(out)]
+    if fmt == "net":
+        return ["run", "--spec", spec, "--scenario", scenario, "--net", str(path), "--out", str(out)]
+    if fmt == "snapshot":
+        return ["verify-chain", str(path)]
+    if fmt == "report":
+        return ["trust", "--report", str(path)]
+    raise ValueError(fmt)
+
+
 def load_fixture(name: str) -> dict:
     with open(FIXTURES / name, "r", encoding="utf-8") as handle:
         return json.load(handle)

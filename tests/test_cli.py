@@ -14,7 +14,7 @@ from compacts.cli import (
     main,
 )
 
-from conftest import DEMOS, FIXTURES
+from conftest import DEMOS, FIXTURES, cli_argv
 
 
 def run_cli(*argv):
@@ -180,6 +180,16 @@ def test_run_out_of_range_integer_exit_65(tmp_path, capsys, line):
     assert "scenario.jsonl:1:" in capsys.readouterr().err
 
 
+def _golden(path, value) -> bytes:
+    """The golden chain snapshot with one field of block 4 set to value."""
+    data = json.loads((FIXTURES / "golden_chain.json").read_text())
+    record = data["blocks"][4]
+    for key in path[:-1]:
+        record = record[key]
+    record[path[-1]] = value
+    return json.dumps(data).encode()
+
+
 @pytest.mark.parametrize(
     "path, value",
     [
@@ -190,14 +200,52 @@ def test_run_out_of_range_integer_exit_65(tmp_path, capsys, line):
     ids=["negative-ts", "attribute-over-i64", "nonce-over-u64"],
 )
 def test_verify_chain_out_of_range_integer_exit_65(tmp_path, path, value):
-    data = json.loads((FIXTURES / "golden_chain.json").read_text())
-    record = data["blocks"][4]
-    for key in path[:-1]:
-        record = record[key]
-    record[path[-1]] = value
     snapshot = tmp_path / "chain.json"
-    snapshot.write_text(json.dumps(data))
+    snapshot.write_bytes(_golden(path, value))
     assert run_cli("verify-chain", str(snapshot)) == EXIT_DATA
+
+
+def _scenario(**changes) -> bytes:
+    return json.dumps(dict(ADMIT, **changes)).encode() + b"\n"
+
+
+def _net(**changes) -> bytes:
+    data = json.loads((DEMOS / "hospital_net.json").read_text())
+    return json.dumps(dict(data, **changes)).encode()
+
+
+NOT_UTF8 = b"\xff\xfe"
+
+# input format, file contents; a .cpt file is a parse error (1), the rest data errors (65)
+MALFORMED_INPUTS = {
+    "scenario-attributes-array": ("scenario", _scenario(attributes=["x"])),
+    "scenario-event-type-int": ("scenario", _scenario(event_type=5)),
+    "scenario-unrostered-emitter": ("scenario", _scenario(emitter="mallory")),
+    "scenario-not-utf8": ("scenario", _scenario()[:-3] + NOT_UTF8 + b'"}\n'),
+    "snapshot-attributes-array": ("snapshot", _golden(("events", 0, "attributes"), ["x"])),
+    "snapshot-emitter-int": ("snapshot", _golden(("events", 0, "emitter"), 5)),
+    "snapshot-miner-int": ("snapshot", _golden(("header", "miner"), 5)),
+    "snapshot-blocks-int": ("snapshot", b'{"blocks": 5}'),
+    "snapshot-not-utf8": ("snapshot", b'{"blocks": "' + NOT_UTF8 + b'"}'),
+    "net-role-list-int": ("net", _net(roles={"bob": 5})),
+    "net-roles-array": ("net", _net(roles=[1])),
+    "net-no-peers": ("net", _net(peers=[])),
+    "net-zero-target": ("net", _net(target="0")),
+    "net-max-rounds-text": ("net", _net(max_rounds="5")),
+    "net-not-utf8": ("net", _net()[:-1] + b', "x": "' + NOT_UTF8 + b'"}'),
+    "report-trust-row-lacks-fields": ("report", b'{"instances": [], "trust": [{"principal": "bob"}]}'),
+    "report-not-utf8": ("report", b'{"instances": [], "x": "' + NOT_UTF8 + b'"}'),
+    "cpt-not-utf8": ("cpt", NOT_UTF8 + (DEMOS / "hospital.cpt").read_bytes()),
+}
+
+
+@pytest.mark.parametrize("fmt, payload", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
+def test_malformed_input_exits_with_its_documented_code(tmp_path, capsys, fmt, payload):
+    path = tmp_path / f"input.{fmt}"
+    path.write_bytes(payload)
+    expected = EXIT_PARSE if fmt == "cpt" else EXIT_DATA
+    assert run_cli(*cli_argv(fmt, path, tmp_path / "report.json")) == expected
+    assert "error" in capsys.readouterr().err
 
 
 def test_trust_subcommand_prints_scores(tmp_path, capsys):
