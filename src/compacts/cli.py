@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 parse error (including a .cpt file that is not
 UTF-8), 2 well-formedness error, 3 chain verification failure, 64 usage error
 (bad invocation, unreadable file), 65 data format error (a scenario, chain
 snapshot, network config or report that is not UTF-8 JSON of its documented
-shape, or a scenario event from an emitter not on the roster). Every command
+shape, a network config whose target is below fileformats.MIN_TARGET, or a
+scenario event from an emitter not on the roster). Every command
 is deterministic given its file inputs and flags; randomness only enters
 through --seed.
 """

@@ -197,6 +197,11 @@ def read_scenario(path: str) -> list[Submission]:
 
 # --- network config ---------------------------------------------------------
 
+# The lowest target a network config may set. Mining a block scans about
+# 2**256 / target nonces, so this floor bounds the work at about 65k nonces a
+# block; a lower target could keep ``compacts run`` mining for years.
+MIN_TARGET = 1 << 240
+
 
 def read_network_config(path: str) -> tuple[NetworkConfig, dict[str, list[str]]]:
     """Returns the config plus the optional per-principal role map."""
@@ -216,11 +221,11 @@ def read_network_config(path: str) -> tuple[NetworkConfig, dict[str, list[str]]]
     roles = data.get("roles", {})
     _require(
         all(_is_text(x) for pair in principals for x in pair)
-        and bool(peers) and _is_text_list(peers) and config.target > 0
+        and bool(peers) and _is_text_list(peers) and config.target >= MIN_TARGET
         and isinstance(config.gossip_seed, int) and isinstance(config.max_rounds, int)
         and isinstance(roles, dict) and all(map(_is_text_list, roles.values())),
         "bad network config: principals, peers (at least one) and role lists must be "
-        "text, the target positive, gossip_seed and max_rounds integers",
+        f"text, the target at least {MIN_TARGET:#x}, gossip_seed and max_rounds integers",
     )
     return config, {pid: list(role_list) for pid, role_list in roles.items()}
 

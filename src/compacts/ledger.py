@@ -230,9 +230,6 @@ class Chain:
             for offset, event in enumerate(block.events):
                 yield Position(block.header.index, offset), event
 
-    def event_ids(self) -> set[str]:
-        return {e.event_id for _, e in self.events_in_order()}
-
 
 def genesis_chain() -> Chain:
     return Chain()
@@ -285,6 +282,7 @@ def validate_block(
     roster: Optional[Mapping[str, str]] = None,
     rules=None,
     roles_of=None,
+    index=None,
 ) -> Optional[Rejection]:
     """Check a proposed next block against a chain; None means accepted.
 
@@ -293,6 +291,11 @@ def validate_block(
     uniqueness, then validator admission. Target, roster and rules are
     optional context; the corresponding checks are skipped when absent.
     roles_of resolves a principal's roles for channel membership.
+
+    index is the validator.LedgerIndex of chain for these rules, when the
+    caller keeps one: the block's events are added to it as they pass, so
+    pass a copy the caller may drop on a rejection. Without it the index is
+    built from chain.
     """
     prev = chain.tip.header
     if block.header.prev_hash != hash_block_header(prev):
@@ -311,24 +314,27 @@ def validate_block(
             secret = roster.get(event.emitter)
             if secret is None or not verify_event_signature(event, secret):
                 return Rejection("BadSignature", event.event_id)
-    seen = chain.event_ids()
-    for event in block.events:
-        if event.event_id in seen:
-            return Rejection("DuplicateEventId", event.event_id)
-        seen.add(event.event_id)
-    if rules is not None:
-        # Admission per the validator module: each event is checked against
-        # the chain prefix plus the earlier events of this block.
-        from . import validator
+    if not block.events:
+        return None
+    from . import validator
 
-        ledger_view = [e for _, e in chain.events_in_order()]
-        for event in block.events:
+    if index is None:
+        index = validator.LedgerIndex(rules, (e for _, e in chain.events_in_order()))
+    in_block: set[str] = set()
+    for event in block.events:
+        if event.event_id in index.event_ids or event.event_id in in_block:
+            return Rejection("DuplicateEventId", event.event_id)
+        in_block.add(event.event_id)
+    # Admission per the validator module: each event is checked against the
+    # chain prefix plus the earlier events of this block.
+    for event in block.events:
+        if rules is not None:
             problems = validator.validate_event_schema(event, rules, roles_of)
             if not problems:
-                problems = validator.check_integrity(event, ledger_view, rules)
+                problems = validator.check_integrity(event, index, rules)
             if problems:
                 return Rejection("IntegrityViolation", str(problems[0]))
-            ledger_view.append(event)
+        index.add(event)
     return None
 
 
@@ -344,25 +350,47 @@ def verify_chain(
     roster: Optional[Mapping[str, str]] = None,
     rules=None,
     roles_of=None,
+    memo: Optional[dict] = None,
 ) -> Optional[FirstBadBlock]:
     """Verify every block against its prefix; None means the chain is sound.
 
     Block 0 must be the shared genesis block exactly. Returns the lowest
     failing index otherwise.
+
+    memo maps the header digest of each block verified so far to the
+    verified blocks up to and including it and their validator.LedgerIndex.
+    With it, verification starts after the newest block whose memo entry
+    holds exactly this chain's blocks up to that block, and every block that
+    passes is stored. A memo is only valid for one target, roster, rules and
+    roles_of. Without it every block is verified from genesis.
     """
     if not chain.blocks:
         return FirstBadBlock(0, Rejection("BadGenesis", "empty chain"))
     head = chain.blocks[0]
     if head.header != GENESIS_HEADER or head.events:
         return FirstBadBlock(0, Rejection("BadGenesis", "not the shared genesis"))
-    prefix = Chain(blocks=(GENESIS_BLOCK,))
-    for block in chain.blocks[1:]:
+    from .validator import LedgerIndex
+
+    blocks = chain.blocks
+    start, index = 1, LedgerIndex(rules)
+    if memo is not None:
+        for height in range(len(blocks) - 1, 0, -1):
+            known = memo.get(hash_block_header(blocks[height].header))
+            if known is not None and known[0] == blocks[: height + 1]:
+                start, index = height + 1, known[1]
+                break
+    for height in range(start, len(blocks)):
+        block = blocks[height]
+        if memo is not None and block.events:
+            index = index.copy()  # the memo keeps the parent's index
         rejection = validate_block(
-            prefix, block, target=target, roster=roster, rules=rules, roles_of=roles_of
+            Chain(blocks=blocks[:height]), block, target=target, roster=roster,
+            rules=rules, roles_of=roles_of, index=index,
         )
         if rejection is not None:
             return FirstBadBlock(block.header.index, rejection)
-        prefix = prefix.extend(block)
+        if memo is not None:
+            memo[hash_block_header(block.header)] = (blocks[: height + 1], index)
     return None
 
 

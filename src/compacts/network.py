@@ -27,7 +27,7 @@ from .ledger import (
     verify_chain,
     verify_event_signature,
 )
-from .validator import IntegrityRuleSet, check_integrity, validate_event_schema
+from .validator import IntegrityRuleSet, LedgerIndex, check_integrity, validate_event_schema
 
 
 @dataclass(frozen=True)
@@ -102,33 +102,39 @@ def events_from_scenario(
 
 
 class _Peer:
-    def __init__(self, peer_id: str):
+    def __init__(self, peer_id: str, rules: Optional[IntegrityRuleSet]):
         self.id = peer_id
         self.chain = genesis_chain()
+        self.index = LedgerIndex(rules)  # admission state of self.chain
         self.seen: dict[str, Event] = {}  # event_id -> event, arrival order
 
+    def adopt(self, chain: Chain, memo: dict) -> None:
+        """Switch to a chain verify_chain has stored in memo."""
+        self.chain = chain
+        self.index = memo[chain.tip_digest()][1]
+
     def pending(self) -> list[Event]:
-        on_chain = self.chain.event_ids()
-        return [e for e in self.seen.values() if e.event_id not in on_chain]
+        return [e for e in self.seen.values() if e.event_id not in self.index.event_ids]
 
 
 def _admissible(
     events: list[Event],
-    chain: Chain,
+    index: LedgerIndex,
     rules: Optional[IntegrityRuleSet],
     roles_of,
 ) -> list[Event]:
-    if rules is None:
+    """The events, in order, that may extend the chain whose index is given."""
+    if rules is None or not events:
         return list(events)
-    view = [e for _, e in chain.events_in_order()]
+    index = index.copy()
     chosen = []
     for event in events:
         if validate_event_schema(event, rules, roles_of):
             continue
-        if check_integrity(event, view, rules):
+        if check_integrity(event, index, rules):
             continue
         chosen.append(event)
-        view.append(event)
+        index.add(event)
     return chosen
 
 
@@ -142,14 +148,23 @@ def run_network(
 
     Stops early once every peer agrees, nothing is in flight and no
     admissible event is waiting. Converged means all peers' active chains are
-    identical at the end.
+    identical at the end. Verification is shared by the whole run: a block
+    is verified once, when it is mined, and a gossiped chain is checked only
+    past its newest verified block (see verify_chain's memo).
     """
     roster = config.roster
     roles_of = org.roles_of if org is not None else None
     submissions = events_from_scenario(scenario, roster)
     rng = random.Random(config.gossip_seed)
     peer_ids = sorted(config.peers)
-    peers = {pid: _Peer(pid) for pid in peer_ids}
+    peers = {pid: _Peer(pid, rules) for pid in peer_ids}
+    memo: dict = {}
+
+    def sound(chain: Chain) -> bool:
+        return verify_chain(
+            chain, target=config.target, roster=roster, rules=rules, roles_of=roles_of, memo=memo
+        ) is None
+
     # inbox[peer] holds (kind, payload) pairs deliverable this round
     inbox: dict[str, list[tuple[str, object]]] = {pid: [] for pid in peer_ids}
     next_inbox: dict[str, list[tuple[str, object]]] = {pid: [] for pid in peer_ids}
@@ -184,24 +199,24 @@ def run_network(
                     broadcast(pid, "event", event)
                 else:
                     candidate = payload
-                    if verify_chain(
-                        candidate, target=config.target, roster=roster, rules=rules, roles_of=roles_of
-                    ):
+                    if not sound(candidate):
                         continue  # invalid chains are dropped
                     best = select_active_chain([peer.chain, candidate])
                     if best.tip_digest() != peer.chain.tip_digest():
-                        peer.chain = best
+                        peer.adopt(best, memo)
                         for _, event in best.events_in_order():
                             peer.seen.setdefault(event.event_id, event)
                         broadcast(pid, "chain", best)
 
-            mineable = _admissible(peer.pending(), peer.chain, rules, roles_of)
+            mineable = _admissible(peer.pending(), peer.index, rules, roles_of)
             if mineable:
                 header = mine_block(
                     tuple(mineable), peer.chain.tip.header, config.target, miner=pid
                 )
-                peer.chain = peer.chain.extend(Block(header=header, events=tuple(mineable)))
-                broadcast(pid, "chain", peer.chain)
+                mined = peer.chain.extend(Block(header=header, events=tuple(mineable)))
+                if sound(mined):  # verifies the new block once, for every peer
+                    peer.adopt(mined, memo)
+                    broadcast(pid, "chain", mined)
 
         inbox, next_inbox = next_inbox, {pid: [] for pid in peer_ids}
 
@@ -209,7 +224,7 @@ def run_network(
         in_flight = any(inbox[pid] for pid in peer_ids)
         waiting = any(r > round_no for r, _ in submissions)
         backlog = any(
-            _admissible(peers[pid].pending(), peers[pid].chain, rules, roles_of)
+            _admissible(peers[pid].pending(), peers[pid].index, rules, roles_of)
             for pid in peer_ids
         )
         if len(tips) == 1 and not in_flight and not waiting and not backlog:

@@ -11,7 +11,8 @@ parameter name).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Optional, Union
 
 from .ledger import Event, Scalar
 
@@ -34,7 +35,11 @@ class SchemaDecl:
         return tuple(p.name for p in self.parameters)
 
     def by_adornment(self, adornment: str) -> tuple[Parameter, ...]:
-        return tuple(p for p in self.parameters if p.adornment == adornment)
+        return self._adorned.get(adornment, ())
+
+    @cached_property
+    def _adorned(self) -> dict[str, tuple[Parameter, ...]]:
+        return {a: tuple(p for p in self.parameters if p.adornment == a) for a in ADORNMENTS}
 
 
 @dataclass(frozen=True)
@@ -50,10 +55,14 @@ class IntegrityRuleSet:
     channels: tuple[Channel, ...]
 
     def schema_for(self, event_type: str) -> Optional[SchemaDecl]:
+        return self._schema_by_type.get(event_type)
+
+    @cached_property
+    def _schema_by_type(self) -> dict[str, SchemaDecl]:
+        by_type: dict[str, SchemaDecl] = {}
         for schema in self.schemas:
-            if schema.event_type == event_type:
-                return schema
-        return None
+            by_type.setdefault(schema.event_type, schema)  # the first declaration wins
+        return by_type
 
     def channels_carrying(self, event_type: str) -> tuple[Channel, ...]:
         return tuple(c for c in self.channels if event_type in c.carries)
@@ -113,9 +122,59 @@ def validate_event_schema(
     return errors
 
 
+class LedgerIndex:
+    """Admission state of a ledger prefix, kept as lookups.
+
+    ``event_ids`` holds every event id. ``bound`` holds every (name, value)
+    pair an event bound as a key or out parameter: the values an in
+    parameter may refer to. ``outs`` maps (event type, key values) to the
+    set of out-value tuples of the events with those keys. An index belongs
+    to one rule set; with ``rules`` None it tracks event ids only. Values
+    compare as Python compares them, so True and 1 are the same binding.
+    """
+
+    __slots__ = ("rules", "event_ids", "bound", "outs")
+
+    def __init__(self, rules: Optional[IntegrityRuleSet], events: Iterable[Event] = ()):
+        self.rules = rules
+        self.event_ids: set[str] = set()
+        self.bound: set[tuple[str, Scalar]] = set()
+        self.outs: dict[tuple[str, tuple], frozenset[tuple]] = {}
+        for event in events:
+            self.add(event)
+
+    def __len__(self) -> int:
+        return len(self.event_ids)
+
+    def copy(self) -> "LedgerIndex":
+        other = LedgerIndex(self.rules)
+        other.event_ids = self.event_ids.copy()
+        other.bound = self.bound.copy()
+        other.outs = self.outs.copy()  # the values are immutable
+        return other
+
+    def add(self, event: Event) -> None:
+        self.event_ids.add(event.event_id)
+        schema = self.rules.schema_for(event.event_type) if self.rules is not None else None
+        if schema is None:
+            return
+        attrs = event.attribute_map
+        for param in schema.parameters:
+            if param.adornment != "in" and param.name in attrs:
+                self.bound.add((param.name, attrs[param.name]))
+        key, outs = _key_and_outs(event.event_type, schema, attrs)
+        self.outs[key] = self.outs.get(key, frozenset()) | {outs}
+
+
+def _key_and_outs(event_type: str, schema: SchemaDecl, attrs: dict) -> tuple[tuple, tuple]:
+    """(event type, key values) and the out values of one event."""
+    keys = tuple(attrs.get(p.name) for p in schema.by_adornment("key"))
+    return (event_type, keys), tuple(attrs.get(p.name) for p in schema.by_adornment("out"))
+
+
 def check_integrity(
     event: Event,
-    ledger_view: Sequence[Event],
+    ledger_view: Union[LedgerIndex, Iterable[Event]],
     rules: IntegrityRuleSet,
 ) -> list[AdmissionError]:
     """Information-level integrity of one event against the ledger so far.
@@ -123,49 +182,26 @@ def check_integrity(
     (a) key uniqueness: no earlier event of the same type may agree on all
     key parameters yet differ on any out parameter; (b) in-causality: every
     in-adorned (name, value) pair must already occur as a key-or-out binding
-    of some earlier event. Assumes validate_event_schema passed.
+    of some earlier event. Assumes validate_event_schema passed. The ledger
+    so far is its LedgerIndex for ``rules``, or its events, indexed here.
     """
     schema = rules.schema_for(event.event_type)
     if schema is None:
         return [AdmissionError("UnknownEventType", event.event_type)]
+    index = ledger_view if isinstance(ledger_view, LedgerIndex) else LedgerIndex(rules, ledger_view)
     violations: list[AdmissionError] = []
     attrs = event.attribute_map
 
-    keys = schema.by_adornment("key")
-    outs = schema.by_adornment("out")
-    for earlier in ledger_view:
-        if earlier.event_type != event.event_type:
-            continue
-        earlier_attrs = earlier.attribute_map
-        if all(earlier_attrs.get(k.name) == attrs.get(k.name) for k in keys):
-            if any(earlier_attrs.get(o.name) != attrs.get(o.name) for o in outs):
-                key_repr = ", ".join(f"{k.name}={attrs.get(k.name)!r}" for k in keys)
-                violations.append(
-                    AdmissionError("KeyConflict", f"{event.event_type}[{key_repr}]")
-                )
-                break
+    key, outs = _key_and_outs(event.event_type, schema, attrs)
+    earlier = index.outs.get(key)
+    if earlier and (len(earlier) > 1 or outs not in earlier):
+        key_repr = ", ".join(f"{k.name}={attrs.get(k.name)!r}" for k in schema.by_adornment("key"))
+        violations.append(AdmissionError("KeyConflict", f"{event.event_type}[{key_repr}]"))
 
-    bound = _bound_pairs(ledger_view, rules)
     for param in schema.by_adornment("in"):
         value = attrs.get(param.name)
-        if (param.name, value) not in bound:
+        if (param.name, value) not in index.bound:
             violations.append(
                 AdmissionError("UnboundInParameter", f"{param.name}={value!r}")
             )
     return violations
-
-
-def _bound_pairs(
-    ledger_view: Iterable[Event], rules: IntegrityRuleSet
-) -> set[tuple[str, Scalar]]:
-    """(name, value) pairs introduced as key-or-out bindings so far."""
-    pairs: set[tuple[str, Scalar]] = set()
-    for earlier in ledger_view:
-        schema = rules.schema_for(earlier.event_type)
-        if schema is None:
-            continue
-        attrs = earlier.attribute_map
-        for param in schema.parameters:
-            if param.adornment in ("key", "out") and param.name in attrs:
-                pairs.add((param.name, attrs[param.name]))
-    return pairs

@@ -231,6 +231,7 @@ MALFORMED_INPUTS = {
     "net-roles-array": ("net", _net(roles=[1])),
     "net-no-peers": ("net", _net(peers=[])),
     "net-zero-target": ("net", _net(target="0")),
+    "net-target-below-floor": ("net", _net(target="1")),
     "net-max-rounds-text": ("net", _net(max_rounds="5")),
     "net-not-utf8": ("net", _net()[:-1] + b', "x": "' + NOT_UTF8 + b'"}'),
     "report-trust-row-lacks-fields": ("report", b'{"instances": [], "trust": [{"principal": "bob"}]}'),

@@ -186,8 +186,9 @@ def test_fuzz_snapshot(workdir, data):
 @given(data=st.data())
 def test_fuzz_network_config(workdir, data):
     # A swap never puts a string in place of a string, so the target stays
-    # the demo target or becomes invalid: a tiny target is valid input that
-    # mines practically forever.
+    # the demo target or becomes invalid: a target just above the floor
+    # (fileformats.MIN_TARGET, about 65k nonces a block) is valid input that
+    # mines for minutes.
     config = json.loads((DEMOS / "hospital_net.json").read_text())
     _fuzz_json(data, workdir, "net", config)
 

@@ -6,6 +6,7 @@ import pytest
 
 from compacts.evaluator import evaluate
 from compacts.fileformats import (
+    MIN_TARGET,
     DataFormatError,
     build_report,
     chain_to_json,
@@ -78,6 +79,16 @@ def test_network_config_reader():
     assert config.target == 1 << 250
     assert config.roster["bob"] == "nurse-bob-key"
     assert roles["charlie"] == ["Patient"]
+
+
+def test_network_config_target_floor_is_inclusive(tmp_path):
+    data = json.loads((DEMOS / "hospital_net.json").read_text())
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(dict(data, target=f"{MIN_TARGET:x}")))
+    assert read_network_config(str(path))[0].target == MIN_TARGET
+    path.write_text(json.dumps(dict(data, target=f"{MIN_TARGET - 1:x}")))
+    with pytest.raises(DataFormatError):
+        read_network_config(str(path))
 
 
 def test_report_round_trip(tmp_path, hospital_spec, hospital_org):

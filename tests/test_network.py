@@ -1,12 +1,17 @@
 """Deterministic gossip simulation and longest-chain convergence."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
-from compacts.governance import UnrosteredEmitter
-from compacts.ledger import verify_chain
+from compacts import ledger, network
+from compacts.fileformats import organization_from_roles, read_network_config
+from compacts.governance import UnrosteredEmitter, ruleset_from_spec
+from compacts.ledger import Block, mine_block, verify_chain
 from compacts.network import NetworkConfig, Submission, run_network
 
-from conftest import load_fixture
+from conftest import DEMOS, load_fixture
 
 ROSTER = tuple((f"client-{i}", f"key-{i}") for i in range(4))
 
@@ -78,3 +83,156 @@ def test_all_submitted_events_reach_the_active_chain():
     chain = result.active_chain
     ids = {e.event_id for _, e in chain.events_in_order()}
     assert ids == {f"evt-{i:05d}" for i in range(20)}
+
+
+def hospital_run(hospital_spec, seed, patients=8):
+    """A hospital scenario, its demo network config at a gossip seed, rules and org:
+    odd patients take the violation path, even ones the compliant path."""
+    submissions = []
+    for p in range(patients):
+        patient = f"patient-{p}"
+        steps = [("Admit", {"patient": patient, "nurse": "bob"}, "hospital")]
+        if p % 2:
+            steps += [
+                ("Share", {"patient": patient, "sharer": "bob"}, "bob"),
+                ("Complaint", {"patient": patient}, "charlie"),
+                ("InvestigationReport",
+                 {"report": f"inv-{p}", "patient": patient, "nurse": "bob", "verdict": "excused"},
+                 "hospital"),
+            ]
+        else:
+            steps += [
+                ("Consent", {"patient": patient}, "charlie"),
+                ("Share", {"patient": patient, "sharer": "bob"}, "bob"),
+                ("Discharge", {"patient": patient}, "hospital"),
+            ]
+        for offset, (event_type, attributes, emitter) in enumerate(steps):
+            round_no = p // 2 + 2 * offset
+            submissions.append(Submission.make(round_no, event_type, attributes, emitter, len(submissions)))
+    config, roles = read_network_config(str(DEMOS / "hospital_net.json"))
+    org = organization_from_roles(hospital_spec.context, roles)
+    return submissions, replace(config, gossip_seed=seed), ruleset_from_spec(hospital_spec), org
+
+
+def record_verifications(monkeypatch, submissions, config, rules=None, org=None):
+    """Run the network, recording each chain it verified with the verdict it got."""
+    calls = []
+
+    def recording(chain, **context):
+        verdict = ledger.verify_chain(chain, **context)
+        calls.append((chain, verdict, context))
+        return verdict
+
+    monkeypatch.setattr(network, "verify_chain", recording)
+    result = run_network(submissions, config, rules=rules, org=org)
+    monkeypatch.undo()
+    return result, calls
+
+
+def _setup(name, hospital_spec):
+    kind, seed = name.split("-")
+    if kind == "hospital":
+        return hospital_run(hospital_spec, int(seed))
+    return make_submissions(), make_config(seed=int(seed)), None, None
+
+
+@pytest.mark.parametrize("name", ["hospital-7", "hospital-3", "readings-42", "readings-5"])
+def test_suffix_verification_agrees_with_genesis_on_every_delivered_chain(
+    monkeypatch, hospital_spec, name
+):
+    result, calls = record_verifications(monkeypatch, *_setup(name, hospital_spec))
+    assert result.converged
+    active = result.active_chain.blocks
+    forks = [c for c, _, _ in calls if c.blocks != active[: len(c.blocks)]]
+    assert forks, "the run should verify chains off the final chain"
+    for chain, verdict, context in calls:
+        oracle = {key: value for key, value in context.items() if key != "memo"}
+        assert verify_chain(chain, **oracle) == verdict
+
+
+def _forged_block(chain, events, target):
+    header = mine_block(events, chain.tip.header, target, miner="peer-1")
+    return Block(header=header, events=events)
+
+
+def count_validations(monkeypatch) -> Counter:
+    """Counts, by header, the blocks ledger.validate_block checks from now on."""
+    validated = Counter()
+    real_validate = ledger.validate_block
+
+    def counting(prefix, block, *args, **kwargs):
+        validated[block.header] += 1
+        return real_validate(prefix, block, *args, **kwargs)
+
+    monkeypatch.setattr(ledger, "validate_block", counting)
+    return validated
+
+
+@pytest.fixture
+def verified_hospital_run(monkeypatch, hospital_spec):
+    """The final chain of a hospital run, the run's memo and its verify context."""
+    result, calls = record_verifications(monkeypatch, *hospital_run(hospital_spec, 7))
+    context = dict(calls[0][2])
+    memo = context.pop("memo")
+    chain = result.active_chain
+    assert memo[chain.tip_digest()][0] == chain.blocks
+    return chain, memo, context
+
+
+def _tampered_events(chain, roster):
+    """A forged event for a block on top of a sound chain, one per kind of
+    tampering, with the rejection verification must give."""
+    events = [e for _, e in chain.events_in_order()]
+    report = next(e for e in events if e.event_type == "InvestigationReport")
+    admit = next(e for e in events if e.event_type == "Admit")
+
+    def resigned(event, **changes):
+        attributes = tuple(sorted({**dict(event.attributes), **changes}.items()))
+        forged = replace(event, event_id="forged", attributes=attributes)
+        return forged.with_signature(roster[event.emitter])
+
+    return {
+        "re-attributed": (replace(admit, event_id="forged", emitter="bob"), "BadSignature: forged"),
+        "replayed-id": (admit, f"DuplicateEventId: {admit.event_id}"),
+        "re-signed-key-conflict": (resigned(report, verdict="negligent"), "IntegrityViolation: KeyConflict"),
+        "re-signed-unbound-in": (
+            resigned(report, report="inv-x", patient="nobody"),
+            "IntegrityViolation: UnboundInParameter(patient='nobody')",
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind", ["re-attributed", "replayed-id", "re-signed-key-conflict", "re-signed-unbound-in"]
+)
+def test_tampered_suffix_is_rejected_as_from_genesis(monkeypatch, verified_hospital_run, kind):
+    chain, memo, context = verified_hospital_run
+    event, rejection = _tampered_events(chain, context["roster"])[kind]
+    forged = chain.extend(_forged_block(chain, (event,), context["target"]))
+    validated = count_validations(monkeypatch)
+    verdict = verify_chain(forged, memo=memo, **context)
+    assert list(validated) == [forged.tip.header]  # only the suffix was checked
+    assert verdict == verify_chain(forged, **context)
+    assert verdict.index == forged.height and str(verdict.rejection).startswith(rejection)
+
+
+def test_memoized_blocks_after_an_altered_block_are_rejected_at_it(verified_hospital_run):
+    chain, memo, context = verified_hospital_run
+    at = next(i for i, b in enumerate(chain.blocks) if b.events and i < chain.height)
+    block = chain.blocks[at]
+    forged_event = replace(block.events[0], emitter="alice")  # not re-signed
+    prefix = ledger.Chain(blocks=chain.blocks[:at])
+    altered = _forged_block(prefix, (forged_event,) + block.events[1:], context["target"])
+    spliced = ledger.Chain(blocks=chain.blocks[:at] + (altered,) + chain.blocks[at + 1:])
+    assert memo[spliced.tip_digest()][0] != spliced.blocks
+    verdict = verify_chain(spliced, memo=memo, **context)
+    assert verdict == verify_chain(spliced, **context)
+    assert verdict.index == at and verdict.rejection.reason == "BadSignature"
+
+
+def test_each_block_is_validated_at_most_once_per_run(monkeypatch, hospital_spec):
+    submissions, config, rules, org = hospital_run(hospital_spec, 7)
+    validated = count_validations(monkeypatch)
+    result = run_network(submissions, config, rules=rules, org=org)
+    assert result.converged and len(validated) >= result.active_chain.height
+    assert max(validated.values()) == 1

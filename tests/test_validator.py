@@ -7,15 +7,21 @@ differing out parameter is exactly the rejected shape.
 
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from compacts.ledger import Event
 from compacts.validator import (
     Channel,
     IntegrityRuleSet,
+    LedgerIndex,
     Parameter,
     SchemaDecl,
     check_integrity,
     validate_event_schema,
 )
+
+from scan_integrity import scan_check_integrity
 
 RULES = IntegrityRuleSet(
     schemas=(
@@ -185,3 +191,71 @@ def test_unbound_in_rejection_persists_unless_the_value_is_bound():
         prefix.append(_random_event(rng, serial))
         if serial == 120:
             prefix.append(ev("bind", "Admit", {"patient": "zed", "count": 0, "urgent": False}))
+
+
+# Count and Flag share the key slot and bind n, one as an int and one as a
+# bool; Use refers to n and case. Ghost has no schema.
+INDEX_RULES = IntegrityRuleSet(
+    schemas=(
+        SchemaDecl("Report", (Parameter("case", "text", "key"), Parameter("verdict", "text", "out"))),
+        SchemaDecl("Count", (Parameter("slot", "int", "key"), Parameter("n", "int", "out"))),
+        SchemaDecl("Flag", (Parameter("slot", "int", "key"), Parameter("n", "bool", "out"))),
+        SchemaDecl(
+            "Use",
+            (Parameter("use", "text", "key"), Parameter("n", "int", "in"), Parameter("case", "text", "in")),
+        ),
+    ),
+    channels=(),
+)
+ATTRIBUTES = {"Report": ("case", "verdict"), "Count": ("slot", "n"), "Flag": ("slot", "n"),
+              "Use": ("use", "n", "case"), "Ghost": ("case",)}
+VALUES = {"case": ("a", "b"), "verdict": ("x", "y"), "slot": (0, 1),
+          "n": (0, 1, 2, True, False), "use": ("u1", "u2")}
+
+
+@st.composite
+def _ledger_events(draw):
+    event_type = draw(st.sampled_from(sorted(ATTRIBUTES)))
+    attributes = {}
+    for name in ATTRIBUTES[event_type]:
+        if draw(st.integers(0, 9)):  # one in ten is left out and reads as None
+            attributes[name] = draw(st.sampled_from(VALUES[name]))
+    return ev("e", event_type, attributes)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(ledger=st.lists(_ledger_events(), max_size=12))
+@example(ledger=[ev("e", "Report", {"case": "a", "verdict": "x"}),
+                 ev("e", "Report", {"case": "a", "verdict": "y"})])  # KeyConflict
+@example(ledger=[ev("e", "Report", {"case": "a", "verdict": "x"}),
+                 ev("e", "Report", {"case": "a", "verdict": "x"}),
+                 ev("e", "Report", {"case": "a", "verdict": "y"}),
+                 ev("e", "Report", {"case": "a", "verdict": "x"})])  # repeated keys, equal outs
+@example(ledger=[ev("e", "Use", {"use": "u1", "n": 1, "case": "a"}),
+                 ev("e", "Report", {"case": "a", "verdict": "x"}),
+                 ev("e", "Use", {"use": "u2", "n": 2, "case": "a"})])  # UnboundInParameter
+@example(ledger=[ev("e", "Count", {"slot": 0, "n": 1}),
+                 ev("e", "Flag", {"slot": 0, "n": True}),
+                 ev("e", "Count", {"slot": 0, "n": True}),
+                 ev("e", "Flag", {"slot": 1, "n": False}),
+                 ev("e", "Use", {"use": "u1", "n": 0, "case": "b"}),
+                 ev("e", "Use", {"use": "u1", "n": True, "case": "b"})])  # bool and int under n
+def test_index_verdicts_equal_the_scan(ledger):
+    """check_integrity through a LedgerIndex, kept by add() or indexed from
+    the events, gives the reference scan's verdict on every ledger prefix;
+    a copy keeps answering for the prefix it was taken at."""
+    index = LedgerIndex(INDEX_RULES)
+    middle = len(ledger) // 2
+    snapshot = None
+    for position, event in enumerate(ledger):
+        expected = scan_check_integrity(event, ledger[:position], INDEX_RULES)
+        assert check_integrity(event, index, INDEX_RULES) == expected
+        assert check_integrity(event, ledger[:position], INDEX_RULES) == expected
+        if position == middle:
+            snapshot = index.copy()
+        index.add(event)
+    if snapshot is not None:
+        for event in ledger:
+            assert check_integrity(event, snapshot, INDEX_RULES) == scan_check_integrity(
+                event, ledger[:middle], INDEX_RULES
+            )
