@@ -46,7 +46,7 @@ def main():
         for fact in state.facts:
             bindings = ", ".join(f"{k}={v}" for k, v in fact.bindings)
             print(f"  fact {fact.name}[{bindings}] at block {fact.witness.block_index}")
-        for row in trust_report(state, org):
+        for row in trust_report(state):
             print(f"  trust {row.principal}/{row.norm_id}: "
                   f"s={row.satisfied} v={row.violated} score={row.score:.6f}")
 

@@ -61,7 +61,7 @@ def main():
         print(f"{number:>7}  {outcome:<9}  ({row.satisfied}+1)/({row.satisfied}+{row.violated}+2) = {row.score:.6f}")
 
     print("\nfull-table view (trust_report over the final state):")
-    for row in trust_report(evaluate(chain, spec, org), org):
+    for row in trust_report(evaluate(chain, spec, org)):
         print(f"  {row.principal}/{row.norm_id}: s={row.satisfied} v={row.violated} score={row.score:.6f}")
 
 

@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 parse error (including a .cpt file that is not
 UTF-8), 2 well-formedness error, 3 chain verification failure, 64 usage error
 (bad invocation, unreadable file), 65 data format error (a scenario, chain
 snapshot, network config or report that is not UTF-8 JSON of its documented
-shape, a network config whose target is below fileformats.MIN_TARGET, or a
+shape, a network config whose target is below fileformats.MIN_TARGET, a
+scenario round that is negative or not below the config's max_rounds, or a
 scenario event from an emitter not on the roster). Every command
 is deterministic given its file inputs and flags; randomness only enters
 through --seed.
@@ -85,6 +86,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         from dataclasses import replace
 
         config = replace(config, gossip_seed=args.seed)
+    if any(sub.round >= config.max_rounds for sub in scenario):
+        raise _Exit(EXIT_DATA, f"{args.scenario}: a round is past max_rounds={config.max_rounds}")
     org = fileformats.organization_from_roles(spec.context, roles)
     rules = ruleset_from_spec(spec)
 
@@ -97,7 +100,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"active chain invalid at block {bad.index}: {bad.rejection}", file=sys.stderr)
         return EXIT_VERIFY
     state = evaluate(chain, spec, org)
-    report = fileformats.build_report(state, chain, trust_report(state, org), network=result)
+    report = fileformats.build_report(state, chain, trust_report(state), network=result)
     fileformats.write_report(report, args.out)
     if args.chain_out:
         fileformats.write_chain(chain, args.chain_out)
@@ -121,7 +124,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         _, roles = fileformats.read_network_config(args.net)
     org = fileformats.organization_from_roles(spec.context, roles)
     state = evaluate(chain, spec, org)
-    report = fileformats.build_report(state, chain, trust_report(state, org))
+    report = fileformats.build_report(state, chain, trust_report(state))
     fileformats.write_report(report, args.out)
     print(f"{spec.name}: {len(report['instances'])} instances", file=sys.stderr)
     return EXIT_OK

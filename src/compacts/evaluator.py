@@ -9,6 +9,13 @@ Deadline and expiry lapses fire at block boundaries, at the first block whose
 height strictly exceeds the anchor height plus the allowance; boundary
 positions carry offset -1.
 
+The fixpoint repeats a pass (spawn, then step every live instance) until a
+pass adds no fact. This is exact: events are fixed within a position, so a
+clause gains a match only from a new fact; each transition emits a new fact
+(an instance enters each state at most once); and a spawned instance is
+stepped in the pass that spawned it. Nothing seen lies past the current
+position, so matching needs no time cutoff.
+
 Every lifecycle rule is written once, in _Run, which reads condition matches
 only through clause_matches. Here that method rescans the full prefix with
 match_condition; the incremental engine in incremental.py subclasses _Run and
@@ -19,9 +26,10 @@ independent of each other.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 from .governance import EMPTY_ORGANIZATION, Organization, counts_as_facts_for_event
 from .lang import ast
@@ -99,8 +107,8 @@ class EvalState:
         )
 
 
-def _sort_facts(facts: Iterable[DerivedFact]) -> tuple[DerivedFact, ...]:
-    return tuple(sorted(facts, key=lambda f: (f.witness, f.name, bindings_sort_key(f.bindings))))
+def _report_order(fact: DerivedFact) -> tuple:
+    return (fact.witness, fact.name, bindings_sort_key(fact.bindings))
 
 
 class _Run:
@@ -119,14 +127,14 @@ class _Run:
         if key in self._fact_keys:
             return False
         self._fact_keys.add(key)
-        self.facts.append(fact)
+        bisect.insort(self.facts, fact, key=_report_order)
         return True
 
     def clause_matches(
-        self, norm: ast.NormDecl, clause: str, base: dict[str, Scalar], now: Position
+        self, norm: ast.NormDecl, clause: str, base: dict[str, Scalar]
     ) -> list[Match]:
         """Matches of one clause of a norm compatible with base, earliest first."""
-        return match_condition(getattr(norm, clause), self.trace, self.facts, base, now)
+        return match_condition(getattr(norm, clause), self.trace, self.facts, base)
 
     # --- lifecycle -----------------------------------------------------
 
@@ -135,8 +143,8 @@ class _Run:
         the last position processed."""
         height = block.header.index
         frontier = Position(height, -1)
-        self._lapse(height, frontier)
-        self._fixpoint(frontier)
+        self._lapse(frontier)
+        self._fixpoint()
         for offset, event in enumerate(block.events):
             frontier = Position(height, offset)
             self.process_event(frontier, event)
@@ -146,9 +154,9 @@ class _Run:
         self.trace.append((pos, event))
         for fact in counts_as_facts_for_event(pos, event, self.spec.counts_as, self.org):
             self.add_fact(fact)
-        self._fixpoint(pos)
+        self._fixpoint()
 
-    def _lapse(self, height: int, now: Position) -> None:
+    def _lapse(self, now: Position) -> None:
         for key, inst in list(self.instances.items()):
             norm = self.spec.norm(inst.norm_id)
             if norm.kind != ast.COMMITMENT or inst.is_terminal():
@@ -156,26 +164,25 @@ class _Run:
             if (
                 inst.state is NormState.ACTIVE
                 and norm.expiry_blocks is not None
-                and height > inst.created_at.block_index + norm.expiry_blocks
+                and now.block_index > inst.created_at.block_index + norm.expiry_blocks
             ):
                 self._transition(key, replace(inst, state=NormState.EXPIRED, closed_at=now), now)
             elif (
                 inst.state is NormState.DETACHED
-                and height > inst.detached_at.block_index + norm.deadline_blocks
+                and now.block_index > inst.detached_at.block_index + norm.deadline_blocks
             ):
                 self._transition(key, replace(inst, state=NormState.VIOLATED, closed_at=now), now)
 
-    def _fixpoint(self, now: Position) -> None:
-        changed = True
-        while changed:
-            changed = self._spawn(now)
-            if self._transitions(now):
-                changed = True
+    def _fixpoint(self) -> None:
+        known = -1
+        while len(self.facts) != known:
+            known = len(self.facts)
+            self._spawn()
+            self._transitions()
 
-    def _spawn(self, now: Position) -> bool:
-        changed = False
+    def _spawn(self) -> None:
         for norm in self.spec.norms:
-            for match in self.clause_matches(norm, "create", {}, now):
+            for match in self.clause_matches(norm, "create", {}):
                 key = (norm.id, match.bindings)
                 if key in self.instances:
                     continue
@@ -189,32 +196,26 @@ class _Run:
                 )
                 if detach_on_create:
                     self._emit(norm.id, match.bindings, NormState.DETACHED, match.witness)
-                changed = True
-        return changed
 
-    def _transitions(self, now: Position) -> bool:
-        changed = False
+    def _transitions(self) -> None:
         for key, inst in list(self.instances.items()):
             if inst.is_terminal():
                 continue
             norm = self.spec.norm(inst.norm_id)
             if norm.kind == ast.COMMITMENT:
-                changed |= self._step_commitment(key, inst, norm, now)
+                self._step_commitment(key, inst, norm)
             else:
-                changed |= self._step_prohibition(key, inst, norm, now)
-        return changed
+                self._step_prohibition(key, inst, norm)
 
-    def _step_commitment(
-        self, key, inst: NormInstance, norm: ast.NormDecl, now: Position
-    ) -> bool:
+    def _step_commitment(self, key, inst: NormInstance, norm: ast.NormDecl) -> None:
         base = inst.binding_map
         if inst.state is NormState.ACTIVE and norm.antecedent is not None:
-            matches = self.clause_matches(norm, "antecedent", base, now)
+            matches = self.clause_matches(norm, "antecedent", base)
             if matches:
                 at = max(inst.created_at, matches[0].witness)
                 self._transition(key, replace(inst, state=NormState.DETACHED, detached_at=at), at)
-                return True
-        matches = self.clause_matches(norm, "consequent", base, now)
+                return
+        matches = self.clause_matches(norm, "consequent", base)
         if matches:
             at = max(inst.created_at, matches[0].witness)
             updated = replace(
@@ -226,17 +227,13 @@ class _Run:
                 detached_at=inst.detached_at if inst.detached_at is not None else at,
             )
             self._transition(key, updated, at)
-            return True
-        return False
 
-    def _step_prohibition(
-        self, key, inst: NormInstance, norm: ast.NormDecl, now: Position
-    ) -> bool:
+    def _step_prohibition(self, key, inst: NormInstance, norm: ast.NormDecl) -> None:
         base = inst.binding_map
-        violation = self._first_unexempted(inst, norm, now)
+        violation = self._first_unexempted(inst, norm)
         closure: Optional[Match] = None
         if norm.until is not None:
-            for match in self.clause_matches(norm, "until", base, now):
+            for match in self.clause_matches(norm, "until", base):
                 if inst.created_at <= match.witness:
                     closure = match
                     break
@@ -252,22 +249,17 @@ class _Run:
                 ),
                 violation.witness,
             )
-            return True
-        if closure is not None:
+        elif closure is not None:
             self._transition(
                 key, replace(inst, state=NormState.SATISFIED, closed_at=closure.witness), closure.witness
             )
-            return True
-        return False
 
-    def _first_unexempted(
-        self, inst: NormInstance, norm: ast.NormDecl, now: Position
-    ) -> Optional[Match]:
+    def _first_unexempted(self, inst: NormInstance, norm: ast.NormDecl) -> Optional[Match]:
         """Earliest forbidden match in force and not covered by an exemption
         at a strictly earlier position. Exemptions may predate creation;
         forbidden acts before creation are out of scope."""
         base = inst.binding_map
-        for match in self.clause_matches(norm, "forbids", base, now):
+        for match in self.clause_matches(norm, "forbids", base):
             if match.witness < inst.created_at:
                 continue
             if norm.exemption is not None:
@@ -275,7 +267,7 @@ class _Run:
                 merged = {**base, **dict(match.bindings)}
                 covers = any(
                     m.witness < match.witness
-                    for m in self.clause_matches(norm, "exemption", merged, now)
+                    for m in self.clause_matches(norm, "exemption", merged)
                 )
                 if covers:
                     continue
@@ -300,7 +292,7 @@ class _Run:
             spec=self.spec,
             org=self.org,
             instances=self.instances,
-            facts=_sort_facts(self.facts),
+            facts=tuple(self.facts),
             frontier=frontier,
             trace=tuple(self.trace),
         )

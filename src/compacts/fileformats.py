@@ -188,7 +188,8 @@ def read_scenario(path: str) -> list[Submission]:
             )
         except (KeyError, TypeError, AttributeError) as exc:
             raise DataFormatError(f"{where}: bad submission: {exc}") from exc
-        _require(isinstance(submission.round, int), f"{where}: round must be an integer")
+        round_ok = type(submission.round) is int and submission.round >= 0
+        _require(round_ok, f"{where}: round must be a non-negative integer")
         texts = (submission.event_type, submission.emitter)
         _check_encodable(texts, submission.logical_ts, submission.attributes, where)
         submissions.append(submission)

@@ -197,7 +197,7 @@ class _IncrementalRun(_Run):
         self.caches.add_event(pos, event)
         for fact in counts_as_facts_for_event(pos, event, self.spec.counts_as, self.org):
             self.add_fact(fact)
-        self._fixpoint(pos)
+        self._fixpoint()
 
     def add_fact(self, fact: DerivedFact) -> bool:
         if not super().add_fact(fact):
@@ -206,9 +206,8 @@ class _IncrementalRun(_Run):
         return True
 
     def clause_matches(
-        self, norm: ast.NormDecl, clause: str, base: dict[str, Scalar], now: Position
+        self, norm: ast.NormDecl, clause: str, base: dict[str, Scalar]
     ) -> list[Match]:
-        # the caches hold nothing later than now, so no cutoff is needed
         idx = self.caches.indexes[(norm.id, clause)]
         found = [m for m in idx.matches if compatible(base, m.bindings)]
         return sorted(found, key=match_sort_key)

@@ -143,15 +143,14 @@ def match_condition(
     trace: Sequence[tuple[Position, Event]],
     facts: Sequence[DerivedFact] = (),
     bindings: Optional[Mapping[str, Scalar]] = None,
-    now: Optional[Position] = None,
 ) -> list[Match]:
-    """All binding extensions under which the condition holds at or before now.
+    """All binding extensions under which the condition holds on trace and facts.
 
     Returned matches are deduplicated and sorted by (witness, bindings), so
     the first element is the earliest completion.
     """
     base = dict(bindings) if bindings else {}
-    return _dedup_sorted(_match(condition, trace, facts, base, now))
+    return _dedup_sorted(_match(condition, trace, facts, base))
 
 
 def _match(
@@ -159,13 +158,10 @@ def _match(
     trace: Sequence[tuple[Position, Event]],
     facts: Sequence[DerivedFact],
     base: Mapping[str, Scalar],
-    now: Optional[Position],
 ) -> list[Match]:
     if isinstance(condition, ast.EventPattern):
         out = []
         for pos, event in trace:
-            if now is not None and not pos <= now:
-                continue
             extended = match_event_pattern(condition, event, base)
             if extended is not None:
                 out.append(Match(freeze_bindings(extended), pos))
@@ -173,26 +169,24 @@ def _match(
     if isinstance(condition, (ast.FactPattern, ast.NormStateFactPattern)):
         out = []
         for fact in facts:
-            if now is not None and not fact.witness <= now:
-                continue
             extended = match_fact_pattern(condition, fact, base)
             if extended is not None:
                 out.append(Match(freeze_bindings(extended), fact.witness))
         return out
     if isinstance(condition, ast.And):
         out = []
-        for left in _match(condition.left, trace, facts, base, now):
-            for right in _match(condition.right, trace, facts, dict(left.bindings), now):
+        for left in _match(condition.left, trace, facts, base):
+            for right in _match(condition.right, trace, facts, dict(left.bindings)):
                 out.append(Match(right.bindings, max(left.witness, right.witness)))
         return out
     if isinstance(condition, ast.Or):
-        return _match(condition.left, trace, facts, base, now) + _match(
-            condition.right, trace, facts, base, now
+        return _match(condition.left, trace, facts, base) + _match(
+            condition.right, trace, facts, base
         )
     if isinstance(condition, ast.Before):
         out = []
-        for left in _match(condition.left, trace, facts, base, now):
-            for right in _match(condition.right, trace, facts, dict(left.bindings), now):
+        for left in _match(condition.left, trace, facts, base):
+            for right in _match(condition.right, trace, facts, dict(left.bindings)):
                 if left.witness < right.witness:
                     out.append(Match(right.bindings, right.witness))
         return out

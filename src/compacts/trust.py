@@ -10,10 +10,9 @@ the right directionality; swap it out here if a richer model is wanted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .evaluator import EvalState, NormInstance, NormState, resolve_party
-from .governance import Organization
 from .matching import Bindings
 
 
@@ -79,20 +78,16 @@ def update_trust(
     return TrustLedger(counts=tuple(sorted(counts.items())), seen=frozenset(seen))
 
 
-def trust_report(state: EvalState, org: Optional[Organization] = None) -> list[TrustScore]:
+def trust_report(state: EvalState) -> list[TrustScore]:
     """One row per (subject principal, norm id) with at least one Satisfied
     or Violated instance, in stable order."""
-    if org is None:
-        org = state.org
-    ledger = TrustLedger()
     outcomes = []
     for instance in state.instances_in_order():
         if not instance.is_terminal():
             continue
         norm = state.spec.norm(instance.norm_id)
-        principal = resolve_party(norm.subject, instance, org)
+        principal = resolve_party(norm.subject, instance, state.org)
         if principal is None:
             continue
         outcomes.append((instance, principal))
-    ledger = update_trust(ledger, outcomes)
-    return ledger.scores()
+    return update_trust(TrustLedger(), outcomes).scores()

@@ -222,6 +222,9 @@ MALFORMED_INPUTS = {
     "scenario-event-type-int": ("scenario", _scenario(event_type=5)),
     "scenario-unrostered-emitter": ("scenario", _scenario(emitter="mallory")),
     "scenario-not-utf8": ("scenario", _scenario()[:-3] + NOT_UTF8 + b'"}\n'),
+    "scenario-round-negative": ("scenario", _scenario(round=-1, logical_ts=0)),
+    "scenario-round-bool": ("scenario", _scenario(round=True)),
+    "scenario-round-past-max-rounds": ("scenario", _scenario(round=1_000_000)),
     "snapshot-attributes-array": ("snapshot", _golden(("events", 0, "attributes"), ["x"])),
     "snapshot-emitter-int": ("snapshot", _golden(("events", 0, "emitter"), 5)),
     "snapshot-miner-int": ("snapshot", _golden(("header", "miner"), 5)),

@@ -108,15 +108,6 @@ def test_before_requires_strict_order_not_mere_presence():
     assert match_condition(condition, same_block) == []
 
 
-def test_matches_respect_the_now_cutoff():
-    trace = trace_of(
-        ev("e1", "Consent", {"patient": "p1"}),
-        ev("e2", "Consent", {"patient": "p2"}),
-    )
-    early = match_condition(pattern("Consent", patient="p"), trace, now=Position(1, 0))
-    assert [dict(m.bindings)["p"] for m in early] == ["p1"]
-
-
 # --- lifecycle over chains ---------------------------------------------------
 
 

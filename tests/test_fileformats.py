@@ -95,7 +95,7 @@ def test_report_round_trip(tmp_path, hospital_spec, hospital_org):
     violation, _ = hospital_events()
     chain = build_chain(violation)
     state = evaluate(chain, hospital_spec, hospital_org)
-    report = build_report(state, chain, trust_report(state, hospital_org))
+    report = build_report(state, chain, trust_report(state))
     path = tmp_path / "report.json"
     write_report(report, str(path))
     assert read_report(str(path)) == report
@@ -106,7 +106,7 @@ def test_report_validates_against_shipped_schema(hospital_spec, hospital_org):
     violation, _ = hospital_events()
     chain = build_chain(violation)
     state = evaluate(chain, hospital_spec, hospital_org)
-    report = build_report(state, chain, trust_report(state, hospital_org))
+    report = build_report(state, chain, trust_report(state))
     with open(DEMOS.parent / "docs" / "report-schema.json", "r", encoding="utf-8") as handle:
         schema = json.load(handle)
     jsonschema.validate(report, schema)
@@ -116,7 +116,7 @@ def test_report_arrays_are_in_stable_order(hospital_spec, hospital_org):
     violation, _ = hospital_events()
     chain = build_chain(violation)
     state = evaluate(chain, hospital_spec, hospital_org)
-    report = build_report(state, chain, trust_report(state, hospital_org))
+    report = build_report(state, chain, trust_report(state))
     ids = [(i["norm_id"], tuple(sorted(i["bindings"].items()))) for i in report["instances"]]
     assert ids == sorted(ids)
     trust_keys = [(t["principal"], t["norm_id"]) for t in report["trust"]]

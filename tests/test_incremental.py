@@ -5,6 +5,7 @@ import pytest
 from compacts.evaluator import evaluate
 from compacts.incremental import NonContiguousBlock, apply_block, initial_state
 from compacts.ledger import Position
+from compacts.matching import bindings_sort_key
 
 from conftest import build_chain, hospital_events
 from scenario_gen import extend_randomly, random_case
@@ -28,6 +29,14 @@ def test_incremental_equals_batch_on_the_narrative(hospital_spec, hospital_org):
 def test_incremental_equals_batch_on_random_cases(seed):
     spec, org, chain, _ = random_case(seed)
     assert fold(spec, org, chain) == evaluate(chain, spec, org)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_facts_are_kept_in_report_order(seed):
+    spec, org, chain, _ = random_case(seed)
+    for state in (evaluate(chain, spec, org), fold(spec, org, chain)):
+        ordered = sorted(state.facts, key=lambda f: (f.witness, f.name, bindings_sort_key(f.bindings)))
+        assert list(state.facts) == ordered
 
 
 def test_empty_block_advances_only_the_clock(hospital_spec, hospital_org):

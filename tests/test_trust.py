@@ -73,7 +73,7 @@ def test_non_terminal_outcomes_are_rejected():
 def test_violation_scenario_report(hospital_spec, hospital_org):
     violation, _ = hospital_events()
     state = evaluate(build_chain(violation), hospital_spec, hospital_org)
-    rows = {(r.principal, r.norm_id): r for r in trust_report(state, hospital_org)}
+    rows = {(r.principal, r.norm_id): r for r in trust_report(state)}
     bob = rows[("bob", "P1")]
     assert (bob.satisfied, bob.violated) == (0, 1)
     assert round(bob.score, 6) == 0.333333
@@ -85,7 +85,7 @@ def test_violation_scenario_report(hospital_spec, hospital_org):
 def test_compliant_scenario_report(hospital_spec, hospital_org):
     _, compliant = hospital_events()
     state = evaluate(build_chain(compliant), hospital_spec, hospital_org)
-    rows = trust_report(state, hospital_org)
+    rows = trust_report(state)
     assert [(r.principal, r.norm_id, r.satisfied, r.violated) for r in rows] == [
         ("bob", "P1", 1, 0)
     ]
@@ -95,7 +95,7 @@ def test_compliant_scenario_report(hospital_spec, hospital_org):
 def test_principal_without_history_is_absent(hospital_spec, hospital_org):
     _, compliant = hospital_events()
     state = evaluate(build_chain(compliant), hospital_spec, hospital_org)
-    principals = {r.principal for r in trust_report(state, hospital_org)}
+    principals = {r.principal for r in trust_report(state)}
     assert "charlie" not in principals
     assert "alice" not in principals
 
@@ -110,4 +110,4 @@ def test_formula_against_exact_arithmetic():
 def test_report_is_deterministic(hospital_spec, hospital_org):
     violation, _ = hospital_events()
     state = evaluate(build_chain(violation), hospital_spec, hospital_org)
-    assert trust_report(state, hospital_org) == trust_report(state, hospital_org)
+    assert trust_report(state) == trust_report(state)
