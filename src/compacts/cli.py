@@ -19,9 +19,9 @@ import sys
 from typing import Optional
 
 from . import fileformats
-from .evaluator import evaluate
 from .fileformats import DataFormatError
 from .governance import UnrosteredEmitter, ruleset_from_spec
+from .incremental import fold_chain as evaluate  # the name per-layer tracing wraps
 from .lang import ParseError, check_well_formedness, parse_compact
 from .ledger import verify_chain
 from .network import run_network

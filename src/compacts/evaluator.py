@@ -1,4 +1,9 @@
-"""Reference evaluator: norm instance states from a verified chain.
+"""Norm instance states from a verified chain: the shared lifecycle, and
+batch evaluate, the reference evaluator.
+
+The CLI does not run batch evaluate: it folds incremental.apply_block over the
+chain, which runs the same lifecycle over cached matches. Batch evaluate is
+what the tests and acceptance criterion 03 hold that fold to.
 
 Reads the active chain and a compact, computes every norm instance's
 lifecycle state, and never writes anything back. Events are processed in
@@ -9,19 +14,21 @@ Deadline and expiry lapses fire at block boundaries, at the first block whose
 height strictly exceeds the anchor height plus the allowance; boundary
 positions carry offset -1.
 
-The fixpoint repeats a pass (spawn, then step every live instance) until a
-pass adds no fact. This is exact: events are fixed within a position, so a
-clause gains a match only from a new fact; each transition emits a new fact
-(an instance enters each state at most once); and a spawned instance is
-stepped in the pass that spawned it. Nothing seen lies past the current
-position, so matching needs no time cutoff.
+The fixpoint repeats a pass (spawn, then step every live, that is
+non-terminal, instance) until a pass adds no fact. This is exact: events are
+fixed within a position, so a clause gains a match only from a new fact; each
+transition emits a new fact (an instance enters each state at most once); and
+a spawned instance is stepped in the pass that spawned it. Nothing seen lies
+past the current position, so matching needs no time cutoff.
 
 Every lifecycle rule is written once, in _Run, which reads condition matches
-only through clause_matches. Here that method rescans the full prefix with
-match_condition; the incremental engine in incremental.py subclasses _Run and
-answers it from cached semi-naive match sets. The two matchers are a
-differential pair whose agreement is a tested property, so keep them
-independent of each other.
+only through clause_matches and create_matches. Here both rescan the full
+prefix with match_condition, and create_matches returns every create match
+(_spawn skips keys it has). The incremental engine in incremental.py
+subclasses _Run and answers them from cached semi-naive match sets: keyed
+lookups, and only the create matches that are new since the last pass. The
+two matchers are a differential pair whose agreement is a tested property,
+so keep them independent of each other.
 """
 
 from __future__ import annotations
@@ -121,6 +128,9 @@ class _Run:
         self.facts: list[DerivedFact] = []
         self._fact_keys: set[tuple[str, Bindings]] = set()
         self.instances: dict[tuple[str, Bindings], NormInstance] = {}
+        # keys of the non-terminal instances, in creation order
+        self.live: dict[tuple[str, Bindings], None] = {}
+        self._event_ids: dict[Position, str] = {}
 
     def add_fact(self, fact: DerivedFact) -> bool:
         key = (fact.name, fact.bindings)
@@ -135,6 +145,11 @@ class _Run:
     ) -> list[Match]:
         """Matches of one clause of a norm compatible with base, earliest first."""
         return match_condition(getattr(norm, clause), self.trace, self.facts, base)
+
+    def create_matches(self, norm: ast.NormDecl) -> list[Match]:
+        """Create matches _spawn has not read yet, earliest first. Here that
+        is every match: _spawn skips the keys it already has."""
+        return self.clause_matches(norm, "create", {})
 
     # --- lifecycle -----------------------------------------------------
 
@@ -152,14 +167,16 @@ class _Run:
 
     def process_event(self, pos: Position, event: Event) -> None:
         self.trace.append((pos, event))
+        self._event_ids[pos] = event.event_id
         for fact in counts_as_facts_for_event(pos, event, self.spec.counts_as, self.org):
             self.add_fact(fact)
         self._fixpoint()
 
     def _lapse(self, now: Position) -> None:
-        for key, inst in list(self.instances.items()):
+        for key in list(self.live):
+            inst = self.instances[key]
             norm = self.spec.norm(inst.norm_id)
-            if norm.kind != ast.COMMITMENT or inst.is_terminal():
+            if norm.kind != ast.COMMITMENT:
                 continue
             if (
                 inst.state is NormState.ACTIVE
@@ -182,7 +199,7 @@ class _Run:
 
     def _spawn(self) -> None:
         for norm in self.spec.norms:
-            for match in self.clause_matches(norm, "create", {}):
+            for match in self.create_matches(norm):
                 key = (norm.id, match.bindings)
                 if key in self.instances:
                     continue
@@ -194,13 +211,13 @@ class _Run:
                     created_at=match.witness,
                     detached_at=match.witness if detach_on_create else None,
                 )
+                self.live[key] = None
                 if detach_on_create:
                     self._emit(norm.id, match.bindings, NormState.DETACHED, match.witness)
 
     def _transitions(self) -> None:
-        for key, inst in list(self.instances.items()):
-            if inst.is_terminal():
-                continue
+        for key in list(self.live):
+            inst = self.instances[key]
             norm = self.spec.norm(inst.norm_id)
             if norm.kind == ast.COMMITMENT:
                 self._step_commitment(key, inst, norm)
@@ -238,7 +255,7 @@ class _Run:
                     closure = match
                     break
         if violation is not None and (closure is None or not closure.witness < violation.witness):
-            event_id = self._event_at(violation.witness)
+            event_id = self._event_ids.get(violation.witness)
             self._transition(
                 key,
                 replace(
@@ -274,14 +291,10 @@ class _Run:
             return match
         return None
 
-    def _event_at(self, pos: Position) -> Optional[str]:
-        for p, event in self.trace:
-            if p == pos:
-                return event.event_id
-        return None
-
     def _transition(self, key, updated: NormInstance, at: Position) -> None:
         self.instances[key] = updated
+        if updated.is_terminal():
+            del self.live[key]
         self._emit(updated.norm_id, updated.key_bindings, updated.state, at)
 
     def _emit(self, norm_id: str, bindings: Bindings, state: NormState, at: Position) -> None:

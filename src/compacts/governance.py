@@ -58,15 +58,6 @@ class Organization:
 EMPTY_ORGANIZATION = Organization(id="", members=())
 
 
-def governance_norms(spec: ast.CompactSpec, org: Organization) -> tuple[str, ...]:
-    """Norm ids whose subject or object is the organization itself."""
-    ids = []
-    for norm in spec.norms:
-        if org.has_role(org.id, norm.subject.role) or org.has_role(org.id, norm.object.role):
-            ids.append(norm.id)
-    return tuple(ids)
-
-
 GOVERNANCE_EVENT_KINDS = ("Complaint", "Sanction", "Exoneration")
 
 BUILTIN_GOVERNANCE_SCHEMAS: tuple[SchemaDecl, ...] = (

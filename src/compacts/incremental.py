@@ -1,12 +1,22 @@
 """Incremental evaluation: advance an EvalState one block at a time.
 
+This is the engine the CLI runs: fold_chain evaluates a verified chain by
+folding apply_block over its blocks. Batch evaluate (evaluator.py) is the
+reference it is tested against.
+
 apply_block carries the instance table, fact set and per-condition match
 caches forward instead of replaying the chain. Caches hold the full match set
 of every norm clause and grow by semi-naive deltas: a new event (or fact)
 produces new leaf matches, which join against the other side's existing
-matches on the way up the condition tree. The lifecycle rules are the batch
-evaluator's own (evaluator._Run); _IncrementalRun only answers their clause
-queries from the cached sets.
+matches on the way up the condition tree. Both the joins and the lifecycle's
+clause queries look matches up by their bindings instead of scanning a
+cache. The lifecycle rules are the batch evaluator's own (evaluator._Run);
+_IncrementalRun only answers their match queries from the cached sets, and
+hands _spawn just the create matches added since its last pass.
+
+A block's caches are not copied: apply_block hands them to the state it
+returns. The state it was given keeps its own fields, and rebuilds caches
+from its trace if it is ever applied again.
 
 Replay equivalence with the batch evaluator (evaluate(chain) equals folding
 apply_block over the blocks) is the correctness contract. The cached matcher
@@ -17,17 +27,16 @@ semantics: they are a differential pair, so keep them independent.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
+from typing import Mapping, Optional
 
 from .evaluator import EvalState, _Run, ensure_spec_well_formed
-from .governance import Organization, counts_as_facts_for_event
+from .governance import EMPTY_ORGANIZATION, Organization, counts_as_facts_for_event
 from .lang import ast
-from .ledger import Block, Event, Position, Scalar
+from .ledger import Block, Chain, Event, Position, Scalar
 from .matching import (
     Bindings,
     DerivedFact,
     Match,
-    compatible,
     freeze_bindings,
     match_event_pattern,
     match_fact_pattern,
@@ -49,25 +58,38 @@ class _CondIndex:
     """Cached match set of one condition, updated by deltas.
 
     matches is a dict used as an insertion-ordered set of Match tuples.
+    views answer "which matches are compatible with these bindings" by
+    lookup instead of a scan. There is one view per set of base variable
+    names, built on its first query. It files each match under the match's
+    bindings projected onto those names, grouped by which of the names the
+    match binds: the two sides of an ``or`` may bind different ones.
     """
 
-    __slots__ = ("cond", "matches", "left", "right")
+    __slots__ = ("cond", "matches", "views", "left", "right")
 
-    def __init__(self, cond: ast.Condition, _empty: bool = False):
+    def __init__(self, cond: ast.Condition):
         self.cond = cond
         self.matches: dict[Match, None] = {}
+        # base names -> names a match binds among them -> projection -> matches
+        self.views: dict[tuple[str, ...], dict[tuple[str, ...], dict[Bindings, list[Match]]]] = {}
         self.left: Optional[_CondIndex] = None
         self.right: Optional[_CondIndex] = None
-        if not _empty and isinstance(cond, (ast.And, ast.Or, ast.Before)):
+        if isinstance(cond, (ast.And, ast.Or, ast.Before)):
             self.left = _CondIndex(cond.left)
             self.right = _CondIndex(cond.right)
 
-    def clone(self) -> "_CondIndex":
-        copy = _CondIndex(self.cond, _empty=True)
-        copy.matches = dict(self.matches)
-        copy.left = self.left.clone() if self.left else None
-        copy.right = self.right.clone() if self.right else None
-        return copy
+    def compatible_with(self, base: Mapping[str, Scalar]) -> list[Match]:
+        """The cached matches that agree with base on every variable both bind."""
+        names = tuple(sorted(base))
+        view = self.views.get(names)
+        if view is None:
+            view = self.views[names] = {}
+            for match in self.matches:
+                _file(view, names, match)
+        found: list[Match] = []
+        for group, table in view.items():
+            found.extend(table.get(tuple([(name, base[name]) for name in group]), ()))
+        return found
 
     def _absorb(self, candidates: list[Match]) -> list[Match]:
         fresh = []
@@ -75,89 +97,90 @@ class _CondIndex:
             if match not in self.matches:
                 self.matches[match] = None
                 fresh.append(match)
+                for names, view in self.views.items():
+                    _file(view, names, match)
         return fresh
 
-    def add_event(self, pos: Position, event: Event) -> list[Match]:
-        return self._advance("event", pos, event, None)
-
-    def add_fact(self, fact: DerivedFact) -> list[Match]:
-        return self._advance("fact", fact.witness, None, fact)
-
-    def _advance(self, kind, pos, event, fact) -> list[Match]:
+    def advance(self, pos: Position, event: Optional[Event], fact: Optional[DerivedFact]) -> list[Match]:
+        """Take in one new event or fact; return the matches it adds."""
         cond = self.cond
         if isinstance(cond, ast.EventPattern):
-            if kind != "event":
+            if event is None:
                 return []
             extended = match_event_pattern(cond, event, {})
             if extended is None:
                 return []
             return self._absorb([Match(freeze_bindings(extended), pos)])
         if isinstance(cond, (ast.FactPattern, ast.NormStateFactPattern)):
-            if kind != "fact":
+            if fact is None:
                 return []
             extended = match_fact_pattern(cond, fact, {})
             if extended is None:
                 return []
             return self._absorb([Match(freeze_bindings(extended), pos)])
 
-        left_before = list(self.left.matches)
-        delta_left = self.left._advance(kind, pos, event, fact)
-        right_before = list(self.right.matches)
-        delta_right = self.right._advance(kind, pos, event, fact)
-
+        delta_left = self.left.advance(pos, event, fact)
+        delta_right = self.right.advance(pos, event, fact)
         if isinstance(cond, ast.Or):
             return self._absorb(delta_left + delta_right)
+        # new joins: the left delta against all rights, all lefts against the
+        # right delta (pairs of two deltas come twice; _absorb drops one)
+        pairs = [(lm, rm) for lm in delta_left for rm in self.right.compatible_with(dict(lm.bindings))]
+        pairs += [(lm, rm) for rm in delta_right for lm in self.left.compatible_with(dict(rm.bindings))]
         if isinstance(cond, ast.And):
-            produced = self._join_and(delta_left, right_before + delta_right)
-            produced += self._join_and(left_before, delta_right)
-            return self._absorb(produced)
+            return self._absorb(
+                [Match(_merge(lm.bindings, rm.bindings), max(lm.witness, rm.witness)) for lm, rm in pairs]
+            )
         # Before: the left witness must strictly precede the right witness
-        produced = self._join_before(delta_left, right_before + delta_right)
-        produced += self._join_before(left_before, delta_right)
-        return self._absorb(produced)
+        return self._absorb(
+            [Match(_merge(lm.bindings, rm.bindings), rm.witness) for lm, rm in pairs if lm.witness < rm.witness]
+        )
 
-    @staticmethod
-    def _join_and(lefts: list[Match], rights: list[Match]) -> list[Match]:
-        out = []
-        for lm in lefts:
-            left_map = dict(lm.bindings)
-            for rm in rights:
-                if compatible(left_map, rm.bindings):
-                    out.append(Match(_merge(lm.bindings, rm.bindings), max(lm.witness, rm.witness)))
-        return out
 
-    @staticmethod
-    def _join_before(lefts: list[Match], rights: list[Match]) -> list[Match]:
-        out = []
-        for lm in lefts:
-            left_map = dict(lm.bindings)
-            for rm in rights:
-                if lm.witness < rm.witness and compatible(left_map, rm.bindings):
-                    out.append(Match(_merge(lm.bindings, rm.bindings), rm.witness))
-        return out
+def _file(view: dict, names: tuple[str, ...], match: Match) -> None:
+    projection = tuple([(name, value) for name, value in match.bindings if name in names])
+    group = tuple([name for name, _ in projection])
+    view.setdefault(group, {}).setdefault(projection, []).append(match)
 
 
 class _Caches:
-    """Per-(norm, clause) condition indexes carried inside an EvalState."""
+    """What one state hands the next: a condition index per (norm, clause),
+    the create matches _spawn has not read yet, and the run's fact-key set,
+    live set and event-id map.
+
+    They are valid for one frontier. A run that takes them over advances
+    them in place; the state it returns then holds them, and the state it
+    started from rebuilds its own from its trace if it is applied again.
+    """
 
     def __init__(self, spec: ast.CompactSpec):
         self.indexes: dict[tuple[str, str], _CondIndex] = {}
         for norm in spec.norms:
             for clause, cond in norm.clauses():
                 self.indexes[(norm.id, clause)] = _CondIndex(cond)
+        self.unspawned: dict[str, list[Match]] = {}
+        self.fact_keys: set[tuple[str, Bindings]] = set()
+        self.live: dict[tuple[str, Bindings], None] = {}
+        self.event_ids: dict[Position, str] = {}
+        self.frontier: Optional[Position] = None
 
-    def clone(self) -> "_Caches":
-        copy = object.__new__(_Caches)
-        copy.indexes = {key: idx.clone() for key, idx in self.indexes.items()}
-        return copy
+    @classmethod
+    def rebuilt(cls, state: EvalState) -> "_Caches":
+        caches = cls(state.spec)
+        for pos, event in state.trace:
+            caches.advance(pos, event, None)
+            caches.event_ids[pos] = event.event_id
+        for fact in state.facts:
+            caches.advance(fact.witness, None, fact)
+            caches.fact_keys.add((fact.name, fact.bindings))
+        caches.live = {key: None for key, inst in state.instances.items() if not inst.is_terminal()}
+        return caches
 
-    def add_event(self, pos: Position, event: Event) -> None:
-        for idx in self.indexes.values():
-            idx.add_event(pos, event)
-
-    def add_fact(self, fact: DerivedFact) -> None:
-        for idx in self.indexes.values():
-            idx.add_fact(fact)
+    def advance(self, pos: Position, event: Optional[Event], fact: Optional[DerivedFact]) -> None:
+        for (norm_id, clause), idx in self.indexes.items():
+            fresh = idx.advance(pos, event, fact)
+            if fresh and clause == "create":
+                self.unspawned.setdefault(norm_id, []).extend(fresh)
 
 
 def initial_state(spec: ast.CompactSpec, org: Organization) -> EvalState:
@@ -170,7 +193,6 @@ def initial_state(spec: ast.CompactSpec, org: Organization) -> EvalState:
         facts=(),
         frontier=Position(0, -1),
         trace=(),
-        caches=_Caches(spec),
     )
 
 
@@ -179,22 +201,22 @@ class _IncrementalRun(_Run):
 
     def __init__(self, state: EvalState):
         super().__init__(state.spec, state.org)
+        caches = state.caches
+        if not isinstance(caches, _Caches) or caches.frontier != state.frontier:
+            caches = _Caches.rebuilt(state)
+        caches.frontier = None  # in use until freeze
+        self.caches = caches
         self.trace = list(state.trace)
         self.facts = list(state.facts)
-        self._fact_keys = {(f.name, f.bindings) for f in self.facts}
         self.instances = dict(state.instances)
-        if isinstance(state.caches, _Caches):
-            self.caches = state.caches.clone()
-        else:
-            self.caches = _Caches(state.spec)
-            for pos, event in self.trace:
-                self.caches.add_event(pos, event)
-            for fact in self.facts:
-                self.caches.add_fact(fact)
+        self._fact_keys = caches.fact_keys
+        self.live = caches.live
+        self._event_ids = caches.event_ids
 
     def process_event(self, pos: Position, event: Event) -> None:
         self.trace.append((pos, event))
-        self.caches.add_event(pos, event)
+        self._event_ids[pos] = event.event_id
+        self.caches.advance(pos, event, None)
         for fact in counts_as_facts_for_event(pos, event, self.spec.counts_as, self.org):
             self.add_fact(fact)
         self._fixpoint()
@@ -202,17 +224,22 @@ class _IncrementalRun(_Run):
     def add_fact(self, fact: DerivedFact) -> bool:
         if not super().add_fact(fact):
             return False
-        self.caches.add_fact(fact)
+        self.caches.advance(fact.witness, None, fact)
         return True
 
     def clause_matches(
         self, norm: ast.NormDecl, clause: str, base: dict[str, Scalar]
     ) -> list[Match]:
-        idx = self.caches.indexes[(norm.id, clause)]
-        found = [m for m in idx.matches if compatible(base, m.bindings)]
-        return sorted(found, key=match_sort_key)
+        found = self.caches.indexes[(norm.id, clause)].compatible_with(base)
+        if len(found) > 1:
+            found.sort(key=match_sort_key)
+        return found
+
+    def create_matches(self, norm: ast.NormDecl) -> list[Match]:
+        return sorted(self.caches.unspawned.pop(norm.id, ()), key=match_sort_key)
 
     def freeze(self, frontier: Position) -> EvalState:
+        self.caches.frontier = frontier
         return replace(super().freeze(frontier), caches=self.caches)
 
 
@@ -226,3 +253,16 @@ def apply_block(state: EvalState, block: Block) -> EvalState:
     run = _IncrementalRun(state)
     frontier = run.process_block(block)
     return run.freeze(frontier)
+
+
+def fold_chain(
+    chain: Chain,
+    spec: ast.CompactSpec,
+    org: Organization = EMPTY_ORGANIZATION,
+) -> EvalState:
+    """Evaluate a chain the caller has verified by folding apply_block over
+    its blocks; equals evaluator.evaluate(chain, spec, org)."""
+    state = initial_state(spec, org)
+    for block in chain.blocks[1:]:
+        state = apply_block(state, block)
+    return state

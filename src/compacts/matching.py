@@ -10,8 +10,7 @@ patterns match the fact store the same way events match the trace.
 
 Match is a named tuple (bindings, witness) and Position is one too, so
 witnesses order with ``<`` and ``max`` and matches deduplicate by hashing
-themselves. Bindings are tuples of (name, value) pairs sorted by name;
-``compatible`` checks one against a dict of bindings already in force.
+themselves. Bindings are tuples of (name, value) pairs sorted by name.
 
 match_condition is the batch evaluator's matcher: it rescans the trace on
 every query. The incremental engine keeps cached match sets built on the same
@@ -75,14 +74,6 @@ def bindings_sort_key(bindings: Bindings) -> tuple:
 
 def match_sort_key(match: Match) -> tuple:
     return (match.witness, bindings_sort_key(match.bindings))
-
-
-def compatible(base: Mapping[str, Scalar], bindings: Bindings) -> bool:
-    """No variable bound on both sides has unequal values."""
-    for name, value in bindings:
-        if name in base and base[name] != value:
-            return False
-    return True
 
 
 def _extend(

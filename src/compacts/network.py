@@ -147,8 +147,9 @@ def run_network(
     """Simulate gossip, mining and longest-chain adoption over max_rounds.
 
     Stops early once every peer agrees, nothing is in flight and no
-    admissible event is waiting. Converged means all peers' active chains are
-    identical at the end. Verification is shared by the whole run: a block
+    admissible event is waiting. Converged means every submission was
+    injected (its round lies in 0..max_rounds-1) and all peers' active chains
+    are identical at the end. Verification is shared by the whole run: a block
     is verified once, when it is mined, and a gossiped chain is checked only
     past its newest verified block (see verify_chain's memo).
     """
@@ -175,12 +176,14 @@ def run_network(
                 next_inbox[pid].append((kind, payload))
 
     rounds_used = 0
+    injected = 0
     for round_no in range(config.max_rounds):
         rounds_used = round_no + 1
         for scheduled_round, event in submissions:
             if scheduled_round == round_no:
                 entry = peer_ids[rng.randrange(len(peer_ids))]
                 inbox[entry].append(("event", event))
+                injected += 1
 
         for pid in peer_ids:
             peer = peers[pid]
@@ -230,7 +233,8 @@ def run_network(
         if len(tips) == 1 and not in_flight and not waiting and not backlog:
             break
 
-    converged = len({peers[pid].chain.tip_digest() for pid in peer_ids}) == 1
+    tips = {peers[pid].chain.tip_digest() for pid in peer_ids}
+    converged = len(tips) == 1 and injected == len(submissions)
     return NetworkResult(
         chains=tuple((pid, peers[pid].chain) for pid in peer_ids),
         converged=converged,

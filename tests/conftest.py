@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -46,6 +47,14 @@ def cli_argv(fmt: str, path, out) -> list[str]:
     if fmt == "report":
         return ["trust", "--report", str(path)]
     raise ValueError(fmt)
+
+
+def bench_generators():
+    """The benchmark's input generators, bench/generators.py."""
+    spec = importlib.util.spec_from_file_location("bench_generators", REPO / "bench" / "generators.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_fixture(name: str) -> dict:

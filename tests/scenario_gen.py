@@ -69,9 +69,11 @@ def _commitment(rng: random.Random, norm_id: str, with_fact: bool, earlier: list
     return "".join(lines)
 
 
-def random_case(seed: int, max_events: int = 50):
-    """Returns (spec, org, chain, roster) for one seeded case."""
+def random_case(seed: int, max_events: int = 50, min_events: int = 1, values: int = 3):
+    """Returns (spec, org, chain, roster) for one seeded case: between
+    min_events and max_events events whose x takes one of `values` values."""
     rng = random.Random(seed)
+    pool = tuple(f"v{i}" for i in range(1, values + 1))
     with_fact = rng.random() < 0.5
     text = _HEADER.format(seed=seed)
     if with_fact:
@@ -100,9 +102,9 @@ def random_case(seed: int, max_events: int = 50):
     roster = {pid: f"secret-{pid}" for pid in _PRINCIPALS}
 
     events = []
-    for i in range(rng.randint(1, max_events)):
+    for i in range(rng.randint(min_events, max_events)):
         event_type = rng.choice("ABCDE")
-        attributes = {"x": rng.choice(_VALUES)}
+        attributes = {"x": rng.choice(pool)}
         if event_type == "B":
             attributes["tag"] = rng.choice(("f", "g"))
         emitter = rng.choice(_PRINCIPALS)

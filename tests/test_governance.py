@@ -152,12 +152,6 @@ def test_unknown_principal_cannot_build_events():
         build_governance_event("Complaint", {"patient": "x"}, "mallory", HOSPITAL_ROSTER)
 
 
-def test_governance_norms_are_the_organizations_own(hospital_spec, hospital_org):
-    from compacts.governance import governance_norms
-
-    assert governance_norms(hospital_spec, hospital_org) == ("C1",)
-
-
 def test_builtins_do_not_shadow_compact_declared_schemas(hospital_spec):
     rules = ruleset_from_spec(hospital_spec)
     complaint = rules.schema_for("Complaint")

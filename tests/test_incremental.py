@@ -2,12 +2,15 @@
 
 import pytest
 
-from compacts.evaluator import evaluate
-from compacts.incremental import NonContiguousBlock, apply_block, initial_state
-from compacts.ledger import Position
+from compacts import incremental
+from compacts.evaluator import _Run, evaluate
+from compacts.governance import Organization
+from compacts.incremental import NonContiguousBlock, apply_block, fold_chain, initial_state
+from compacts.lang import parse_compact
+from compacts.ledger import Chain, Position
 from compacts.matching import bindings_sort_key
 
-from conftest import build_chain, hospital_events
+from conftest import DEMOS, bench_generators, build_chain, hospital_events
 from scenario_gen import extend_randomly, random_case
 
 
@@ -29,6 +32,23 @@ def test_incremental_equals_batch_on_the_narrative(hospital_spec, hospital_org):
 def test_incremental_equals_batch_on_random_cases(seed):
     spec, org, chain, _ = random_case(seed)
     assert fold(spec, org, chain) == evaluate(chain, spec, org)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_incremental_equals_batch_on_long_random_cases(seed):
+    spec, org, chain, _ = random_case(seed, max_events=1100, min_events=1000, values=10)
+    assert sum(len(block.events) for block in chain.blocks) >= 1000
+    assert fold(spec, org, chain) == evaluate(chain, spec, org)
+
+
+def test_the_fold_entry_point_equals_batch(hospital_spec, hospital_org):
+    violation, _ = hospital_events()
+    chain = build_chain(violation)
+    assert fold_chain(chain, hospital_spec, hospital_org) == evaluate(chain, hospital_spec, hospital_org)
+    genesis_only = Chain(blocks=chain.blocks[:1])
+    assert fold_chain(genesis_only, hospital_spec, hospital_org) == evaluate(
+        genesis_only, hospital_spec, hospital_org
+    )
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -88,6 +108,59 @@ def test_incremental_resumes_from_a_batch_state(hospital_spec, hospital_org):
     for block in chain.blocks[3:]:
         resumed = apply_block(resumed, block)
     assert resumed == evaluate(chain, hospital_spec, hospital_org)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_superseded_state_can_be_applied_again(seed):
+    # apply_block hands its caches to the state it returns; applying the
+    # same block to the older state again must rebuild them, not reuse them
+    spec, org, chain, _ = random_case(seed, min_events=20)
+    k = len(chain.blocks) // 2
+    at_k = fold(spec, org, Chain(blocks=chain.blocks[: k + 1]))
+    first = apply_block(at_k, chain.blocks[k + 1])
+    again = apply_block(at_k, chain.blocks[k + 1])
+    expected = evaluate(Chain(blocks=chain.blocks[: k + 2]), spec, org)
+    assert first == expected
+    assert again == expected
+    for block in chain.blocks[k + 2:]:
+        first = apply_block(first, block)
+        again = apply_block(again, block)
+    assert first == evaluate(chain, spec, org)
+    assert again == first
+
+
+def test_per_block_lifecycle_work_does_not_grow_with_height(monkeypatch):
+    # work = instances _transitions steps + create matches _spawn reads; a
+    # lifecycle that rescans would grow with the number of events so far
+    spec = parse_compact((DEMOS / "datatrust.cpt").read_text())
+    blocks, config = bench_generators().datatrust_inputs(4, 200)
+    org = Organization.make(spec.context, config["roles"])
+    work = [0]
+
+    def counted(method, size):
+        def wrapper(self, *args):
+            result = method(self, *args)
+            work[0] += size(result)
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(
+        incremental._IncrementalRun, "create_matches",
+        counted(incremental._IncrementalRun.create_matches, len),
+    )
+    for step in ("_step_commitment", "_step_prohibition"):
+        monkeypatch.setattr(incremental._IncrementalRun, step, counted(getattr(_Run, step), lambda _: 1))
+    per_block = []
+    state = initial_state(spec, org)
+    for block in blocks:
+        before = work[0]
+        state = apply_block(state, block)
+        per_block.append(work[0] - before)
+    assert sum(len(block.events) for block in blocks) >= 1000
+    quarter = len(per_block) // 4
+    first, last = per_block[:quarter], per_block[-quarter:]
+    assert sum(last) / len(last) <= 1.5 * sum(first) / len(first), per_block
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from compacts import ledger, network
-from compacts.fileformats import organization_from_roles, read_network_config
+from compacts.fileformats import organization_from_roles, read_network_config, read_scenario
 from compacts.governance import UnrosteredEmitter, ruleset_from_spec
 from compacts.ledger import Block, mine_block, verify_chain
 from compacts.network import NetworkConfig, Submission, run_network
@@ -83,6 +83,23 @@ def test_all_submitted_events_reach_the_active_chain():
     chain = result.active_chain
     ids = {e.event_id for _, e in chain.events_in_order()}
     assert ids == {f"evt-{i:05d}" for i in range(20)}
+
+
+@pytest.mark.parametrize("share_round, converged", [(2, True), (40, False)])
+def test_a_submission_past_max_rounds_means_no_convergence(hospital_spec, share_round, converged):
+    # the demo config's max_rounds is 40: a Share at round 40 is never
+    # injected, so the run must not claim to have converged
+    scenario = [
+        replace(sub, round=share_round) if sub.event_type == "Share" else sub
+        for sub in read_scenario(str(DEMOS / "hospital_violation.jsonl"))
+    ]
+    config, roles = read_network_config(str(DEMOS / "hospital_net.json"))
+    org = organization_from_roles(hospital_spec.context, roles)
+    result = run_network(scenario, config, rules=ruleset_from_spec(hospital_spec), org=org)
+    assert config.max_rounds == 40
+    assert result.converged is converged
+    shared = any(e.event_type == "Share" for _, e in result.active_chain.events_in_order())
+    assert shared is converged
 
 
 def hospital_run(hospital_spec, seed, patients=8):
