@@ -34,6 +34,9 @@ EXIT_VERIFY = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
+# eval and verify-chain verify a snapshot without a target, roster or rules
+STRUCTURE_ONLY = "structure only: target, signatures and admission not checked"
+
 
 class _Exit(Exception):
     """Ends a command with an exit code; a non-empty message goes to stderr."""
@@ -126,7 +129,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     state = evaluate(chain, spec, org)
     report = fileformats.build_report(state, chain, trust_report(state))
     fileformats.write_report(report, args.out)
-    print(f"{spec.name}: {len(report['instances'])} instances", file=sys.stderr)
+    print(f"{spec.name}: {len(report['instances'])} instances (chain {STRUCTURE_ONLY})", file=sys.stderr)
     return EXIT_OK
 
 
@@ -136,7 +139,7 @@ def cmd_verify_chain(args: argparse.Namespace) -> int:
     if bad is not None:
         print(f"first bad block: {bad.index} ({bad.rejection})", file=sys.stderr)
         return EXIT_VERIFY
-    print(f"ok: {len(chain.blocks)} blocks", file=sys.stderr)
+    print(f"ok: {len(chain.blocks)} blocks ({STRUCTURE_ONLY})", file=sys.stderr)
     return EXIT_OK
 
 

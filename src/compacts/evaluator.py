@@ -26,9 +26,10 @@ only through clause_matches and create_matches. Here both rescan the full
 prefix with match_condition, and create_matches returns every create match
 (_spawn skips keys it has). The incremental engine in incremental.py
 subclasses _Run and answers them from cached semi-naive match sets: keyed
-lookups, and only the create matches that are new since the last pass. The
-two matchers are a differential pair whose agreement is a tested property,
-so keep them independent of each other.
+lookups, and only the create matches that are new since the last pass. Its
+run is handed on from state to state; a superseded state replays its trace.
+The two matchers are a differential pair whose agreement is a tested
+property, so keep them independent of each other.
 """
 
 from __future__ import annotations
@@ -130,7 +131,6 @@ class _Run:
         self.instances: dict[tuple[str, Bindings], NormInstance] = {}
         # keys of the non-terminal instances, in creation order
         self.live: dict[tuple[str, Bindings], None] = {}
-        self._event_ids: dict[Position, str] = {}
 
     def add_fact(self, fact: DerivedFact) -> bool:
         key = (fact.name, fact.bindings)
@@ -167,7 +167,6 @@ class _Run:
 
     def process_event(self, pos: Position, event: Event) -> None:
         self.trace.append((pos, event))
-        self._event_ids[pos] = event.event_id
         for fact in counts_as_facts_for_event(pos, event, self.spec.counts_as, self.org):
             self.add_fact(fact)
         self._fixpoint()
@@ -255,14 +254,15 @@ class _Run:
                     closure = match
                     break
         if violation is not None and (closure is None or not closure.witness < violation.witness):
-            event_id = self._event_ids.get(violation.witness)
+            # forbids is an event pattern, so its witness is a trace position
+            _, event = self.trace[bisect.bisect_left(self.trace, (violation.witness,))]
             self._transition(
                 key,
                 replace(
                     inst,
                     state=NormState.VIOLATED,
                     closed_at=violation.witness,
-                    violating_event=event_id,
+                    violating_event=event.event_id,
                 ),
                 violation.witness,
             )

@@ -14,9 +14,10 @@ cache. The lifecycle rules are the batch evaluator's own (evaluator._Run);
 _IncrementalRun only answers their match queries from the cached sets, and
 hands _spawn just the create matches added since its last pass.
 
-A block's caches are not copied: apply_block hands them to the state it
-returns. The state it was given keeps its own fields, and rebuilds caches
-from its trace if it is ever applied again.
+The run is not copied from block to block: apply_block hands it on in the
+state it returns and continues it from that state. A state the run has moved
+past, or one batch evaluate made, replays its trace into a new run if it is
+ever applied again.
 
 Replay equivalence with the batch evaluator (evaluate(chain) equals folding
 apply_block over the blocks) is the correctness contract. The cached matcher
@@ -143,46 +144,6 @@ def _file(view: dict, names: tuple[str, ...], match: Match) -> None:
     view.setdefault(group, {}).setdefault(projection, []).append(match)
 
 
-class _Caches:
-    """What one state hands the next: a condition index per (norm, clause),
-    the create matches _spawn has not read yet, and the run's fact-key set,
-    live set and event-id map.
-
-    They are valid for one frontier. A run that takes them over advances
-    them in place; the state it returns then holds them, and the state it
-    started from rebuilds its own from its trace if it is applied again.
-    """
-
-    def __init__(self, spec: ast.CompactSpec):
-        self.indexes: dict[tuple[str, str], _CondIndex] = {}
-        for norm in spec.norms:
-            for clause, cond in norm.clauses():
-                self.indexes[(norm.id, clause)] = _CondIndex(cond)
-        self.unspawned: dict[str, list[Match]] = {}
-        self.fact_keys: set[tuple[str, Bindings]] = set()
-        self.live: dict[tuple[str, Bindings], None] = {}
-        self.event_ids: dict[Position, str] = {}
-        self.frontier: Optional[Position] = None
-
-    @classmethod
-    def rebuilt(cls, state: EvalState) -> "_Caches":
-        caches = cls(state.spec)
-        for pos, event in state.trace:
-            caches.advance(pos, event, None)
-            caches.event_ids[pos] = event.event_id
-        for fact in state.facts:
-            caches.advance(fact.witness, None, fact)
-            caches.fact_keys.add((fact.name, fact.bindings))
-        caches.live = {key: None for key, inst in state.instances.items() if not inst.is_terminal()}
-        return caches
-
-    def advance(self, pos: Position, event: Optional[Event], fact: Optional[DerivedFact]) -> None:
-        for (norm_id, clause), idx in self.indexes.items():
-            fresh = idx.advance(pos, event, fact)
-            if fresh and clause == "create":
-                self.unspawned.setdefault(norm_id, []).extend(fresh)
-
-
 def initial_state(spec: ast.CompactSpec, org: Organization) -> EvalState:
     """State after the genesis block: nothing seen, frontier at height 0."""
     ensure_spec_well_formed(spec)
@@ -197,26 +158,40 @@ def initial_state(spec: ast.CompactSpec, org: Organization) -> EvalState:
 
 
 class _IncrementalRun(_Run):
-    """The shared lifecycle over cached match sets, advanced one block."""
+    """The shared lifecycle over cached match sets, advanced block by block.
+
+    Next to _Run's fields it keeps a condition index per (norm, clause) and
+    the create matches _spawn has not read yet. A run is valid for the one
+    frontier it was frozen at: the state freeze returns holds it, and
+    apply_block continues it from that state. Any other state, batch or
+    superseded, replays its trace and facts into a new run.
+    """
 
     def __init__(self, state: EvalState):
         super().__init__(state.spec, state.org)
-        caches = state.caches
-        if not isinstance(caches, _Caches) or caches.frontier != state.frontier:
-            caches = _Caches.rebuilt(state)
-        caches.frontier = None  # in use until freeze
-        self.caches = caches
-        self.trace = list(state.trace)
-        self.facts = list(state.facts)
+        self.indexes: dict[tuple[str, str], _CondIndex] = {}
+        for norm in state.spec.norms:
+            for clause, cond in norm.clauses():
+                self.indexes[(norm.id, clause)] = _CondIndex(cond)
+        self.unspawned: dict[str, list[Match]] = {}
+        for pos, event in state.trace:
+            self.trace.append((pos, event))
+            self._advance(pos, event, None)
+        for fact in state.facts:
+            self.add_fact(fact)
         self.instances = dict(state.instances)
-        self._fact_keys = caches.fact_keys
-        self.live = caches.live
-        self._event_ids = caches.event_ids
+        self.live = {key: None for key, inst in state.instances.items() if not inst.is_terminal()}
+        self.frontier: Optional[Position] = state.frontier
+
+    def _advance(self, pos: Position, event: Optional[Event], fact: Optional[DerivedFact]) -> None:
+        for (norm_id, clause), idx in self.indexes.items():
+            fresh = idx.advance(pos, event, fact)
+            if fresh and clause == "create":
+                self.unspawned.setdefault(norm_id, []).extend(fresh)
 
     def process_event(self, pos: Position, event: Event) -> None:
         self.trace.append((pos, event))
-        self._event_ids[pos] = event.event_id
-        self.caches.advance(pos, event, None)
+        self._advance(pos, event, None)
         for fact in counts_as_facts_for_event(pos, event, self.spec.counts_as, self.org):
             self.add_fact(fact)
         self._fixpoint()
@@ -224,23 +199,24 @@ class _IncrementalRun(_Run):
     def add_fact(self, fact: DerivedFact) -> bool:
         if not super().add_fact(fact):
             return False
-        self.caches.advance(fact.witness, None, fact)
+        self._advance(fact.witness, None, fact)
         return True
 
     def clause_matches(
         self, norm: ast.NormDecl, clause: str, base: dict[str, Scalar]
     ) -> list[Match]:
-        found = self.caches.indexes[(norm.id, clause)].compatible_with(base)
+        found = self.indexes[(norm.id, clause)].compatible_with(base)
         if len(found) > 1:
             found.sort(key=match_sort_key)
         return found
 
     def create_matches(self, norm: ast.NormDecl) -> list[Match]:
-        return sorted(self.caches.unspawned.pop(norm.id, ()), key=match_sort_key)
+        return sorted(self.unspawned.pop(norm.id, ()), key=match_sort_key)
 
     def freeze(self, frontier: Position) -> EvalState:
-        self.caches.frontier = frontier
-        return replace(super().freeze(frontier), caches=self.caches)
+        # the run goes on to mutate its instance table; each state keeps a copy
+        self.frontier = frontier
+        return replace(super().freeze(frontier), instances=dict(self.instances), caches=self)
 
 
 def apply_block(state: EvalState, block: Block) -> EvalState:
@@ -250,7 +226,10 @@ def apply_block(state: EvalState, block: Block) -> EvalState:
         raise NonContiguousBlock(
             f"frontier at block {state.frontier.block_index}, got block {block.header.index}"
         )
-    run = _IncrementalRun(state)
+    run = state.caches
+    if not isinstance(run, _IncrementalRun) or run.frontier != state.frontier:
+        run = _IncrementalRun(state)
+    run.frontier = None  # in use until freeze: a run left part-way is not continued
     frontier = run.process_block(block)
     return run.freeze(frontier)
 

@@ -179,6 +179,7 @@ def run_network(
     injected = 0
     for round_no in range(config.max_rounds):
         rounds_used = round_no + 1
+        miners = []
         for scheduled_round, event in submissions:
             if scheduled_round == round_no:
                 entry = peer_ids[rng.randrange(len(peer_ids))]
@@ -220,17 +221,17 @@ def run_network(
                 if sound(mined):  # verifies the new block once, for every peer
                     peer.adopt(mined, memo)
                     broadcast(pid, "chain", mined)
+                    miners.append(pid)
 
         inbox, next_inbox = next_inbox, {pid: [] for pid in peer_ids}
 
         tips = {peers[pid].chain.tip_digest() for pid in peer_ids}
         in_flight = any(inbox[pid] for pid in peer_ids)
         waiting = any(r > round_no for r, _ in submissions)
-        backlog = any(
-            _admissible(peers[pid].pending(), peers[pid].index, rules, roles_of)
-            for pid in peer_ids
-        )
-        if len(tips) == 1 and not in_flight and not waiting and not backlog:
+        # a peer that did not mine found nothing admissible at its turn and has not
+        # changed since, so only a miner (a lone peer's block reaches no one) can hold one
+        backlog = (_admissible(peers[p].pending(), peers[p].index, rules, roles_of) for p in miners)
+        if len(tips) == 1 and not in_flight and not waiting and not any(backlog):
             break
 
     tips = {peers[pid].chain.tip_digest() for pid in peer_ids}

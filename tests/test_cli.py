@@ -137,6 +137,17 @@ def test_verify_chain_golden_fixture_ok():
     assert run_cli("verify-chain", str(FIXTURES / "golden_chain.json")) == EXIT_OK
 
 
+def test_eval_and_verify_chain_say_the_check_was_structure_only(tmp_path, capsys):
+    # neither command is given a target, roster or rules to check against
+    chain = str(FIXTURES / "golden_chain.json")
+    assert run_cli("verify-chain", chain) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.startswith("ok: ") and "structure only" in err
+    out = tmp_path / "report.json"
+    assert run_cli("eval", "--chain", chain, "--spec", str(DEMOS / "minimal.cpt"), "--out", str(out)) == EXIT_OK
+    assert "structure only: target, signatures and admission not checked" in capsys.readouterr().err
+
+
 def test_verify_chain_tampered_fixture_exit_three(tmp_path, capsys):
     data = json.loads((FIXTURES / "golden_chain.json").read_text())
     data["blocks"][4]["events"][0]["attributes"]["value"] = 13_000

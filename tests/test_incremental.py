@@ -129,6 +129,55 @@ def test_a_superseded_state_can_be_applied_again(seed):
     assert again == first
 
 
+def test_a_fold_builds_one_run(monkeypatch, hospital_spec, hospital_org):
+    # apply_block hands its run on in the state it returns; each block after
+    # the first continues that run instead of building a new one
+    built = []
+    real_init = incremental._IncrementalRun.__init__
+
+    def counting(self, state):
+        built.append(state.frontier)
+        real_init(self, state)
+
+    monkeypatch.setattr(incremental._IncrementalRun, "__init__", counting)
+    violation, _ = hospital_events()
+    chain = build_chain(violation + [[]])
+    assert len(chain.blocks) > 3
+    state = fold(hospital_spec, hospital_org, chain)
+    assert built == [Position(0, -1)]
+    assert state == evaluate(chain, hospital_spec, hospital_org)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_block_that_fails_part_way_leaves_its_input_usable(monkeypatch, seed):
+    # the run is in use from apply_block to freeze: a run an exception left
+    # part-way through a block must not be continued from the state it started at
+    spec, org, chain, _ = random_case(seed, min_events=20)
+    k = next(
+        h for h in range(len(chain.blocks) // 2, len(chain.blocks)) if len(chain.blocks[h].events) >= 2
+    )
+    before = fold(spec, org, Chain(blocks=chain.blocks[:k]))
+    instances, facts = dict(before.instances), before.facts
+    calls = []
+    real_counts_as = incremental.counts_as_facts_for_event
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("second event")
+        return real_counts_as(*args)
+
+    monkeypatch.setattr(incremental, "counts_as_facts_for_event", failing)
+    with pytest.raises(RuntimeError):
+        apply_block(before, chain.blocks[k])
+    monkeypatch.undo()
+    assert before.instances == instances and before.facts == facts
+    state = before
+    for block in chain.blocks[k:]:
+        state = apply_block(state, block)
+    assert state == evaluate(chain, spec, org)
+
+
 def test_per_block_lifecycle_work_does_not_grow_with_height(monkeypatch):
     # work = instances _transitions steps + create matches _spawn reads; a
     # lifecycle that rescans would grow with the number of events so far

@@ -102,6 +102,31 @@ def test_a_submission_past_max_rounds_means_no_convergence(hospital_spec, share_
     assert shared is converged
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 7, 11])
+@pytest.mark.parametrize("admit_round, lone_peer", [(3, False), (0, False), (0, True)])
+def test_an_event_admissible_only_after_a_later_one_is_still_mined(
+    hospital_spec, seed, admit_round, lone_peer
+):
+    # the report's patient and nurse are in parameters: it waits, inadmissible,
+    # until the Admit is on the chain; at round 0 the report comes first in
+    # seen order, so the block that holds the Admit cannot hold it too
+    config, roles = read_network_config(str(DEMOS / "hospital_net.json"))
+    if lone_peer:
+        config = replace(config, peers=config.peers[:1])
+    attributes = {"report": "inv-1", "patient": "charlie", "nurse": "bob", "verdict": "ok"}
+    scenario = [
+        Submission.make(0, "InvestigationReport", attributes, "hospital", 0),
+        Submission.make(admit_round, "Admit", {"patient": "charlie", "nurse": "bob"}, "hospital", 1),
+    ]
+    org = organization_from_roles(hospital_spec.context, roles)
+    result = run_network(
+        scenario, replace(config, gossip_seed=seed), rules=ruleset_from_spec(hospital_spec), org=org
+    )
+    assert result.converged
+    mined = [e.event_type for _, e in result.active_chain.events_in_order()]
+    assert mined == ["Admit", "InvestigationReport"]
+
+
 def hospital_run(hospital_spec, seed, patients=8):
     """A hospital scenario, its demo network config at a gossip seed, rules and org:
     odd patients take the violation path, even ones the compliant path."""
