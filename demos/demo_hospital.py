@@ -9,8 +9,8 @@ Run from the repository root:  python demos/demo_hospital.py
 from pathlib import Path
 
 from compacts.evaluator import evaluate
-from compacts.fileformats import organization_from_roles, read_network_config, read_scenario
-from compacts.governance import ruleset_from_spec
+from compacts.fileformats import read_network_config, read_scenario
+from compacts.governance import Organization, ruleset_from_spec
 from compacts.lang import parse_compact
 from compacts.network import run_network
 from compacts.trust import trust_report
@@ -27,7 +27,7 @@ def show(title, rows):
 def main():
     spec = parse_compact((HERE / "hospital.cpt").read_text())
     config, roles = read_network_config(str(HERE / "hospital_net.json"))
-    org = organization_from_roles(spec.context, roles)
+    org = Organization.make(spec.context, roles)
     rules = ruleset_from_spec(spec)
 
     for scenario_file in ("hospital_violation.jsonl", "hospital_compliant.jsonl"):

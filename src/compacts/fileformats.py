@@ -15,7 +15,6 @@ import re
 from typing import Optional
 
 from .evaluator import EvalState, NormInstance
-from .governance import Organization
 from .ledger import Block, BlockHeader, Chain, Event, Position
 from .matching import DerivedFact
 from .network import NetworkConfig, NetworkResult, Submission
@@ -222,17 +221,14 @@ def read_network_config(path: str) -> tuple[NetworkConfig, dict[str, list[str]]]
     roles = data.get("roles", {})
     _require(
         all(_is_text(x) for pair in principals for x in pair)
-        and bool(peers) and _is_text_list(peers) and config.target >= MIN_TARGET
+        and len(config.roster) == len(principals) and bool(peers) and _is_text_list(peers)
+        and len(set(peers)) == len(peers) and config.target >= MIN_TARGET
         and isinstance(config.gossip_seed, int) and isinstance(config.max_rounds, int)
         and isinstance(roles, dict) and all(map(_is_text_list, roles.values())),
-        "bad network config: principals, peers (at least one) and role lists must be "
-        f"text, the target at least {MIN_TARGET:#x}, gossip_seed and max_rounds integers",
+        "bad network config: principals, peers (at least one) and role lists must be text "
+        f"with unique ids, the target at least {MIN_TARGET:#x}, gossip_seed and max_rounds integers",
     )
     return config, {pid: list(role_list) for pid, role_list in roles.items()}
-
-
-def organization_from_roles(context: str, roles: dict[str, list[str]]) -> Organization:
-    return Organization.make(context, roles)
 
 
 # --- reports ----------------------------------------------------------------

@@ -3,10 +3,11 @@
 Rounds advance in lockstep. Each round every peer, in id order, drains its
 inbox (delivery order drawn from the seeded generator), verifies what it
 received, adopts the best known chain (longest, ties to the smallest tip
-digest), mines at most one block from its admissible pending events, and
-broadcasts chain updates for delivery next round. Client submissions enter at
-a generator-chosen peer on their scheduled round and are gossiped onward.
-Identical inputs give bit-identical results.
+digest), mines at most one block of every pending event admission lets in
+(passes repeat until one lets none in), and broadcasts chain updates for
+delivery next round. Client submissions enter at a generator-chosen peer on
+their scheduled round and are gossiped onward. Identical inputs give
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -123,18 +124,23 @@ def _admissible(
     rules: Optional[IntegrityRuleSet],
     roles_of,
 ) -> list[Event]:
-    """The events, in order, that may extend the chain whose index is given."""
+    """The events that may extend the chain whose index is given: passes over
+    the events not yet chosen take, in order, those admission lets in, until
+    one takes none."""
     if rules is None or not events:
         return list(events)
     index = index.copy()
-    chosen = []
-    for event in events:
-        if validate_event_schema(event, rules, roles_of):
-            continue
-        if check_integrity(event, index, rules):
-            continue
-        chosen.append(event)
-        index.add(event)
+    chosen: list[Event] = []
+    rest = [e for e in events if not validate_event_schema(e, rules, roles_of)]
+    while rest:
+        refused = []
+        for event in rest:
+            if check_integrity(event, index, rules):
+                refused.append(event)
+            else:
+                chosen.append(event)
+                index.add(event)
+        rest = refused if len(refused) < len(rest) else []
     return chosen
 
 
@@ -146,12 +152,13 @@ def run_network(
 ) -> NetworkResult:
     """Simulate gossip, mining and longest-chain adoption over max_rounds.
 
-    Stops early once every peer agrees, nothing is in flight and no
-    admissible event is waiting. Converged means every submission was
-    injected (its round lies in 0..max_rounds-1) and all peers' active chains
-    are identical at the end. Verification is shared by the whole run: a block
-    is verified once, when it is mined, and a gossiped chain is checked only
-    past its newest verified block (see verify_chain's memo).
+    Stops early once every peer has the same tip, nothing is in flight and no
+    submission is due later; a peer that mined took every event it could
+    admit, so none is left waiting. Converged means one tip and every
+    submission round in 0..max_rounds-1. A block is verified once, when it is
+    mined, and a gossiped chain only past its newest verified block (see
+    verify_chain's memo). Every chain returned passed verify_chain under
+    config.target, the roster, rules and roles_of.
     """
     roster = config.roster
     roles_of = org.roles_of if org is not None else None
@@ -176,15 +183,12 @@ def run_network(
                 next_inbox[pid].append((kind, payload))
 
     rounds_used = 0
-    injected = 0
     for round_no in range(config.max_rounds):
         rounds_used = round_no + 1
-        miners = []
         for scheduled_round, event in submissions:
             if scheduled_round == round_no:
                 entry = peer_ids[rng.randrange(len(peer_ids))]
                 inbox[entry].append(("event", event))
-                injected += 1
 
         for pid in peer_ids:
             peer = peers[pid]
@@ -221,21 +225,17 @@ def run_network(
                 if sound(mined):  # verifies the new block once, for every peer
                     peer.adopt(mined, memo)
                     broadcast(pid, "chain", mined)
-                    miners.append(pid)
 
         inbox, next_inbox = next_inbox, {pid: [] for pid in peer_ids}
 
         tips = {peers[pid].chain.tip_digest() for pid in peer_ids}
         in_flight = any(inbox[pid] for pid in peer_ids)
         waiting = any(r > round_no for r, _ in submissions)
-        # a peer that did not mine found nothing admissible at its turn and has not
-        # changed since, so only a miner (a lone peer's block reaches no one) can hold one
-        backlog = (_admissible(peers[p].pending(), peers[p].index, rules, roles_of) for p in miners)
-        if len(tips) == 1 and not in_flight and not waiting and not any(backlog):
+        if len(tips) == 1 and not in_flight and not waiting:
             break
 
     tips = {peers[pid].chain.tip_digest() for pid in peer_ids}
-    converged = len(tips) == 1 and injected == len(submissions)
+    converged = len(tips) == 1 and all(0 <= r < config.max_rounds for r, _ in submissions)
     return NetworkResult(
         chains=tuple((pid, peers[pid].chain) for pid in peer_ids),
         converged=converged,

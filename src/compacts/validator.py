@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .ledger import Event, Scalar
 
@@ -174,7 +174,7 @@ def _key_and_outs(event_type: str, schema: SchemaDecl, attrs: dict) -> tuple[tup
 
 def check_integrity(
     event: Event,
-    ledger_view: Union[LedgerIndex, Iterable[Event]],
+    index: LedgerIndex,
     rules: IntegrityRuleSet,
 ) -> list[AdmissionError]:
     """Information-level integrity of one event against the ledger so far.
@@ -183,12 +183,11 @@ def check_integrity(
     key parameters yet differ on any out parameter; (b) in-causality: every
     in-adorned (name, value) pair must already occur as a key-or-out binding
     of some earlier event. Assumes validate_event_schema passed. The ledger
-    so far is its LedgerIndex for ``rules``, or its events, indexed here.
+    so far is given as its LedgerIndex for ``rules``.
     """
     schema = rules.schema_for(event.event_type)
     if schema is None:
         return [AdmissionError("UnknownEventType", event.event_type)]
-    index = ledger_view if isinstance(ledger_view, LedgerIndex) else LedgerIndex(rules, ledger_view)
     violations: list[AdmissionError] = []
     attrs = event.attribute_map
 

@@ -14,14 +14,14 @@ from fractions import Fraction
 
 from compacts.cli import EXIT_OK, main as cli_main
 from compacts.evaluator import evaluate
-from compacts.fileformats import organization_from_roles, read_network_config, read_scenario
-from compacts.governance import ruleset_from_spec
+from compacts.fileformats import read_network_config, read_scenario
+from compacts.governance import Organization, ruleset_from_spec
 from compacts.incremental import apply_block, initial_state
 from compacts.lang import parse_compact, pretty_print
 from compacts.ledger import Block, Chain, Event, verify_chain
 from compacts.network import NetworkConfig, Submission, run_network
 from compacts.trust import TrustScore
-from compacts.validator import check_integrity
+from compacts.validator import LedgerIndex, check_integrity
 from compacts.ledger import canonical_serialize
 
 from conftest import DEMOS, FIXTURES
@@ -218,11 +218,11 @@ def test_criterion_07_validator_properties():
     # named-reason fixtures
     first = validator_ev("e1", "InvestigationReport", {"case": "k1", "verdict": "negligent"})
     second = validator_ev("e2", "InvestigationReport", {"case": "k1", "verdict": "excused"})
-    verdict = check_integrity(second, [first], VALIDATOR_RULES)
+    verdict = check_integrity(second, LedgerIndex(VALIDATOR_RULES, [first]), VALIDATOR_RULES)
     assert [v.code for v in verdict] == ["KeyConflict"]
 
     unbound = validator_ev("e3", "Followup", {"visit": "v1", "patient": "zed"})
-    verdict = check_integrity(unbound, [], VALIDATOR_RULES)
+    verdict = check_integrity(unbound, LedgerIndex(VALIDATOR_RULES), VALIDATOR_RULES)
     assert [v.code for v in verdict] == ["UnboundInParameter"]
 
     # monotonicity: key-conflict rejections survive 1,000 randomized extensions
@@ -232,12 +232,13 @@ def test_criterion_07_validator_properties():
         prefix = [_random_event(rng, i) for i in range(rng.randint(0, 8))]
         candidate = _random_event(rng, 99)
         if not any(
-            v.code == "KeyConflict" for v in check_integrity(candidate, prefix, VALIDATOR_RULES)
+            v.code == "KeyConflict"
+            for v in check_integrity(candidate, LedgerIndex(VALIDATOR_RULES, prefix), VALIDATOR_RULES)
         ):
             continue
         for _ in range(rng.randint(1, 6)):
             prefix = prefix + [_random_event(rng, 1000 + extensions)]
-            still = check_integrity(candidate, prefix, VALIDATOR_RULES)
+            still = check_integrity(candidate, LedgerIndex(VALIDATOR_RULES, prefix), VALIDATOR_RULES)
             assert any(v.code == "KeyConflict" for v in still)
             extensions += 1
     _passed(7, "named rejections exact; key conflicts never healed over 1000 extensions")
@@ -257,7 +258,7 @@ def test_criterion_08_parser_round_trip():
 def test_criterion_09_counts_as_gate():
     spec = parse_compact((DEMOS / "tumorboard.cpt").read_text())
     config, roles = read_network_config(str(DEMOS / "tumorboard_net.json"))
-    org = organization_from_roles(spec.context, roles)
+    org = Organization.make(spec.context, roles)
     rules = ruleset_from_spec(spec)
 
     outcomes = {}

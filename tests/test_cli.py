@@ -226,6 +226,7 @@ def _net(**changes) -> bytes:
 
 
 NOT_UTF8 = b"\xff\xfe"
+DEMO_PRINCIPALS = json.loads((DEMOS / "hospital_net.json").read_text())["principals"]
 
 # input format, file contents; a .cpt file is a parse error (1), the rest data errors (65)
 MALFORMED_INPUTS = {
@@ -244,6 +245,8 @@ MALFORMED_INPUTS = {
     "net-role-list-int": ("net", _net(roles={"bob": 5})),
     "net-roles-array": ("net", _net(roles=[1])),
     "net-no-peers": ("net", _net(peers=[])),
+    "net-duplicate-peer": ("net", _net(peers=["peer-1", "peer-2", "peer-1"])),
+    "net-duplicate-principal": ("net", _net(principals=DEMO_PRINCIPALS + [{"id": "bob", "secret": "k"}])),
     "net-zero-target": ("net", _net(target="0")),
     "net-target-below-floor": ("net", _net(target="1")),
     "net-max-rounds-text": ("net", _net(max_rounds="5")),

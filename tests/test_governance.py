@@ -11,7 +11,7 @@ from compacts.governance import (
     ruleset_from_spec,
 )
 from compacts.ledger import Event, Position
-from compacts.validator import check_integrity, validate_event_schema
+from compacts.validator import LedgerIndex, check_integrity, validate_event_schema
 
 from conftest import build_chain, hospital_events, HOSPITAL_ROSTER
 
@@ -144,7 +144,7 @@ def test_sanction_event_against_builtin_schema(hospital_spec, hospital_org):
     )
     rules = ruleset_from_spec(hospital_spec)
     assert validate_event_schema(sanction, rules, hospital_org.roles_of) == []
-    assert check_integrity(sanction, [], rules) == []
+    assert check_integrity(sanction, LedgerIndex(rules), rules) == []
 
 
 def test_unknown_principal_cannot_build_events():

@@ -1,17 +1,19 @@
 """Deterministic gossip simulation and longest-chain convergence."""
 
+import json
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from compacts import ledger, network
-from compacts.fileformats import organization_from_roles, read_network_config, read_scenario
-from compacts.governance import UnrosteredEmitter, ruleset_from_spec
+from compacts.fileformats import read_network_config, read_scenario
+from compacts.governance import Organization, UnrosteredEmitter, ruleset_from_spec
 from compacts.ledger import Block, mine_block, verify_chain
 from compacts.network import NetworkConfig, Submission, run_network
+from compacts.validator import LedgerIndex, check_integrity
 
-from conftest import DEMOS, load_fixture
+from conftest import DEMOS, bench_generators, load_fixture
 
 ROSTER = tuple((f"client-{i}", f"key-{i}") for i in range(4))
 
@@ -94,7 +96,7 @@ def test_a_submission_past_max_rounds_means_no_convergence(hospital_spec, share_
         for sub in read_scenario(str(DEMOS / "hospital_violation.jsonl"))
     ]
     config, roles = read_network_config(str(DEMOS / "hospital_net.json"))
-    org = organization_from_roles(hospital_spec.context, roles)
+    org = Organization.make(hospital_spec.context, roles)
     result = run_network(scenario, config, rules=ruleset_from_spec(hospital_spec), org=org)
     assert config.max_rounds == 40
     assert result.converged is converged
@@ -107,9 +109,10 @@ def test_a_submission_past_max_rounds_means_no_convergence(hospital_spec, share_
 def test_an_event_admissible_only_after_a_later_one_is_still_mined(
     hospital_spec, seed, admit_round, lone_peer
 ):
-    # the report's patient and nurse are in parameters: it waits, inadmissible,
-    # until the Admit is on the chain; at round 0 the report comes first in
-    # seen order, so the block that holds the Admit cannot hold it too
+    # the report's patient and nurse are in parameters: it is inadmissible
+    # until the Admit is on the chain or chosen before it in the same block;
+    # at round 0 the report comes first in seen order, and a second pass over
+    # the pending events puts it in the Admit's block
     config, roles = read_network_config(str(DEMOS / "hospital_net.json"))
     if lone_peer:
         config = replace(config, peers=config.peers[:1])
@@ -118,13 +121,77 @@ def test_an_event_admissible_only_after_a_later_one_is_still_mined(
         Submission.make(0, "InvestigationReport", attributes, "hospital", 0),
         Submission.make(admit_round, "Admit", {"patient": "charlie", "nurse": "bob"}, "hospital", 1),
     ]
-    org = organization_from_roles(hospital_spec.context, roles)
+    org = Organization.make(hospital_spec.context, roles)
     result = run_network(
         scenario, replace(config, gossip_seed=seed), rules=ruleset_from_spec(hospital_spec), org=org
     )
     assert result.converged
     mined = [e.event_type for _, e in result.active_chain.events_in_order()]
     assert mined == ["Admit", "InvestigationReport"]
+    if lone_peer:
+        blocks = [[e.event_type for e in b.events] for b in result.active_chain.blocks[1:]]
+        assert blocks == [["Admit", "InvestigationReport"]]
+        assert result.rounds_used == 1
+
+
+def _postcondition_inputs(name, tmp_path):
+    """A scenario and network config, read from files: the hospital demo's
+    (demo), or a bench-generated hospital run (bench-<seed>-<patients>); on
+    its first peer alone (lone-peer) or on five peers at an easier target,
+    where peers mine competing blocks (five-peers)."""
+    if name.startswith("bench"):
+        _, seed, patients = name.split("-")[:3]
+        lines, net = bench_generators().hospital_inputs(int(seed), int(patients))
+        scenario_path, net_path = tmp_path / "scenario.jsonl", tmp_path / "net.json"
+        scenario_path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        net_path.write_text(json.dumps(net))
+        scenario = read_scenario(str(scenario_path))
+        config, roles = read_network_config(str(net_path))
+    else:
+        scenario = read_scenario(str(DEMOS / "hospital_violation.jsonl"))
+        config, roles = read_network_config(str(DEMOS / "hospital_net.json"))
+    if name.endswith("lone-peer"):
+        config = replace(config, peers=config.peers[:1])
+    if name.endswith("five-peers"):
+        config = replace(config, peers=tuple(f"peer-{i}" for i in range(1, 6)), target=1 << 254)
+    return scenario, config, roles
+
+
+POSTCONDITION_RUNS = [
+    "demo", "demo-lone-peer", "bench-3-10-five-peers",
+    "bench-1-10", "bench-1-20", "bench-2-10", "bench-2-20",
+]
+
+
+@pytest.mark.parametrize("name", POSTCONDITION_RUNS)
+def test_every_chain_a_run_returns_verifies_from_genesis(hospital_spec, tmp_path, name):
+    # compacts run evaluates the active chain without verifying it again, so
+    # every chain a run returns must pass from-genesis verification under the
+    # run's context, hold every admissible submission and no refused one
+    scenario, config, roles = _postcondition_inputs(name, tmp_path)
+    report = next(sub for sub in scenario if sub.event_type == "InvestigationReport")
+
+    def changed(round_no, **changes):
+        attributes = tuple(sorted({**dict(report.attributes), **changes}.items()))
+        return replace(report, round=round_no, attributes=attributes)
+
+    refused = [  # submissions admission refuses, each with its reason
+        (changed(report.round + 4, verdict="dismissed"), "KeyConflict"),
+        (changed(0, report="inv-x", patient="nobody"), "UnboundInParameter"),
+    ]
+    rules, org = ruleset_from_spec(hospital_spec), Organization.make(hospital_spec.context, roles)
+    submissions = scenario + [sub for sub, _ in refused]
+    result = run_network(submissions, config, rules=rules, org=org)
+    assert result.converged
+    context = dict(target=config.target, roster=config.roster, rules=rules, roles_of=org.roles_of)
+    for _, chain in result.chains:
+        assert verify_chain(chain, **context) is None
+    active = [e for _, e in result.active_chain.events_in_order()]
+    assert {e.event_id for e in active} == {f"evt-{i:05d}" for i in range(len(scenario))}
+    index = LedgerIndex(rules, active)
+    signed = network.events_from_scenario(submissions, config.roster)[len(scenario):]
+    for (_, event), (_, reason) in zip(signed, refused):
+        assert [v.code for v in check_integrity(event, index, rules)] == [reason]
 
 
 def hospital_run(hospital_spec, seed, patients=8):
@@ -152,7 +219,7 @@ def hospital_run(hospital_spec, seed, patients=8):
             round_no = p // 2 + 2 * offset
             submissions.append(Submission.make(round_no, event_type, attributes, emitter, len(submissions)))
     config, roles = read_network_config(str(DEMOS / "hospital_net.json"))
-    org = organization_from_roles(hospital_spec.context, roles)
+    org = Organization.make(hospital_spec.context, roles)
     return submissions, replace(config, gossip_seed=seed), ruleset_from_spec(hospital_spec), org
 
 
