@@ -10,8 +10,9 @@ can compute the norm's state from information it can observe.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..validator import Channel
 from . import ast
@@ -46,25 +47,18 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
         fact_projections.setdefault(rule.fact, set()).update(a for a, _ in rule.projection)
 
     # declaration-level checks
-    seen_types: set[str] = set()
+    for event_type in _repeated(schema.event_type for schema in spec.schemas):
+        diags.append(_err(spec.pos, "duplicate-schema", f"event type {event_type} declared twice"))
     for schema in spec.schemas:
-        if schema.event_type in seen_types:
-            diags.append(
-                _err(spec.pos, "duplicate-schema", f"event type {schema.event_type} declared twice")
-            )
-        seen_types.add(schema.event_type)
         if not schema.by_adornment("key"):
             diags.append(
                 _err(spec.pos, "no-key-parameter", f"schema {schema.event_type} has no key parameter")
             )
-        names = [p.name for p in schema.parameters]
-        for name in names:
-            if names.count(name) > 1:
-                diags.append(
-                    _err(spec.pos, "duplicate-parameter",
-                         f"schema {schema.event_type} repeats parameter {name}")
-                )
-                break
+        for name in _repeated(schema.names()):
+            diags.append(
+                _err(spec.pos, "duplicate-parameter",
+                     f"schema {schema.event_type} repeats parameter {name}")
+            )
         if schema.event_type in fact_projections:
             diags.append(
                 _err(spec.pos, "fact-shadows-event",
@@ -86,10 +80,8 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
                      f"event type {schema.event_type} is carried by no channel")
             )
 
-    norm_ids = [n.id for n in spec.norms]
-    for norm_id in set(norm_ids):
-        if norm_ids.count(norm_id) > 1:
-            diags.append(_err(spec.pos, "duplicate-norm-id", f"norm id {norm_id} declared twice"))
+    for norm_id in _repeated(norm.id for norm in spec.norms):
+        diags.append(_err(spec.pos, "duplicate-norm-id", f"norm id {norm_id} declared twice"))
 
     for rule in spec.counts_as:
         diags.extend(_check_pattern(spec, rule.source, fact_projections, rule.pos))
@@ -191,52 +183,40 @@ def _check_pattern(
     pos: ast.Pos,
     norm_id: Optional[str] = None,
 ) -> list[Diagnostic]:
+    """The pattern's head must be declared, and so must each attribute it
+    constrains; `declared` is what the head declares, None if nothing."""
     where = f"norm {norm_id}: " if norm_id else ""
-    diags: list[Diagnostic] = []
+    at = pattern.pos if pattern.pos != (0, 0) else pos
     if isinstance(pattern, ast.EventPattern):
         schema = spec.schema_for(pattern.event_type)
-        if schema is None:
-            diags.append(
-                _err(pattern.pos if pattern.pos != (0, 0) else pos, "unknown-event-type",
-                     f"{where}event type {pattern.event_type} not declared")
-            )
-            return diags
-        declared = set(schema.names())
-        for constraint in pattern.constraints:
-            if constraint.attribute not in declared:
-                diags.append(
-                    _err(pattern.pos if pattern.pos != (0, 0) else pos, "unknown-attribute",
-                         f"{where}{pattern.event_type} has no attribute {constraint.attribute}")
-                )
+        declared = None if schema is None else set(schema.names())
+        unknown_head = ("unknown-event-type", f"event type {pattern.event_type} not declared")
+        unknown_attribute = ("unknown-attribute", f"{pattern.event_type} has no attribute")
     elif isinstance(pattern, ast.FactPattern):
-        if pattern.fact not in fact_projections:
-            diags.append(
-                _err(pattern.pos if pattern.pos != (0, 0) else pos, "unknown-fact",
-                     f"{where}fact {pattern.fact} has no counts-as rule")
-            )
-        else:
-            for constraint in pattern.constraints:
-                if constraint.attribute not in fact_projections[pattern.fact]:
-                    diags.append(
-                        _err(pattern.pos if pattern.pos != (0, 0) else pos, "unknown-fact-binding",
-                             f"{where}fact {pattern.fact} carries no binding {constraint.attribute}")
-                    )
+        declared = fact_projections.get(pattern.fact)
+        unknown_head = ("unknown-fact", f"fact {pattern.fact} has no counts-as rule")
+        unknown_attribute = ("unknown-fact-binding", f"fact {pattern.fact} carries no binding")
     elif isinstance(pattern, ast.NormStateFactPattern):
         target = spec.norm(pattern.norm_id)
-        if target is None:
-            diags.append(
-                _err(pattern.pos if pattern.pos != (0, 0) else pos, "unknown-norm-id",
-                     f"{where}norm {pattern.norm_id} not declared")
-            )
-        else:
-            key_vars = set(target.create_variables())
-            for constraint in pattern.constraints:
-                if constraint.attribute not in key_vars:
-                    diags.append(
-                        _err(pattern.pos if pattern.pos != (0, 0) else pos, "unknown-fact-binding",
-                             f"{where}{pattern.norm_id} instances carry no binding {constraint.attribute}")
-                    )
-    return diags
+        declared = None if target is None else set(target.create_variables())
+        unknown_head = ("unknown-norm-id", f"norm {pattern.norm_id} not declared")
+        unknown_attribute = ("unknown-fact-binding", f"{pattern.norm_id} instances carry no binding")
+    else:
+        return []
+    if declared is None:
+        return [_err(at, unknown_head[0], where + unknown_head[1])]
+    code, message = unknown_attribute
+    return [
+        _err(at, code, f"{where}{message} {constraint.attribute}")
+        for constraint in pattern.constraints
+        if constraint.attribute not in declared
+    ]
+
+
+def _repeated(names: Iterable[str]) -> list[str]:
+    """Each name that occurs more than once, once, in source order."""
+    counts = Counter(names)
+    return [name for name in counts if counts[name] > 1]
 
 
 # --- observability -------------------------------------------------------

@@ -11,7 +11,7 @@ error).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from ..validator import ADORNMENTS, Channel, Parameter, SchemaDecl
 from . import ast
@@ -26,6 +26,14 @@ KEYWORDS = {
 }
 
 _PUNCT = "{}(),:;"
+
+# The deepest condition the parser accepts. Depth counts each parenthesis and
+# each 'and', 'or' and 'before' on one path from the condition's root. The
+# parser, checker, evaluator and printer all recurse on conditions, so the
+# bound keeps them well inside Python's recursion limit.
+MAX_CONDITION_DEPTH = 64
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -52,75 +60,67 @@ _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
+    line, line_start = 1, 0
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
         if ch == "\n":
             line += 1
-            col = 1
+            line_start = i + 1
             i += 1
             continue
         if ch in " \t\r":
             i += 1
-            col += 1
             continue
         if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
+            end = text.find("\n", i)
+            if end < 0:
+                break  # the input ends in this comment: EOF points at its '#'
+            i = end
             continue
-        start_line, start_col = line, col
-        if text.startswith("counts-as", i):
-            tokens.append(Token("KEYWORD", "counts-as", start_line, start_col))
-            i += len("counts-as")
-            col += len("counts-as")
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "KEYWORD" if word in KEYWORDS else "NAME"
-            tokens.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
+        col = i - line_start + 1
         if ch == '"':
             j = i + 1
             buf: list[str] = []
             while j < n and text[j] != '"':
                 if text[j] == "\n":
-                    raise ParseError(start_line, start_col, "unterminated string")
+                    raise ParseError(line, col, "unterminated string")
                 if text[j] == "\\":
                     if j + 1 >= n or text[j + 1] not in _ESCAPES:
-                        raise ParseError(line, col + (j - i), "bad escape")
+                        raise ParseError(line, j - line_start + 1, "bad escape")
                     buf.append(_ESCAPES[text[j + 1]])
                     j += 2
                 else:
                     buf.append(text[j])
                     j += 1
             if j >= n:
-                raise ParseError(start_line, start_col, "unterminated string")
-            tokens.append(Token("STRING", "".join(buf), start_line, start_col))
-            col += j + 1 - i
+                raise ParseError(line, col, "unterminated string")
+            tokens.append(Token("STRING", "".join(buf), line, col))
             i = j + 1
             continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(start_line, start_col, f"unexpected character {ch!r}", ch)
-    tokens.append(Token("EOF", "", line, col))
+        if text.startswith("counts-as", i):
+            kind = "KEYWORD"
+            j = i + len("counts-as")
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            kind = "KEYWORD" if text[i:j] in KEYWORDS else "NAME"
+        elif ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
+            # isdecimal, not isdigit: int() rejects digits such as '²'
+            j = i + 1
+            while j < n and text[j].isdecimal():
+                j += 1
+            kind = "INT"
+        elif ch in _PUNCT:
+            kind = ch
+            j = i + 1
+        else:
+            raise ParseError(line, col, f"unexpected character {ch!r}", ch)
+        tokens.append(Token(kind, text[i:j], line, col))
+        i = j
+    tokens.append(Token("EOF", "", line, i - line_start + 1))
     return tokens
 
 
@@ -128,6 +128,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.parens = 0  # parentheses open around the condition being parsed
+        self.height = 0  # depth of the condition parsed last
 
     @property
     def cur(self) -> Token:
@@ -163,7 +165,21 @@ class _Parser:
 
     def expect_int(self, what: str = "an integer") -> int:
         tok = self.expect("INT", what)
-        return int(tok.value)
+        sign, digits = ("-", tok.value[1:]) if tok.value.startswith("-") else ("", tok.value)
+        # int() refuses over 4,300 digits, leading zeros included
+        digits = digits.lstrip("0") or "0"
+        # held to the range of event attributes: a literal outside it never matches
+        if len(digits) > 19 or not -(2**63) <= int(sign + digits) < 2**63:
+            raise ParseError(tok.line, tok.col, "integer outside the signed 64-bit range", tok.value)
+        return int(sign + digits)
+
+    def comma_list(self, item: Callable[[], _T]) -> list[_T]:
+        """item { "," item }"""
+        items = [item()]
+        while self.cur.kind == ",":
+            self.advance()
+            items.append(item())
+        return items
 
     # --- grammar productions -------------------------------------------
 
@@ -187,10 +203,8 @@ class _Parser:
                 channels.append(self.channel_decl())
             elif self.at_keyword("counts-as"):
                 counts_as.append(self.counts_as_decl())
-            elif self.at_keyword("prohibition"):
-                norms.append(self.prohibition_decl())
-            elif self.at_keyword("commitment"):
-                norms.append(self.commitment_decl())
+            elif self.at_keyword(ast.PROHIBITION, ast.COMMITMENT):
+                norms.append(self.norm_decl())
             else:
                 raise self._fail(
                     "'roles', 'schema', 'channel', 'counts-as', 'prohibition' or 'commitment'"
@@ -213,26 +227,16 @@ class _Parser:
         self.expect_keyword("roles")
         names: list[str] = []
         if self.cur.kind == "NAME":
-            names.append(self.advance().value)
-            while self.cur.kind == ",":
-                self.advance()
-                names.append(self.expect_name("role name").value)
+            names = self.comma_list(lambda: self.expect_name("role name").value)
         self.expect(";")
         return names
 
     def schema_decl(self) -> SchemaDecl:
         self.expect_keyword("schema")
         name = self.expect_name("event type").value
-        self.expect("(")
-        params: list[Parameter] = []
-        if self.cur.kind != ")":
-            params.append(self.param())
-            while self.cur.kind == ",":
-                self.advance()
-                params.append(self.param())
-        self.expect(")")
+        params = self.parenthesized(self.param)
         self.expect(";")
-        return SchemaDecl(event_type=name, parameters=tuple(params))
+        return SchemaDecl(event_type=name, parameters=params)
 
     def param(self) -> Parameter:
         name = self.expect_name("parameter name").value
@@ -249,29 +253,16 @@ class _Parser:
         self.expect_keyword("channel")
         name = self.expect_name("channel name").value
         self.expect_keyword("members")
-        members = [self.expect_name("member name").value]
-        while self.cur.kind == ",":
-            self.advance()
-            members.append(self.expect_name("member name").value)
+        members = self.comma_list(lambda: self.expect_name("member name").value)
         self.expect_keyword("carries")
-        carries = [self.expect_name("event type").value]
-        while self.cur.kind == ",":
-            self.advance()
-            carries.append(self.expect_name("event type").value)
+        carries = self.comma_list(lambda: self.expect_name("event type").value)
         self.expect(";")
         return Channel(name=name, members=tuple(members), carries=tuple(carries))
 
     def counts_as_decl(self) -> ast.CountsAsRule:
         head = self.expect_keyword("counts-as")
         fact = self.expect_name("fact name").value
-        self.expect("(")
-        projection: list[tuple[str, str]] = []
-        if self.cur.kind != ")":
-            projection.append(self.projection_binding())
-            while self.cur.kind == ",":
-                self.advance()
-                projection.append(self.projection_binding())
-        self.expect(")")
+        projection = self.parenthesized(self.projection_binding)
         self.expect_keyword("from")
         source = self.event_pattern()
         self.expect_keyword("by")
@@ -279,7 +270,7 @@ class _Parser:
         self.expect(";")
         return ast.CountsAsRule(
             fact=fact,
-            projection=tuple(projection),
+            projection=projection,
             source=source,
             required_role=role,
             pos=(head.line, head.col),
@@ -292,7 +283,16 @@ class _Parser:
             return attr, self.expect_name("source variable").value
         return attr, attr
 
-    def role_clauses(self) -> tuple[ast.RoleClause, ast.RoleClause, Optional[str]]:
+    def role_clause(self) -> ast.RoleClause:
+        role = self.expect_name("role name").value
+        if self.cur.kind == ":":
+            self.advance()
+            return ast.RoleClause(role=role, variable=self.expect_name("variable").value)
+        return ast.RoleClause(role=role)
+
+    def norm_decl(self) -> ast.NormDecl:
+        head = self.advance()  # 'prohibition' or 'commitment'
+        norm_id = self.expect_name("norm id").value
         self.expect_keyword("subject")
         subject = self.role_clause()
         self.expect_keyword("object")
@@ -301,147 +301,114 @@ class _Parser:
         if self.at_keyword("context"):
             self.advance()
             context = self.expect_name("context name").value
-        return subject, obj, context
-
-    def role_clause(self) -> ast.RoleClause:
-        role = self.expect_name("role name").value
-        if self.cur.kind == ":":
-            self.advance()
-            return ast.RoleClause(role=role, variable=self.expect_name("variable").value)
-        return ast.RoleClause(role=role)
-
-    def prohibition_decl(self) -> ast.NormDecl:
-        head = self.expect_keyword("prohibition")
-        norm_id = self.expect_name("norm id").value
-        subject, obj, context = self.role_clauses()
         self.expect("{")
         self.expect_keyword("create")
         self.expect_keyword("on")
         create = self.condition()
         self.expect(";")
-        self.expect_keyword("forbids")
-        forbids = self.event_pattern()
-        self.expect(";")
-        exemption = None
-        guard = None
-        if self.at_keyword("unless"):
-            self.advance()
-            exemption = self.condition_without_before()
-            self.expect_keyword("before")
-            guard = self.event_pattern()
+        clauses: dict = {}  # the clauses the norm's kind takes; absent ones stay None
+        if head.value == ast.PROHIBITION:
+            self.expect_keyword("forbids")
+            clauses["forbids"] = self.event_pattern()
             self.expect(";")
-        self.expect_keyword("until")
-        until = self.condition()
-        self.expect(";")
-        self.expect("}")
-        return ast.NormDecl(
-            id=norm_id,
-            kind=ast.PROHIBITION,
-            subject=subject,
-            object=obj,
-            context=context,
-            create=create,
-            forbids=forbids,
-            exemption=exemption,
-            exemption_guard=guard,
-            until=until,
-            pos=(head.line, head.col),
-        )
-
-    def commitment_decl(self) -> ast.NormDecl:
-        head = self.expect_keyword("commitment")
-        norm_id = self.expect_name("norm id").value
-        subject, obj, context = self.role_clauses()
-        self.expect("{")
-        self.expect_keyword("create")
-        self.expect_keyword("on")
-        create = self.condition()
-        self.expect(";")
-        antecedent = None
-        if self.at_keyword("antecedent"):
-            self.advance()
-            antecedent = self.condition()
+            if self.at_keyword("unless"):
+                self.advance()
+                # the exemption's own 'before' keyword closes it, so it takes
+                # no top-level 'before'; parenthesize to nest one there
+                clauses["exemption"] = self.condition(before=False)
+                self.expect_keyword("before")
+                clauses["exemption_guard"] = self.event_pattern()
+                self.expect(";")
+            self.expect_keyword("until")
+            clauses["until"] = self.condition()
             self.expect(";")
-        self.expect_keyword("consequent")
-        consequent = self.condition()
-        self.expect_keyword("within")
-        deadline = self.expect_int("a block count")
-        self.expect_keyword("blocks")
-        self.expect(";")
-        expiry = None
-        if self.at_keyword("expires"):
-            self.advance()
-            self.expect_keyword("after")
-            expiry = self.expect_int("a block count")
+        else:
+            if self.at_keyword("antecedent"):
+                self.advance()
+                clauses["antecedent"] = self.condition()
+                self.expect(";")
+            self.expect_keyword("consequent")
+            clauses["consequent"] = self.condition()
+            self.expect_keyword("within")
+            clauses["deadline_blocks"] = self.expect_int("a block count")
             self.expect_keyword("blocks")
             self.expect(";")
+            if self.at_keyword("expires"):
+                self.advance()
+                self.expect_keyword("after")
+                clauses["expiry_blocks"] = self.expect_int("a block count")
+                self.expect_keyword("blocks")
+                self.expect(";")
         self.expect("}")
         return ast.NormDecl(
             id=norm_id,
-            kind=ast.COMMITMENT,
+            kind=head.value,
             subject=subject,
             object=obj,
             context=context,
             create=create,
-            antecedent=antecedent,
-            consequent=consequent,
-            deadline_blocks=deadline,
-            expiry_blocks=expiry,
             pos=(head.line, head.col),
+            **clauses,
         )
 
     # --- conditions -----------------------------------------------------
+    #
+    # Each rule leaves in self.height the depth of the condition it parsed:
+    # the most parentheses and operators on one path from its root.
 
-    def condition(self) -> ast.Condition:
-        node = self.and_condition()
+    def condition(self, before: bool = True) -> ast.Condition:
+        """With before=False, a condition with no top-level 'before'."""
+        node = self.and_condition(before)
         while self.at_keyword("or"):
-            self.advance()
-            node = ast.Or(node, self.and_condition())
+            node = self._operator(ast.Or, node, lambda: self.and_condition(before))
         return node
 
-    def condition_without_before(self) -> ast.Condition:
-        """Condition with no top-level infix 'before'.
-
-        Used for the exemption clause, whose own 'before' keyword closes it;
-        parenthesize to nest a before-condition there.
-        """
-        node = self.primary()
+    def and_condition(self, before: bool = True) -> ast.Condition:
+        node = self.before_condition(before)
         while self.at_keyword("and"):
-            self.advance()
-            node = ast.And(node, self.primary())
-        while self.at_keyword("or"):
-            self.advance()
-            right = self.primary()
-            while self.at_keyword("and"):
-                self.advance()
-                right = ast.And(right, self.primary())
-            node = ast.Or(node, right)
+            node = self._operator(ast.And, node, lambda: self.before_condition(before))
         return node
 
-    def and_condition(self) -> ast.Condition:
-        node = self.before_condition()
-        while self.at_keyword("and"):
-            self.advance()
-            node = ast.And(node, self.before_condition())
-        return node
-
-    def before_condition(self) -> ast.Condition:
+    def before_condition(self, before: bool = True) -> ast.Condition:
         node = self.primary()
-        if self.at_keyword("before"):
-            self.advance()
-            node = ast.Before(node, self.primary())
+        if before and self.at_keyword("before"):
+            node = self._operator(ast.Before, node, self.primary)
         return node
+
+    def _operator(
+        self,
+        make: Callable[[ast.Condition, ast.Condition], ast.Condition],
+        left: ast.Condition,
+        operand: Callable[[], ast.Condition],
+    ) -> ast.Condition:
+        """Consume an operator, parse its right operand and join the two."""
+        tok = self.advance()
+        left_height = self.height
+        right = operand()
+        self.height = max(left_height, self.height) + 1
+        self._bound_depth(tok, self.height)
+        return make(left, right)
+
+    def _bound_depth(self, tok: Token, height: int) -> None:
+        if self.parens + height > MAX_CONDITION_DEPTH:
+            raise ParseError(
+                tok.line, tok.col, f"condition nested deeper than {MAX_CONDITION_DEPTH} levels", tok.value
+            )
 
     def primary(self) -> ast.Condition:
         if self.cur.kind == "(":
-            self.advance()
+            self._bound_depth(self.advance(), 1)
+            self.parens += 1
             node = self.condition()
+            self.parens -= 1
+            self.height += 1
             self.expect(")")
             return node
+        self.height = 0
         if self.at_keyword(*ast.NORM_STATES):
             state = self.advance()
             norm_id = self.expect_name("norm id").value
-            constraints = self.pattern_body()
+            constraints = self.parenthesized(self.constraint)
             return ast.NormStateFactPattern(
                 state=state.value,
                 norm_id=norm_id,
@@ -451,7 +418,7 @@ class _Parser:
         if self.at_keyword("fact"):
             head = self.advance()
             name = self.expect_name("fact name").value
-            constraints = self.pattern_body()
+            constraints = self.parenthesized(self.constraint)
             return ast.FactPattern(
                 fact=name, constraints=constraints, pos=(head.line, head.col)
             )
@@ -459,21 +426,17 @@ class _Parser:
 
     def event_pattern(self) -> ast.EventPattern:
         head = self.expect_name("an event pattern")
-        constraints = self.pattern_body()
+        constraints = self.parenthesized(self.constraint)
         return ast.EventPattern(
             event_type=head.value, constraints=constraints, pos=(head.line, head.col)
         )
 
-    def pattern_body(self) -> tuple[ast.Constraint, ...]:
+    def parenthesized(self, item: Callable[[], _T]) -> tuple[_T, ...]:
+        """"(" [ item { "," item } ] ")" """
         self.expect("(")
-        constraints: list[ast.Constraint] = []
-        if self.cur.kind != ")":
-            constraints.append(self.constraint())
-            while self.cur.kind == ",":
-                self.advance()
-                constraints.append(self.constraint())
+        items = self.comma_list(item) if self.cur.kind != ")" else []
         self.expect(")")
-        return tuple(constraints)
+        return tuple(items)
 
     def constraint(self) -> ast.Constraint:
         attr = self.expect_name("attribute name").value
@@ -492,8 +455,7 @@ class _Parser:
             self.advance()
             return ast.Literal(tok.value)
         if tok.kind == "INT":
-            self.advance()
-            return ast.Literal(int(tok.value))
+            return ast.Literal(self.expect_int())
         if self.at_keyword("true", "false"):
             self.advance()
             return ast.Literal(tok.value == "true")

@@ -11,7 +11,9 @@ from __future__ import annotations
 from ..validator import Channel, SchemaDecl
 from . import ast
 
-_PRECEDENCE = {ast.Or: 1, ast.And: 2, ast.Before: 3}
+# operator -> (keyword, precedence, precedence its operands print at); the
+# operands of 'before' are patterns or parenthesized conditions
+_OPERATORS = {ast.Or: ("or", 1, 1), ast.And: ("and", 2, 2), ast.Before: ("before", 3, 4)}
 
 
 def _term(term: ast.Term) -> str:
@@ -48,16 +50,12 @@ def format_pattern(pattern: ast.Condition) -> str:
 
 
 def format_condition(condition: ast.Condition, parent_level: int = 0) -> str:
-    if isinstance(condition, (ast.EventPattern, ast.FactPattern, ast.NormStateFactPattern)):
+    if isinstance(condition, ast.PatternLike):
         return format_pattern(condition)
-    level = _PRECEDENCE[type(condition)]
-    if isinstance(condition, ast.Or):
-        text = f"{format_condition(condition.left, level)} or {format_condition(condition.right, level)}"
-    elif isinstance(condition, ast.And):
-        text = f"{format_condition(condition.left, level)} and {format_condition(condition.right, level)}"
-    else:
-        # Before operands are patterns (or parenthesized conditions)
-        text = f"{format_condition(condition.left, level + 1)} before {format_condition(condition.right, level + 1)}"
+    word, level, operand_level = _OPERATORS[type(condition)]
+    left = format_condition(condition.left, operand_level)
+    right = format_condition(condition.right, operand_level)
+    text = f"{left} {word} {right}"
     if level < parent_level:
         return f"({text})"
     return text

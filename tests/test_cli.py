@@ -1,6 +1,9 @@
 """CLI surface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,8 +16,9 @@ from compacts.cli import (
     EXIT_WELL_FORMEDNESS,
     main,
 )
+from compacts.lang.parser import MAX_CONDITION_DEPTH
 
-from conftest import DEMOS, FIXTURES, cli_argv
+from conftest import DEMOS, FIXTURES, REPO, cli_argv
 
 
 def run_cli(*argv):
@@ -225,6 +229,25 @@ def _net(**changes) -> bytes:
     return json.dumps(dict(data, **changes)).encode()
 
 
+HOSPITAL_CPT = (DEMOS / "hospital.cpt").read_text()
+P1_CREATE = "Admit(patient, nurse)"
+
+
+def _hospital_cpt(old: str, new: str) -> bytes:
+    assert old in HOSPITAL_CPT
+    return HOSPITAL_CPT.replace(old, new).encode()
+
+
+def _deep_create(shape: str, depth: int) -> bytes:
+    """The hospital compact with P1's create condition depth levels deep:
+    depth parentheses around its pattern, or depth 'and's joining copies of it."""
+    if shape == "parens":
+        condition = "(" * depth + P1_CREATE + ")" * depth
+    else:
+        condition = " and ".join([P1_CREATE] * (depth + 1))
+    return _hospital_cpt(f"create on {P1_CREATE};", f"create on {condition};")
+
+
 NOT_UTF8 = b"\xff\xfe"
 DEMO_PRINCIPALS = json.loads((DEMOS / "hospital_net.json").read_text())["principals"]
 
@@ -254,7 +277,12 @@ MALFORMED_INPUTS = {
     "report-trust-row-lacks-fields": ("report", b'{"instances": [], "trust": [{"principal": "bob"}]}'),
     "report-not-utf8": ("report", b'{"instances": [], "x": "' + NOT_UTF8 + b'"}'),
     "cpt-not-utf8": ("cpt", NOT_UTF8 + (DEMOS / "hospital.cpt").read_bytes()),
+    "cpt-superscript-digit": ("cpt", _hospital_cpt("within 100 blocks", "within \u00b2 blocks")),
+    "cpt-int-5000-digits": ("cpt", _hospital_cpt("within 100 blocks", f"within {'9' * 5000} blocks")),
+    "cpt-nested-300-parens": ("cpt", _deep_create("parens", 300)),
+    "cpt-and-chain-600": ("cpt", _deep_create("and", 599)),
 }
+HOSTILE_CPT = [name for name in MALFORMED_INPUTS if name.startswith("cpt-") and name != "cpt-not-utf8"]
 
 
 @pytest.mark.parametrize("fmt, payload", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
@@ -264,6 +292,78 @@ def test_malformed_input_exits_with_its_documented_code(tmp_path, capsys, fmt, p
     expected = EXIT_PARSE if fmt == "cpt" else EXIT_DATA
     assert run_cli(*cli_argv(fmt, path, tmp_path / "report.json")) == expected
     assert "error" in capsys.readouterr().err
+
+
+def _hospital_run(spec, out) -> list[str]:
+    """The compacts command that runs the hospital violation scenario on spec."""
+    return [
+        "run",
+        "--spec", str(spec),
+        "--scenario", str(DEMOS / "hospital_violation.jsonl"),
+        "--net", str(DEMOS / "hospital_net.json"),
+        "--out", str(out),
+    ]
+
+
+@pytest.mark.parametrize("name", HOSTILE_CPT)
+def test_hostile_compact_fails_run_without_a_traceback(tmp_path, capsys, name):
+    spec = tmp_path / "hostile.cpt"
+    spec.write_bytes(MALFORMED_INPUTS[name][1])
+    argv = _hospital_run(spec, tmp_path / "report.json")
+    assert run_cli(*argv) == EXIT_PARSE
+    assert "hostile.cpt:" in capsys.readouterr().err
+    done = subprocess.run(
+        [sys.executable, "-m", "compacts.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == EXIT_PARSE
+    assert "hostile.cpt:" in done.stderr and "error:" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("shape", ["parens", "and"])
+def test_create_condition_at_the_depth_bound_runs(tmp_path, capsys, shape):
+    assert run_cli(*_hospital_run(DEMOS / "hospital.cpt", tmp_path / "plain.json")) == EXIT_OK
+    at_bound = tmp_path / "at_bound.cpt"
+    at_bound.write_bytes(_deep_create(shape, MAX_CONDITION_DEPTH))
+    assert run_cli(*_hospital_run(at_bound, tmp_path / "at_bound.json")) == EXIT_OK
+    plain, deep = (json.loads((tmp_path / f).read_text()) for f in ("plain.json", "at_bound.json"))
+    assert deep["instances"] == plain["instances"]
+    capsys.readouterr()
+    past_bound = tmp_path / "past_bound.cpt"
+    past_bound.write_bytes(_deep_create(shape, MAX_CONDITION_DEPTH + 1))
+    assert run_cli(*_hospital_run(past_bound, tmp_path / "past_bound.json")) == EXIT_PARSE
+    assert f"nested deeper than {MAX_CONDITION_DEPTH} levels" in capsys.readouterr().err
+
+
+def test_duplicate_diagnostics_do_not_depend_on_the_hash_seed(tmp_path):
+    norm = """
+  commitment {} subject R: x object R: x {{
+    create on A(x);
+    consequent A(x) within 5 blocks;
+  }}"""
+    body = "".join(norm.format(name) for name in ("Alpha", "Beta", "Gamma") * 2)
+    spec = tmp_path / "repeats.cpt"
+    spec.write_text(
+        "compact T context c {\n  roles R;\n  schema A(x: text key);\n"
+        f"  channel m members R carries A;{body}\n}}\n"
+    )
+    stderrs = []
+    for seed in ("1", "2", "3"):
+        done = subprocess.run(
+            [sys.executable, "-m", "compacts.cli", "parse", str(spec)],
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == EXIT_WELL_FORMEDNESS
+        stderrs.append(done.stderr)
+    assert stderrs[0] == stderrs[1] == stderrs[2]
+    assert [line.split()[-3] for line in stderrs[0].splitlines()] == ["Alpha", "Beta", "Gamma"]
 
 
 def test_trust_subcommand_prints_scores(tmp_path, capsys):

@@ -4,7 +4,9 @@ Each case takes a bundled valid input (a .cpt file, a scenario, a chain
 snapshot, a network config or a report), mutates it and runs ``cli.main`` in
 process on it. JSON inputs lose a key or an array element, or get a value
 swapped for one of another JSON type; .cpt files lose, duplicate or swap
-tokens; either kind may get bytes that are not UTF-8 inserted. Every run must
+tokens, or get a hostile one inserted (a digit int() rejects, a 5,000-digit
+literal, 300 open parentheses, a 601-term 'and' chain); either kind may get
+bytes that are not UTF-8 inserted. Every run must
 return a documented exit code, with nothing raised out of main.
 
 The tier-1 run is small. A long sweep sets the number of cases per format:
@@ -98,15 +100,29 @@ def _mutate_json(data, doc):
     return doc
 
 
+# Each ended in a traceback once: int() on '\u00b2' or on 5,000 digits, and
+# recursion on deep conditions. They go where they bite: before a number, or
+# first in a condition.
+HOSTILE_CPT_TOKENS = ("\u00b2", "9" * 5000, "(" * 300, "E(k) and " * 600)
+CONDITION_OPENERS = ("on", "antecedent", "consequent", "until", "and", "or")
+
+
 def _mutate_cpt(data, text: str) -> str:
     tokens = re.findall(r"\w+|\S|\s+", text)
     for _ in range(data.draw(st.integers(1, 3))):
         at = data.draw(st.integers(0, len(tokens) - 1))
-        op = data.draw(st.sampled_from(["drop", "duplicate", "swap"]))
+        op = data.draw(st.sampled_from(["drop", "duplicate", "swap", "hostile"]))
         if op == "drop":
             del tokens[at]
         elif op == "duplicate":
             tokens.insert(at, tokens[at])
+        elif op == "hostile":
+            spots = [
+                i for i, token in enumerate(tokens)
+                if token.isdigit() or (i >= 2 and tokens[i - 2] in CONDITION_OPENERS)
+            ]
+            at = data.draw(st.sampled_from(spots)) if spots else at
+            tokens.insert(at, data.draw(st.sampled_from(HOSTILE_CPT_TOKENS)))
         else:
             tokens[at] = tokens[data.draw(st.integers(0, len(tokens) - 1))]
     return "".join(tokens)

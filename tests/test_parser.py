@@ -2,6 +2,8 @@
 
 import glob
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,9 +19,9 @@ from compacts.lang import (
     parse_compact,
     pretty_print,
 )
-from compacts.lang.parser import tokenize
+from compacts.lang.parser import KEYWORDS, tokenize
 
-from conftest import DEMOS
+from conftest import DEMOS, REPO
 
 CORPUS = sorted(glob.glob(str(DEMOS / "*.cpt")))
 
@@ -132,6 +134,38 @@ def test_literals_parse_with_kinds():
     assert right.constraints[2].term == Literal(False)
 
 
+@pytest.mark.parametrize(
+    "literal, value",
+    [
+        ("9223372036854775807", 2**63 - 1),
+        ("-9223372036854775808", -(2**63)),
+        ("0" * 5000 + "7", 7),  # past int()'s digit limit, but 7
+        ("\u0663", 3),  # ARABIC-INDIC DIGIT THREE is decimal
+        ("9223372036854775808", None),
+        ("-9223372036854775809", None),
+        ("9" * 5000, None),
+    ],
+    ids=["i64-max", "i64-min", "zero-padded", "arabic-indic", "over-max", "under-min", "5000-digits"],
+)
+def test_integer_literals_are_held_to_i64(literal, value):
+    text = f"""compact T context c {{
+      roles R;
+      schema A(x: text key, n: int out);
+      channel m members R carries A;
+      commitment K subject R: x object R: x {{
+        create on A(x);
+        consequent A(x, n: {literal}) within 5 blocks;
+      }}
+    }}"""
+    if value is None:
+        with pytest.raises(ParseError) as err:
+            parse_compact(text)
+        assert (err.value.line, err.value.col, err.value.token) == (7, 28, literal)
+        assert "64-bit" in err.value.message
+    else:
+        assert parse_compact(text).norms[0].consequent.constraints[1].term == Literal(value)
+
+
 def test_string_literal_escapes_round_trip():
     text = ('compact T context c { roles R; schema A(x: text key, s: text out); '
             'channel m members R carries A; '
@@ -163,7 +197,7 @@ def test_error_locality_for_injected_garbage(path):
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     tokens = [t for t in tokenize(text) if t.kind != "EOF"]
-    rng = random.Random(hash(path) & 0xFFFF)
+    rng = random.Random(Path(path).name)  # hash() is salted per process
     for token in rng.sample(tokens, min(12, len(tokens))):
         lines = text.split("\n")
         line = lines[token.line - 1]
@@ -175,6 +209,38 @@ def test_error_locality_for_injected_garbage(path):
             f"error at {err.value.line}:{err.value.col} past injection "
             f"{token.line}:{token.col} in {path}"
         )
+
+
+# tabs, CRLF line ends, escapes, a non-ASCII name and a file that ends in a comment
+TRICKY_SOURCE = (
+    'compact T context c {\t# x\r\n\troles R, Rôle;\r\n'
+    '  schema A(x: text key, n: int out);  channel m members R carries A;\n'
+    '  commitment K subject R: x object R: x {\n'
+    '    create on A(x, n: -12) and (A(x, n: 007) before A(x, tag: "a\\"b\\tc"));\n'
+    '    consequent A(x) within 3 blocks;\n  }\n} # end'
+)
+
+
+@pytest.mark.parametrize("path", CORPUS + ["tricky"])
+def test_every_token_points_at_its_own_text(path):
+    text = TRICKY_SOURCE if path == "tricky" else Path(path).read_text(encoding="utf-8")
+    lines = text.split("\n")
+    tokens = tokenize(text)
+    for token in tokens[:-1]:
+        rest = lines[token.line - 1][token.col - 1 :]
+        if token.kind == "STRING":
+            assert rest.startswith('"'), token
+        else:
+            assert rest.startswith(token.value), token
+    # end of input, or the '#' of a comment the input ends in
+    eof = tokens[-1]
+    assert eof.kind == "EOF"
+    assert lines[eof.line - 1][eof.col - 1 :] in ("", "# end") and eof.line == len(lines)
+
+
+def test_grammar_keywords_are_the_parser_keywords():
+    grammar = (REPO / "docs" / "grammar.ebnf").read_text()
+    assert set(re.findall(r'"([a-z][a-z-]*)"', grammar)) == KEYWORDS
 
 
 def test_comments_and_whitespace_are_ignored():
