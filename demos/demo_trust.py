@@ -2,7 +2,8 @@
 """Trust evolution: the Beta-mean score after a mixed history of outcomes.
 
 Builds one chain in which nurse Bob is admitted to four patients, shares
-twice with consent and twice without, and prints the score trajectory.
+twice with consent and twice without, and prints the score trajectory: the
+trust report of each chain prefix, recomputed from the evaluated state.
 
 Run from the repository root:  python demos/demo_trust.py
 """
@@ -13,7 +14,7 @@ from compacts.evaluator import evaluate
 from compacts.governance import Organization
 from compacts.lang import parse_compact
 from compacts.ledger import Block, Event, genesis_chain, mine_block
-from compacts.trust import TrustLedger, trust_report, update_trust
+from compacts.trust import TrustScore, trust_report
 
 HERE = Path(__file__).parent
 ROSTER = {"hospital": "h", "bob": "b", "p1": "1", "p2": "2", "p3": "3", "p4": "4"}
@@ -43,25 +44,24 @@ def main():
         episodes.append(tuple(episode))
 
     chain = genesis_chain()
-    ledger = TrustLedger()
-    counted = set()
+    previous = TrustScore("bob", "P1", 0, 0)
     print("episode  outcome    bob/P1 score")
     for number, events in enumerate(episodes, start=1):
         header = mine_block(events, chain.tip.header, TARGET, miner="peer-1")
         chain = chain.extend(Block(header=header, events=events))
         state = evaluate(chain, spec, org)
-        fresh = [
-            (inst, "bob") for inst in state.instances_in_order()
-            if inst.norm_id == "P1" and inst.is_terminal() and inst.key not in counted
-        ]
-        counted.update(inst.key for inst, _ in fresh)
-        ledger = update_trust(ledger, fresh)
-        (row,) = [s for s in ledger.scores() if s.principal == "bob"]
-        outcome = fresh[-1][0].state.value if fresh else "pending"
+        (row,) = [r for r in trust_report(state) if (r.principal, r.norm_id) == ("bob", "P1")]
+        if row.violated > previous.violated:
+            outcome = "violated"
+        elif row.satisfied > previous.satisfied:
+            outcome = "satisfied"
+        else:
+            outcome = "pending"
+        previous = row
         print(f"{number:>7}  {outcome:<9}  ({row.satisfied}+1)/({row.satisfied}+{row.violated}+2) = {row.score:.6f}")
 
     print("\nfull-table view (trust_report over the final state):")
-    for row in trust_report(evaluate(chain, spec, org)):
+    for row in trust_report(state):
         print(f"  {row.principal}/{row.norm_id}: s={row.satisfied} v={row.violated} score={row.score:.6f}")
 
 

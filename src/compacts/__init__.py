@@ -13,12 +13,10 @@ from .evaluator import (
     NormState,
     SpecIllFormed,
     evaluate,
-    query_instances,
 )
 from .governance import (
     Organization,
     UnrosteredEmitter,
-    build_governance_event,
     ruleset_from_spec,
 )
 from .incremental import NonContiguousBlock, apply_block, initial_state
@@ -41,7 +39,7 @@ from .ledger import (
 )
 from .matching import DerivedFact, Match, match_condition
 from .network import NetworkConfig, NetworkResult, Submission, run_network
-from .trust import DoubleCount, TrustLedger, TrustScore, trust_report, update_trust
+from .trust import TrustScore, trust_report
 from .validator import (
     Channel,
     IntegrityRuleSet,

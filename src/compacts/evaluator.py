@@ -85,10 +85,6 @@ class NormInstance:
     violating_event: Optional[str] = None
 
     @property
-    def key(self) -> tuple[str, Bindings]:
-        return (self.norm_id, self.key_bindings)
-
-    @property
     def binding_map(self) -> dict[str, Scalar]:
         return dict(self.key_bindings)
 
@@ -351,27 +347,3 @@ def resolve_party(
         return holders[0]
     return None
 
-
-def query_instances(
-    state: EvalState,
-    norm_id: Optional[str] = None,
-    lifecycle: Optional[NormState] = None,
-    principal: Optional[str] = None,
-) -> list[NormInstance]:
-    """Filtered instance table in stable (norm_id, bindings) order."""
-    out = []
-    for inst in state.instances_in_order():
-        if norm_id is not None and inst.norm_id != norm_id:
-            continue
-        if lifecycle is not None and inst.state is not lifecycle:
-            continue
-        if principal is not None:
-            norm = state.spec.norm(inst.norm_id)
-            parties = {
-                resolve_party(norm.subject, inst, state.org),
-                resolve_party(norm.object, inst, state.org),
-            }
-            if principal not in parties:
-                continue
-        out.append(inst)
-    return out

@@ -14,12 +14,11 @@ declare its own versions.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .lang import ast
-from .ledger import Event, Position, Scalar
+from .ledger import Event, Position
 from .matching import DerivedFact, freeze_bindings, match_event_pattern
 from .validator import Channel, IntegrityRuleSet, Parameter, SchemaDecl
 
@@ -57,8 +56,6 @@ class Organization:
 
 EMPTY_ORGANIZATION = Organization(id="", members=())
 
-
-GOVERNANCE_EVENT_KINDS = ("Complaint", "Sanction", "Exoneration")
 
 BUILTIN_GOVERNANCE_SCHEMAS: tuple[SchemaDecl, ...] = (
     SchemaDecl(
@@ -118,35 +115,3 @@ def counts_as_facts_for_event(
         facts.append(DerivedFact(rule.fact, freeze_bindings(projected), pos))
     return facts
 
-
-def build_governance_event(
-    kind: str,
-    bindings: Mapping[str, Scalar],
-    emitter: str,
-    roster: Mapping[str, str],
-    event_id: Optional[str] = None,
-    logical_ts: int = 0,
-) -> Event:
-    """A signed Complaint/Sanction/Exoneration event.
-
-    The event still must pass validator admission like any other; this only
-    guarantees shape and a valid keyed-digest signature.
-    """
-    if kind not in GOVERNANCE_EVENT_KINDS:
-        raise ValueError(f"unknown governance event kind: {kind}")
-    secret = roster.get(emitter)
-    if secret is None:
-        raise UnrosteredEmitter(emitter)
-    if event_id is None:
-        payload = kind + "|" + emitter + "|" + "|".join(
-            f"{k}={v!r}" for k, v in sorted(bindings.items())
-        )
-        event_id = f"{kind.lower()}-{hashlib.sha256(payload.encode()).hexdigest()[:12]}"
-    event = Event.make(
-        event_id=event_id,
-        event_type=kind,
-        attributes=bindings,
-        emitter=emitter,
-        logical_ts=logical_ts,
-    )
-    return event.with_signature(secret)

@@ -11,7 +11,7 @@ error).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Iterator, Optional, TypeVar
 
 from ..validator import ADORNMENTS, Channel, Parameter, SchemaDecl
 from . import ast
@@ -58,8 +58,9 @@ class ParseError(Exception):
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
+def tokenize(text: str) -> Iterator[Token]:
+    """Tokens of text, ending in EOF, made as they are pulled: a lexer error
+    is raised only when the parser reaches it."""
     line, line_start = 1, 0
     i = 0
     n = len(text)
@@ -96,7 +97,7 @@ def tokenize(text: str) -> list[Token]:
                     j += 1
             if j >= n:
                 raise ParseError(line, col, "unterminated string")
-            tokens.append(Token("STRING", "".join(buf), line, col))
+            yield Token("STRING", "".join(buf), line, col)
             i = j + 1
             continue
         if text.startswith("counts-as", i):
@@ -118,22 +119,17 @@ def tokenize(text: str) -> list[Token]:
             j = i + 1
         else:
             raise ParseError(line, col, f"unexpected character {ch!r}", ch)
-        tokens.append(Token(kind, text[i:j], line, col))
+        yield Token(kind, text[i:j], line, col)
         i = j
-    tokens.append(Token("EOF", "", line, i - line_start + 1))
-    return tokens
+    yield Token("EOF", "", line, i - line_start + 1)
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: Iterator[Token]):
         self.tokens = tokens
-        self.i = 0
+        self.cur = next(tokens)
         self.parens = 0  # parentheses open around the condition being parsed
         self.height = 0  # depth of the condition parsed last
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.i]
 
     def _fail(self, expected: str) -> ParseError:
         tok = self.cur
@@ -142,7 +138,7 @@ class _Parser:
 
     def advance(self) -> Token:
         tok = self.cur
-        self.i += 1
+        self.cur = next(self.tokens, tok)  # past EOF, EOF again
         return tok
 
     def at_keyword(self, *words: str) -> bool:

@@ -11,9 +11,15 @@ from __future__ import annotations
 from ..validator import Channel, SchemaDecl
 from . import ast
 
-# operator -> (keyword, precedence, precedence its operands print at); the
-# operands of 'before' are patterns or parenthesized conditions
-_OPERATORS = {ast.Or: ("or", 1, 1), ast.And: ("and", 2, 2), ast.Before: ("before", 3, 4)}
+# operator -> (keyword, precedence, precedence its left and its right operand
+# print at). 'and' and 'or' group to the left, so a right operand of the same
+# operator is parenthesized; the operands of 'before' are patterns or
+# parenthesized conditions.
+_OPERATORS = {
+    ast.Or: ("or", 1, 1, 2),
+    ast.And: ("and", 2, 2, 3),
+    ast.Before: ("before", 3, 4, 4),
+}
 
 
 def _term(term: ast.Term) -> str:
@@ -52,9 +58,9 @@ def format_pattern(pattern: ast.Condition) -> str:
 def format_condition(condition: ast.Condition, parent_level: int = 0) -> str:
     if isinstance(condition, ast.PatternLike):
         return format_pattern(condition)
-    word, level, operand_level = _OPERATORS[type(condition)]
-    left = format_condition(condition.left, operand_level)
-    right = format_condition(condition.right, operand_level)
+    word, level, left_level, right_level = _OPERATORS[type(condition)]
+    left = format_condition(condition.left, left_level)
+    right = format_condition(condition.right, right_level)
     text = f"{left} {word} {right}"
     if level < parent_level:
         return f"({text})"

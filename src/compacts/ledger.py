@@ -118,12 +118,6 @@ class Event:
     def attribute_map(self) -> dict[str, Scalar]:
         return dict(self.attributes)
 
-    def get(self, name: str) -> Optional[Scalar]:
-        for key, value in self.attributes:
-            if key == name:
-                return value
-        return None
-
     def signing_bytes(self) -> bytes:
         """Canonical bytes of every field except the signature."""
         return (
@@ -331,7 +325,7 @@ def validate_block(
         if rules is not None:
             problems = validator.validate_event_schema(event, rules, roles_of)
             if not problems:
-                problems = validator.check_integrity(event, index, rules)
+                problems = validator.check_integrity(event, index)
             if problems:
                 return Rejection("IntegrityViolation", str(problems[0]))
         index.add(event)

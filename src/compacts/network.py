@@ -103,8 +103,7 @@ def events_from_scenario(
 
 
 class _Peer:
-    def __init__(self, peer_id: str, rules: Optional[IntegrityRuleSet]):
-        self.id = peer_id
+    def __init__(self, rules: Optional[IntegrityRuleSet]):
         self.chain = genesis_chain()
         self.index = LedgerIndex(rules)  # admission state of self.chain
         self.seen: dict[str, Event] = {}  # event_id -> event, arrival order
@@ -118,15 +117,11 @@ class _Peer:
         return [e for e in self.seen.values() if e.event_id not in self.index.event_ids]
 
 
-def _admissible(
-    events: list[Event],
-    index: LedgerIndex,
-    rules: Optional[IntegrityRuleSet],
-    roles_of,
-) -> list[Event]:
-    """The events that may extend the chain whose index is given: passes over
-    the events not yet chosen take, in order, those admission lets in, until
-    one takes none."""
+def _admissible(events: list[Event], index: LedgerIndex, roles_of) -> list[Event]:
+    """The events that may extend the chain whose index is given, under the
+    index's rules: passes over the events not yet chosen take, in order,
+    those admission lets in, until one takes none."""
+    rules = index.rules
     if rules is None or not events:
         return list(events)
     index = index.copy()
@@ -135,7 +130,7 @@ def _admissible(
     while rest:
         refused = []
         for event in rest:
-            if check_integrity(event, index, rules):
+            if check_integrity(event, index):
                 refused.append(event)
             else:
                 chosen.append(event)
@@ -165,7 +160,7 @@ def run_network(
     submissions = events_from_scenario(scenario, roster)
     rng = random.Random(config.gossip_seed)
     peer_ids = sorted(config.peers)
-    peers = {pid: _Peer(pid, rules) for pid in peer_ids}
+    peers = {pid: _Peer(rules) for pid in peer_ids}
     memo: dict = {}
 
     def sound(chain: Chain) -> bool:
@@ -216,7 +211,7 @@ def run_network(
                             peer.seen.setdefault(event.event_id, event)
                         broadcast(pid, "chain", best)
 
-            mineable = _admissible(peer.pending(), peer.index, rules, roles_of)
+            mineable = _admissible(peer.pending(), peer.index, roles_of)
             if mineable:
                 header = mine_block(
                     tuple(mineable), peer.chain.tip.header, config.target, miner=pid

@@ -172,20 +172,16 @@ def _key_and_outs(event_type: str, schema: SchemaDecl, attrs: dict) -> tuple[tup
     return (event_type, keys), tuple(attrs.get(p.name) for p in schema.by_adornment("out"))
 
 
-def check_integrity(
-    event: Event,
-    index: LedgerIndex,
-    rules: IntegrityRuleSet,
-) -> list[AdmissionError]:
+def check_integrity(event: Event, index: LedgerIndex) -> list[AdmissionError]:
     """Information-level integrity of one event against the ledger so far.
 
     (a) key uniqueness: no earlier event of the same type may agree on all
     key parameters yet differ on any out parameter; (b) in-causality: every
     in-adorned (name, value) pair must already occur as a key-or-out binding
     of some earlier event. Assumes validate_event_schema passed. The ledger
-    so far is given as its LedgerIndex for ``rules``.
+    so far is given as its LedgerIndex, whose rules are the ones checked.
     """
-    schema = rules.schema_for(event.event_type)
+    schema = index.rules.schema_for(event.event_type)
     if schema is None:
         return [AdmissionError("UnknownEventType", event.event_type)]
     violations: list[AdmissionError] = []

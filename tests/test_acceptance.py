@@ -110,7 +110,7 @@ def test_criterion_04_terminal_stability():
         spec, org, chain, roster = random_case(seed, max_events=50)
         state = evaluate(chain, spec, org)
         terminal = {
-            inst.key: inst.state for inst in state.instances.values() if inst.is_terminal()
+            (inst.norm_id, inst.key_bindings): inst.state for inst in state.instances.values() if inst.is_terminal()
         }
         extended = extend_randomly(chain, seed=seed + 50_000, blocks=3, roster=roster)
         later = evaluate(extended, spec, org)
@@ -218,11 +218,11 @@ def test_criterion_07_validator_properties():
     # named-reason fixtures
     first = validator_ev("e1", "InvestigationReport", {"case": "k1", "verdict": "negligent"})
     second = validator_ev("e2", "InvestigationReport", {"case": "k1", "verdict": "excused"})
-    verdict = check_integrity(second, LedgerIndex(VALIDATOR_RULES, [first]), VALIDATOR_RULES)
+    verdict = check_integrity(second, LedgerIndex(VALIDATOR_RULES, [first]))
     assert [v.code for v in verdict] == ["KeyConflict"]
 
     unbound = validator_ev("e3", "Followup", {"visit": "v1", "patient": "zed"})
-    verdict = check_integrity(unbound, LedgerIndex(VALIDATOR_RULES), VALIDATOR_RULES)
+    verdict = check_integrity(unbound, LedgerIndex(VALIDATOR_RULES))
     assert [v.code for v in verdict] == ["UnboundInParameter"]
 
     # monotonicity: key-conflict rejections survive 1,000 randomized extensions
@@ -233,12 +233,12 @@ def test_criterion_07_validator_properties():
         candidate = _random_event(rng, 99)
         if not any(
             v.code == "KeyConflict"
-            for v in check_integrity(candidate, LedgerIndex(VALIDATOR_RULES, prefix), VALIDATOR_RULES)
+            for v in check_integrity(candidate, LedgerIndex(VALIDATOR_RULES, prefix))
         ):
             continue
         for _ in range(rng.randint(1, 6)):
             prefix = prefix + [_random_event(rng, 1000 + extensions)]
-            still = check_integrity(candidate, LedgerIndex(VALIDATOR_RULES, prefix), VALIDATOR_RULES)
+            still = check_integrity(candidate, LedgerIndex(VALIDATOR_RULES, prefix))
             assert any(v.code == "KeyConflict" for v in still)
             extensions += 1
     _passed(7, "named rejections exact; key conflicts never healed over 1000 extensions")

@@ -4,10 +4,14 @@ Each case takes a bundled valid input (a .cpt file, a scenario, a chain
 snapshot, a network config or a report), mutates it and runs ``cli.main`` in
 process on it. JSON inputs lose a key or an array element, or get a value
 swapped for one of another JSON type; .cpt files lose, duplicate or swap
-tokens, or get a hostile one inserted (a digit int() rejects, a 5,000-digit
-literal, 300 open parentheses, a 601-term 'and' chain); either kind may get
-bytes that are not UTF-8 inserted. Every run must
-return a documented exit code, with nothing raised out of main.
+tokens, get a hostile one inserted (a digit int() rejects, a 5,000-digit
+literal, 300 open parentheses, a 601-term 'and' chain), or have a condition
+deepened into a 61- or 3,001-term 'and' chain of its first pattern; either
+kind may get bytes that are not UTF-8 inserted. A mutated hospital or
+tumor-board compact that ``compacts parse`` accepts is also run on one of
+that compact's bundled scenarios and its network config, so a compact that
+parses but breaks evaluation is caught too. Every run must return a
+documented exit code, with nothing raised out of main.
 
 The tier-1 run is small. A long sweep sets the number of cases per format:
 
@@ -111,11 +115,23 @@ def _mutate_cpt(data, text: str) -> str:
     tokens = re.findall(r"\w+|\S|\s+", text)
     for _ in range(data.draw(st.integers(1, 3))):
         at = data.draw(st.integers(0, len(tokens) - 1))
-        op = data.draw(st.sampled_from(["drop", "duplicate", "swap", "hostile"]))
+        op = data.draw(st.sampled_from(["drop", "duplicate", "swap", "hostile", "deepen"]))
         if op == "drop":
             del tokens[at]
         elif op == "duplicate":
             tokens.insert(at, tokens[at])
+        elif op == "deepen":
+            # an 'and' chain of the pattern a condition starts with: it names
+            # only declared events, so it passes the checker. 60 terms mostly
+            # stay within MAX_CONDITION_DEPTH and reach run; Hypothesis allows
+            # 2,000 more stack frames than a plain run, so 3,000 terms are
+            # past both.
+            spots = [i for i in range(2, len(tokens)) if tokens[i - 2] in CONDITION_OPENERS]
+            if spots:
+                at = data.draw(st.sampled_from(spots))
+                end = tokens.index(")", at) if ")" in tokens[at:] else at
+                terms = data.draw(st.sampled_from([60, 3000]))
+                tokens.insert(at, ("".join(tokens[at : end + 1]) + " and ") * terms)
         elif op == "hostile":
             spots = [
                 i for i, token in enumerate(tokens)
@@ -159,14 +175,43 @@ def valid_report(workdir):
 
 CPT_FILES = sorted(DEMOS.glob("*.cpt"))
 
+# compact -> the (scenario, network config) pairs bundled for it
+BUNDLED_RUNS = {
+    "hospital.cpt": [
+        ("hospital_violation.jsonl", "hospital_net.json"),
+        ("hospital_compliant.jsonl", "hospital_net.json"),
+    ],
+    "tumorboard.cpt": [
+        ("tumorboard_member.jsonl", "tumorboard_net.json"),
+        ("tumorboard_nonmember.jsonl", "tumorboard_net.json"),
+    ],
+}
+
+
+def _fuzz_compact(workdir, data, sources) -> None:
+    source = data.draw(st.sampled_from(sources))
+    # drawn before the mutation, so that every case that parses reaches run
+    bundled = data.draw(st.sampled_from(BUNDLED_RUNS.get(source.name, [None])))
+    path = workdir / "input.cpt"
+    path.write_bytes(_maybe_not_utf8(data, _mutate_cpt(data, source.read_text()).encode()))
+    code = _run(*cli_argv("cpt", path, workdir / "report.json"))
+    if code == EXIT_OK and bundled is not None:
+        scenario, net = bundled
+        _run("run", "--spec", str(path), "--scenario", str(DEMOS / scenario),
+             "--net", str(DEMOS / net), "--out", str(workdir / "report.json"))
+
 
 @_examples(200)
 @given(data=st.data())
 def test_fuzz_compact(workdir, data):
-    source = data.draw(st.sampled_from(CPT_FILES)).read_text()
-    path = workdir / "input.cpt"
-    path.write_bytes(_maybe_not_utf8(data, _mutate_cpt(data, source).encode()))
-    _run(*cli_argv("cpt", path, workdir / "report.json"))
+    _fuzz_compact(workdir, data, CPT_FILES)
+
+
+@_examples(100)
+@given(data=st.data())
+def test_fuzz_runnable_compact(workdir, data):
+    """Only the compacts with a bundled scenario, so that more cases reach run."""
+    _fuzz_compact(workdir, data, [DEMOS / name for name in BUNDLED_RUNS])
 
 
 def _fuzz_json(data, workdir, fmt: str, doc, jsonl: bool = False) -> None:

@@ -12,7 +12,6 @@ from compacts.evaluator import (
     NormState,
     SpecIllFormed,
     evaluate,
-    query_instances,
 )
 from compacts.governance import Organization
 from compacts.incremental import apply_block, initial_state
@@ -158,7 +157,7 @@ def test_consent_after_share_does_not_exempt(hospital_spec, org):
          signed_event("e2", "Consent", {"patient": "charlie"}, "charlie", roster)],
     ]
     state = evaluate(build_chain(groups), hospital_spec, org)
-    (p1,) = query_instances(state, norm_id="P1")
+    (p1,) = [i for i in state.instances_in_order() if i.norm_id == "P1"]
     assert p1.state is NormState.VIOLATED
 
 
@@ -352,27 +351,22 @@ def test_early_consent_soundness_multiple_forbidden_matches():
         [make(5, "Export", {"person": "sam", "analyst": "ana"}, "ana")],
     ]
     state = evaluate(build_chain(groups), spec, org)
-    (no_export,) = query_instances(state, norm_id="NoExport")
+    (no_export,) = [i for i in state.instances_in_order() if i.norm_id == "NoExport"]
     assert no_export.state is NormState.ACTIVE  # three exports, all covered
 
 
-# --- query_instances ---------------------------------------------------------
+# --- instance table ----------------------------------------------------------
 
 
 def test_query_filters(hospital_spec, org):
     violation, _ = hospital_events()
     state = evaluate(build_chain(violation), hospital_spec, org)
+    everything = state.instances_in_order()
 
-    violated = query_instances(state, lifecycle=NormState.VIOLATED)
+    violated = [i for i in everything if i.state is NormState.VIOLATED]
     assert [i.norm_id for i in violated] == ["P1"]
 
-    assert query_instances(state, norm_id="Nope") == []
+    assert [i for i in everything if i.norm_id == "Nope"] == []
 
-    everything = query_instances(state)
     assert [i.norm_id for i in everything] == ["C1", "P1"]  # stable order
-    assert everything == query_instances(state)
-
-    bobs = query_instances(state, principal="bob")
-    assert [i.norm_id for i in bobs] == ["P1"]
-    charlies = query_instances(state, principal="charlie")
-    assert {i.norm_id for i in charlies} == {"C1", "P1"}
+    assert everything == state.instances_in_order()

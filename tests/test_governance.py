@@ -2,11 +2,9 @@
 
 import pytest
 
-from compacts.evaluator import NormState, evaluate, query_instances
+from compacts.evaluator import NormState, evaluate
 from compacts.governance import (
     Organization,
-    UnrosteredEmitter,
-    build_governance_event,
     counts_as_facts_for_event,
     ruleset_from_spec,
 )
@@ -90,7 +88,7 @@ def test_violation_fact_spawns_governance_instance(hospital_spec, hospital_org):
     violation, _ = hospital_events()
     state = evaluate(build_chain(violation[:2]), hospital_spec, hospital_org)
     (violated,) = [f for f in state.facts if f.name == "violated(P1)"]
-    (c1,) = query_instances(state, norm_id="C1")
+    (c1,) = [i for i in state.instances_in_order() if i.norm_id == "C1"]
     assert (dict(c1.key_bindings), c1.state) == ({"patient": "charlie"}, NormState.ACTIVE)
     assert c1.created_at == violated.witness == Position(2, 0)
 
@@ -98,7 +96,7 @@ def test_violation_fact_spawns_governance_instance(hospital_spec, hospital_org):
 def test_no_violations_no_new_instances(hospital_spec, hospital_org):
     _, compliant = hospital_events()
     state = evaluate(build_chain(compliant), hospital_spec, hospital_org)
-    assert query_instances(state, norm_id="C1") == []
+    assert [i for i in state.instances_in_order() if i.norm_id == "C1"] == []
 
 
 def test_two_violations_spawn_two_distinct_instances(hospital_spec, hospital_org):
@@ -127,9 +125,9 @@ def test_two_violations_spawn_two_distinct_instances(hospital_spec, hospital_org
 
 def test_complaint_event_is_valid_and_detaches_c1(hospital_spec, hospital_org):
     violation, _ = hospital_events()
-    complaint = build_governance_event(
-        "Complaint", {"patient": "charlie"}, "charlie", HOSPITAL_ROSTER
-    )
+    complaint = Event.make(
+        "complaint-1", "Complaint", {"patient": "charlie"}, "charlie"
+    ).with_signature(HOSPITAL_ROSTER["charlie"])
     rules = ruleset_from_spec(hospital_spec)
     assert validate_event_schema(complaint, rules, hospital_org.roles_of) == []
     groups = violation[:2] + [[complaint]]
@@ -139,17 +137,12 @@ def test_complaint_event_is_valid_and_detaches_c1(hospital_spec, hospital_org):
 
 
 def test_sanction_event_against_builtin_schema(hospital_spec, hospital_org):
-    sanction = build_governance_event(
-        "Sanction", {"against": "bob", "case": "k1"}, "hospital", HOSPITAL_ROSTER
-    )
+    sanction = Event.make(
+        "sanction-1", "Sanction", {"against": "bob", "case": "k1"}, "hospital"
+    ).with_signature(HOSPITAL_ROSTER["hospital"])
     rules = ruleset_from_spec(hospital_spec)
     assert validate_event_schema(sanction, rules, hospital_org.roles_of) == []
-    assert check_integrity(sanction, LedgerIndex(rules), rules) == []
-
-
-def test_unknown_principal_cannot_build_events():
-    with pytest.raises(UnrosteredEmitter):
-        build_governance_event("Complaint", {"patient": "x"}, "mallory", HOSPITAL_ROSTER)
+    assert check_integrity(sanction, LedgerIndex(rules)) == []
 
 
 def test_builtins_do_not_shadow_compact_declared_schemas(hospital_spec):

@@ -232,7 +232,7 @@ def test_terminal_states_survive_chain_extension(seed):
     spec, org, chain, roster = random_case(seed)
     state = evaluate(chain, spec, org)
     terminal = {
-        inst.key: inst.state for inst in state.instances.values() if inst.is_terminal()
+        (inst.norm_id, inst.key_bindings): inst.state for inst in state.instances.values() if inst.is_terminal()
     }
     extended = extend_randomly(chain, seed=seed + 10_000, blocks=4, roster=roster)
     later = evaluate(extended, spec, org)

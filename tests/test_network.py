@@ -191,7 +191,7 @@ def test_every_chain_a_run_returns_verifies_from_genesis(hospital_spec, tmp_path
     index = LedgerIndex(rules, active)
     signed = network.events_from_scenario(submissions, config.roster)[len(scenario):]
     for (_, event), (_, reason) in zip(signed, refused):
-        assert [v.code for v in check_integrity(event, index, rules)] == [reason]
+        assert [v.code for v in check_integrity(event, index)] == [reason]
 
 
 def hospital_run(hospital_spec, seed, patients=8):

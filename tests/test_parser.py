@@ -3,6 +3,7 @@
 import glob
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -97,7 +98,7 @@ def test_condition_precedence_or_and_before():
     assert isinstance(cond.right, EventPattern)
 
 
-def test_parenthesized_conditions_round_trip():
+def test_parenthesized_conditions_round_trip(hospital_spec):
     text = """compact T context c {
       roles R;
       schema A(x: text key);
@@ -113,6 +114,15 @@ def test_parenthesized_conditions_round_trip():
     assert isinstance(cond, And)
     assert isinstance(cond.left, Or)
     assert parse_compact(pretty_print(spec)) == spec
+
+    # 'and' and 'or' group to the left: a right operand of the same operator
+    # prints in parentheses
+    p1, c1 = hospital_spec.norms
+    c = p1.create
+    for operator in (And, Or):
+        nested = replace(p1, create=operator(c, operator(c, c)))
+        spec = replace(hospital_spec, norms=(nested, c1))
+        assert parse_compact(pretty_print(spec)) == spec
 
 
 def test_literals_parse_with_kinds():
@@ -191,6 +201,18 @@ def test_parse_error_reports_offending_token():
     assert "';'" in err.value.message
 
 
+def test_the_first_failure_in_the_text_is_reported():
+    """A syntax error before a character the lexer refuses is the one reported."""
+    syntax_error = "compact T context c { roles R R; }"
+    for text in (syntax_error, syntax_error + "\n?"):
+        with pytest.raises(ParseError) as err:
+            parse_compact(text)
+        assert str(err.value) == "1:31: expected ';', found 'R'"
+    with pytest.raises(ParseError) as err:
+        parse_compact("compact T context c { roles R; }\n?")
+    assert str(err.value) == "2:1: unexpected character '?'"
+
+
 @pytest.mark.parametrize("path", CORPUS)
 def test_error_locality_for_injected_garbage(path):
     """An illegal token at any position yields an error at or before it."""
@@ -225,7 +247,7 @@ TRICKY_SOURCE = (
 def test_every_token_points_at_its_own_text(path):
     text = TRICKY_SOURCE if path == "tricky" else Path(path).read_text(encoding="utf-8")
     lines = text.split("\n")
-    tokens = tokenize(text)
+    tokens = list(tokenize(text))
     for token in tokens[:-1]:
         rest = lines[token.line - 1][token.col - 1 :]
         if token.kind == "STRING":

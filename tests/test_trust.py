@@ -4,21 +4,42 @@ from fractions import Fraction
 
 import pytest
 
-from compacts.evaluator import NormInstance, NormState, evaluate
+from compacts.evaluator import EvalState, NormInstance, NormState, evaluate
+from compacts.governance import EMPTY_ORGANIZATION
+from compacts.lang import parse_compact
 from compacts.ledger import Position
-from compacts.trust import DoubleCount, TrustLedger, TrustScore, trust_report, update_trust
+from compacts.trust import TrustScore, trust_report
 
 from conftest import build_chain, hospital_events
 
+# two commitments whose subject is bound by the instance's p
+TALLY_SPEC = parse_compact(
+    """
+    compact T context c {
+      roles R;
+      schema A(case: text key, p: text out);
+      channel m members R carries A;
+      commitment N subject R: p object R: p {
+        create on A(case, p);
+        consequent A(case, p) within 3 blocks;
+      }
+      commitment M subject R: p object R: p {
+        create on A(case, p);
+        consequent A(case, p) within 3 blocks;
+      }
+    }
+    """
+)
 
-def make_instance(norm_id, case, state):
+
+def make_instance(norm_id, case, principal, state):
     return NormInstance(
         norm_id=norm_id,
-        key_bindings=(("case", case),),
+        key_bindings=(("case", case), ("p", principal)),
         state=state,
         created_at=Position(1, 0),
-        closed_at=Position(2, 0),
-        detached_at=Position(1, 0) if norm_id.startswith("C") else None,
+        detached_at=Position(1, 0),
+        closed_at=None if state in (NormState.ACTIVE, NormState.DETACHED) else Position(2, 0),
     )
 
 
@@ -43,31 +64,33 @@ def test_bounds_are_open():
             assert 0 < score < 1
 
 
-def test_update_trust_counts_and_ignores_expired():
-    ledger = update_trust(
-        TrustLedger(),
-        [
-            (make_instance("N", "a", NormState.SATISFIED), "p"),
-            (make_instance("N", "b", NormState.VIOLATED), "p"),
-            (make_instance("N", "c", NormState.EXPIRED), "p"),
-        ],
+def test_trust_report_tallies_per_subject_and_norm_and_ignores_expired():
+    instances = [
+        make_instance("N", "a", "p", NormState.SATISFIED),
+        make_instance("N", "b", "p", NormState.VIOLATED),
+        make_instance("N", "c", "p", NormState.EXPIRED),
+        make_instance("N", "d", "p", NormState.SATISFIED),
+        make_instance("N", "e", "q", NormState.VIOLATED),
+        make_instance("N", "f", "q", NormState.DETACHED),
+        make_instance("M", "g", "p", NormState.SATISFIED),
+        make_instance("M", "h", "r", NormState.EXPIRED),  # r has no Satisfied or Violated
+        make_instance("M", "i", "r", NormState.ACTIVE),
+    ]
+    state = EvalState(
+        spec=TALLY_SPEC,
+        org=EMPTY_ORGANIZATION,
+        instances={(i.norm_id, i.key_bindings): i for i in instances},
+        facts=(),
+        frontier=Position(2, 0),
+        trace=(),
     )
-    (row,) = ledger.scores()
-    assert (row.satisfied, row.violated) == (1, 1)
-    assert row.score == 0.5
-
-
-def test_double_count_is_an_error():
-    first = make_instance("N", "a", NormState.SATISFIED)
-    ledger = update_trust(TrustLedger(), [(first, "p")])
-    with pytest.raises(DoubleCount):
-        update_trust(ledger, [(first, "p")])
-
-
-def test_non_terminal_outcomes_are_rejected():
-    active = NormInstance("N", (("case", "x"),), NormState.ACTIVE, Position(1, 0))
-    with pytest.raises(ValueError):
-        update_trust(TrustLedger(), [(active, "p")])
+    rows = trust_report(state)
+    assert [(r.principal, r.norm_id, r.satisfied, r.violated) for r in rows] == [
+        ("p", "M", 1, 0),
+        ("p", "N", 2, 1),
+        ("q", "N", 0, 1),
+    ]
+    assert rows[1].score == 0.6
 
 
 def test_violation_scenario_report(hospital_spec, hospital_org):

@@ -112,7 +112,7 @@ def test_channel_membership_via_role():
 def test_key_conflict_on_out_parameter():
     first = ev("e1", "InvestigationReport", {"case": "k1", "verdict": "negligent"})
     second = ev("e2", "InvestigationReport", {"case": "k1", "verdict": "excused"})
-    violations = check_integrity(second, LedgerIndex(RULES, [first]), RULES)
+    violations = check_integrity(second, LedgerIndex(RULES, [first]))
     assert errors_of(violations) == ["KeyConflict"]
     assert "k1" in violations[0].detail
 
@@ -120,12 +120,12 @@ def test_key_conflict_on_out_parameter():
 def test_same_keys_same_outs_is_ok():
     first = ev("e1", "InvestigationReport", {"case": "k1", "verdict": "negligent"})
     second = ev("e2", "InvestigationReport", {"case": "k1", "verdict": "negligent"})
-    assert check_integrity(second, LedgerIndex(RULES, [first]), RULES) == []
+    assert check_integrity(second, LedgerIndex(RULES, [first])) == []
 
 
 def test_unbound_in_parameter():
     followup = ev("e1", "Followup", {"visit": "v1", "patient": "zed"})
-    violations = check_integrity(followup, LedgerIndex(RULES), RULES)
+    violations = check_integrity(followup, LedgerIndex(RULES))
     assert errors_of(violations) == ["UnboundInParameter"]
     assert "zed" in violations[0].detail
 
@@ -133,13 +133,13 @@ def test_unbound_in_parameter():
 def test_in_parameter_bound_by_earlier_key():
     admit = ev("e0", "Admit", {"patient": "zed", "count": 1, "urgent": False})
     followup = ev("e1", "Followup", {"visit": "v1", "patient": "zed"})
-    assert check_integrity(followup, LedgerIndex(RULES, [admit]), RULES) == []
+    assert check_integrity(followup, LedgerIndex(RULES, [admit])) == []
 
 
 def test_byte_identical_replay_is_not_an_integrity_matter():
     # duplicate event ids are the ledger's DuplicateEventId check
     share = ev("e1", "Share", {"patient": "c", "sharer": "bob"}, emitter="bob")
-    assert check_integrity(share, LedgerIndex(RULES, [share]), RULES) == []
+    assert check_integrity(share, LedgerIndex(RULES, [share])) == []
 
 
 def _random_event(rng, serial):
@@ -164,13 +164,13 @@ def test_key_conflict_rejection_is_monotone_under_extension():
     while checked < 1000:
         prefix = [_random_event(rng, i) for i in range(rng.randint(0, 8))]
         candidate = _random_event(rng, 99)
-        verdict = check_integrity(candidate, LedgerIndex(RULES, prefix), RULES)
+        verdict = check_integrity(candidate, LedgerIndex(RULES, prefix))
         conflict = [v for v in verdict if v.code == "KeyConflict"]
         if not conflict:
             continue
         for _ in range(rng.randint(1, 5)):
             prefix = prefix + [_random_event(rng, 100 + checked)]
-            extended = check_integrity(candidate, LedgerIndex(RULES, prefix), RULES)
+            extended = check_integrity(candidate, LedgerIndex(RULES, prefix))
             assert any(v.code == "KeyConflict" for v in extended)
             checked += 1
 
@@ -180,9 +180,9 @@ def test_unbound_in_rejection_persists_unless_the_value_is_bound():
     followup = ev("f1", "Followup", {"visit": "v1", "patient": "zed"})
     prefix = []
     for serial in range(200):
-        verdict = check_integrity(followup, LedgerIndex(RULES, prefix), RULES)
+        verdict = check_integrity(followup, LedgerIndex(RULES, prefix))
         binds = any(
-            e.event_type == "Admit" and e.get("patient") == "zed" for e in prefix
+            e.event_type == "Admit" and e.attribute_map.get("patient") == "zed" for e in prefix
         )
         if binds:
             assert verdict == []
@@ -249,12 +249,12 @@ def test_index_verdicts_equal_the_scan(ledger):
     snapshot = None
     for position, event in enumerate(ledger):
         expected = scan_check_integrity(event, ledger[:position], INDEX_RULES)
-        assert check_integrity(event, index, INDEX_RULES) == expected
+        assert check_integrity(event, index) == expected
         if position == middle:
             snapshot = index.copy()
         index.add(event)
     if snapshot is not None:
         for event in ledger:
-            assert check_integrity(event, snapshot, INDEX_RULES) == scan_check_integrity(
+            assert check_integrity(event, snapshot) == scan_check_integrity(
                 event, ledger[:middle], INDEX_RULES
             )
