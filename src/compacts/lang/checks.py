@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..validator import Channel
 from . import ast
 
 
@@ -255,17 +254,12 @@ def _norm_event_types(spec: ast.CompactSpec, norm: ast.NormDecl, seen: set[str])
     return types
 
 
-def check_observability(
-    spec: ast.CompactSpec,
-    channels: Optional[tuple[Channel, ...]] = None,
-) -> list[ObservabilityGap]:
+def check_observability(spec: ast.CompactSpec) -> list[ObservabilityGap]:
     """Event types each concerned role cannot observe, per norm.
 
     A role observes an event type when some channel carrying the type lists
     the role (or, for a principal context, lists the principal directly).
     """
-    if channels is None:
-        channels = spec.channels
     gaps: list[ObservabilityGap] = []
     for norm in spec.norms:
         needed = sorted(_norm_event_types(spec, norm, set()))
@@ -279,7 +273,7 @@ def check_observability(
             for event_type in needed:
                 visible = any(
                     event_type in channel.carries and party in channel.members
-                    for channel in channels
+                    for channel in spec.channels
                 )
                 if not visible:
                     gaps.append(ObservabilityGap(norm.id, party, event_type))

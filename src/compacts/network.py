@@ -1,18 +1,20 @@
 """Deterministic multi-peer network simulation with longest-chain consensus.
 
 Rounds advance in lockstep. Each round every peer, in id order, drains its
-inbox (delivery order drawn from the seeded generator), verifies what it
-received, adopts the best known chain (longest, ties to the smallest tip
-digest), mines at most one block of every pending event admission lets in
-(passes repeat until one lets none in), and broadcasts chain updates for
-delivery next round. Client submissions enter at a generator-chosen peer on
-their scheduled round and are gossiped onward. Identical inputs give
-bit-identical results.
+inbox (delivery order drawn from the seeded generator), adopts a received
+chain that beats its own (longest, ties to the smallest tip digest) if it
+verifies, mines at most one block of every pending event admission lets in
+(passes repeat until one lets none in), and broadcasts what it adopted for
+delivery next round. Messages are the events and chains themselves. Client
+submissions enter at a generator-chosen peer on their scheduled round and
+are gossiped onward; rounds in which nothing is in flight or due are
+skipped. Identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -108,11 +110,6 @@ class _Peer:
         self.index = LedgerIndex(rules)  # admission state of self.chain
         self.seen: dict[str, Event] = {}  # event_id -> event, arrival order
 
-    def adopt(self, chain: Chain, memo: dict) -> None:
-        """Switch to a chain verify_chain has stored in memo."""
-        self.chain = chain
-        self.index = memo[chain.tip_digest()][1]
-
     def pending(self) -> list[Event]:
         return [e for e in self.seen.values() if e.event_id not in self.index.event_ids]
 
@@ -122,9 +119,8 @@ def _admissible(events: list[Event], index: LedgerIndex, roles_of) -> list[Event
     index's rules: passes over the events not yet chosen take, in order,
     those admission lets in, until one takes none."""
     rules = index.rules
-    if rules is None or not events:
+    if rules is None:
         return list(events)
-    index = index.copy()
     chosen: list[Event] = []
     rest = [e for e in events if not validate_event_schema(e, rules, roles_of)]
     while rest:
@@ -132,9 +128,11 @@ def _admissible(events: list[Event], index: LedgerIndex, roles_of) -> list[Event
         for event in rest:
             if check_integrity(event, index):
                 refused.append(event)
-            else:
-                chosen.append(event)
-                index.add(event)
+                continue
+            if not chosen:
+                index = index.copy()  # the caller's index stays the chain's
+            chosen.append(event)
+            index.add(event)
         rest = refused if len(refused) < len(rest) else []
     return chosen
 
@@ -149,67 +147,66 @@ def run_network(
 
     Stops early once every peer has the same tip, nothing is in flight and no
     submission is due later; a peer that mined took every event it could
-    admit, so none is left waiting. Converged means one tip and every
-    submission round in 0..max_rounds-1. A block is verified once, when it is
-    mined, and a gossiped chain only past its newest verified block (see
-    verify_chain's memo). Every chain returned passed verify_chain under
-    config.target, the roster, rules and roles_of.
+    admit, so none is left waiting. A round that ends with nothing in flight
+    is followed by the next round a submission is due, as no peer can change
+    before then. Converged means one tip and every submission round in
+    0..max_rounds-1. A block is verified once, when it is mined; a received
+    chain is verified only when the peer would adopt it, and then only past
+    its newest verified block (see verify_chain's memo). Every chain returned
+    passed verify_chain under config.target, the roster, rules and roles_of.
     """
     roster = config.roster
     roles_of = org.roles_of if org is not None else None
-    submissions = events_from_scenario(scenario, roster)
+    due: dict[int, list[Event]] = {}
+    for round_no, event in events_from_scenario(scenario, roster):
+        due.setdefault(round_no, []).append(event)
+    last_due = max(due, default=-1)
+    stops = sorted({*due, config.max_rounds})  # the rounds an idle network skips to
     rng = random.Random(config.gossip_seed)
     peer_ids = sorted(config.peers)
     peers = {pid: _Peer(rules) for pid in peer_ids}
     memo: dict = {}
 
-    def sound(chain: Chain) -> bool:
-        return verify_chain(
+    def adopt(peer: _Peer, chain: Chain) -> bool:
+        """Switch peer to chain if it passes verification."""
+        if verify_chain(
             chain, target=config.target, roster=roster, rules=rules, roles_of=roles_of, memo=memo
-        ) is None
+        ) is not None:
+            return False  # invalid chains are dropped
+        peer.chain, peer.index = chain, memo[chain.tip_digest()][1]
+        return True
 
-    # inbox[peer] holds (kind, payload) pairs deliverable this round
-    inbox: dict[str, list[tuple[str, object]]] = {pid: [] for pid in peer_ids}
-    next_inbox: dict[str, list[tuple[str, object]]] = {pid: [] for pid in peer_ids}
+    def agreed() -> bool:
+        return len({peers[pid].chain.tip_digest() for pid in peer_ids}) == 1
 
-    def broadcast(sender: str, kind: str, payload: object) -> None:
-        for pid in peer_ids:
-            if pid != sender:
-                next_inbox[pid].append((kind, payload))
-
-    rounds_used = 0
-    for round_no in range(config.max_rounds):
-        rounds_used = round_no + 1
-        for scheduled_round, event in submissions:
-            if scheduled_round == round_no:
-                entry = peer_ids[rng.randrange(len(peer_ids))]
-                inbox[entry].append(("event", event))
-
+    # a message is an Event or a Chain; inbox[peer] holds those deliverable this round
+    inbox: dict[str, list] = {pid: [] for pid in peer_ids}
+    round_no = 0
+    while round_no < config.max_rounds:
+        for event in due.get(round_no, ()):
+            inbox[peer_ids[rng.randrange(len(peer_ids))]].append(event)
+        sent: list[tuple[str, object]] = []  # (sender, message), delivered next round
         for pid in peer_ids:
             peer = peers[pid]
             messages = inbox[pid]
-            inbox[pid] = []
             rng.shuffle(messages)
-            for kind, payload in messages:
-                if kind == "event":
-                    event = payload
-                    if event.event_id in peer.seen:
+            for message in messages:
+                if isinstance(message, Chain):
+                    # a tie keeps the peer's own chain, which it may be sent back
+                    if select_active_chain([peer.chain, message]) is peer.chain:
                         continue
-                    secret = roster.get(event.emitter)
-                    if secret is None or not verify_event_signature(event, secret):
+                    if not adopt(peer, message):
                         continue
-                    peer.seen[event.event_id] = event
-                    broadcast(pid, "event", event)
+                    for _, event in message.events_in_order():
+                        peer.seen.setdefault(event.event_id, event)
+                elif message.event_id in peer.seen:
+                    continue
                 else:
-                    candidate = payload
-                    if not sound(candidate):
-                        continue  # invalid chains are dropped
-                    best = select_active_chain([peer.chain, candidate])
-                    if best.tip_digest() != peer.chain.tip_digest():
-                        peer.adopt(best, memo)
-                        for _, event in best.events_in_order():
-                            peer.seen.setdefault(event.event_id, event)
-                        broadcast(pid, "chain", best)
+                    secret = roster.get(message.emitter)
+                    if secret is None or not verify_event_signature(message, secret):
+                        continue
+                    peer.seen[message.event_id] = message
+                sent.append((pid, message))
 
             mineable = _admissible(peer.pending(), peer.index, roles_of)
             if mineable:
@@ -217,22 +214,18 @@ def run_network(
                     tuple(mineable), peer.chain.tip.header, config.target, miner=pid
                 )
                 mined = peer.chain.extend(Block(header=header, events=tuple(mineable)))
-                if sound(mined):  # verifies the new block once, for every peer
-                    peer.adopt(mined, memo)
-                    broadcast(pid, "chain", mined)
+                if adopt(peer, mined):  # verifies the new block once, for every peer
+                    sent.append((pid, mined))
 
-        inbox, next_inbox = next_inbox, {pid: [] for pid in peer_ids}
+        inbox = {pid: [m for sender, m in sent if sender != pid] for pid in peer_ids}
+        round_no += 1
+        if not any(inbox.values()):
+            if round_no > last_due and agreed():
+                break
+            round_no = stops[bisect_left(stops, round_no)]
 
-        tips = {peers[pid].chain.tip_digest() for pid in peer_ids}
-        in_flight = any(inbox[pid] for pid in peer_ids)
-        waiting = any(r > round_no for r, _ in submissions)
-        if len(tips) == 1 and not in_flight and not waiting:
-            break
-
-    tips = {peers[pid].chain.tip_digest() for pid in peer_ids}
-    converged = len(tips) == 1 and all(0 <= r < config.max_rounds for r, _ in submissions)
     return NetworkResult(
         chains=tuple((pid, peers[pid].chain) for pid in peer_ids),
-        converged=converged,
-        rounds_used=rounds_used,
+        converged=agreed() and all(0 <= r < config.max_rounds for r in due),
+        rounds_used=round_no,
     )

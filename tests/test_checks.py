@@ -1,5 +1,6 @@
 """Well-formedness diagnostics and the static observability report."""
 
+import dataclasses
 import glob
 
 import pytest
@@ -180,7 +181,7 @@ def test_patient_off_clinical_channel_flags_share(hospital_spec):
         )
         for c in hospital_spec.channels
     )
-    gaps = check_observability(hospital_spec, variant)
+    gaps = check_observability(dataclasses.replace(hospital_spec, channels=variant))
     assert ObservabilityGap("P1", "Patient", "Share") in gaps
     # nothing else about the patient's oversight channel changed
     assert ObservabilityGap("C1", "Patient", "Complaint") not in gaps
@@ -208,7 +209,7 @@ def test_derived_facts_trace_to_source_event_types(tumor_spec):
         Channel(c.name, tuple(m for m in c.members if m != "Oncologist"), c.carries)
         for c in tumor_spec.channels
     )
-    gaps = check_observability(tumor_spec, variant)
+    gaps = check_observability(dataclasses.replace(tumor_spec, channels=variant))
     assert ObservabilityGap("N1", "Oncologist", "Assert") in gaps
 
 
@@ -223,5 +224,5 @@ def test_norm_state_facts_trace_transitively(hospital_spec):
         )
         for c in hospital_spec.channels
     )
-    gaps = check_observability(hospital_spec, variant)
+    gaps = check_observability(dataclasses.replace(hospital_spec, channels=variant))
     assert ObservabilityGap("C1", "Patient", "Share") in gaps

@@ -294,6 +294,17 @@ def test_malformed_input_exits_with_its_documented_code(tmp_path, capsys, fmt, p
     assert "error" in capsys.readouterr().err
 
 
+def _cli_subprocess(argv, timeout=60, **env):
+    """compacts argv in a fresh interpreter, with env added to its environment."""
+    return subprocess.run(
+        [sys.executable, "-m", "compacts.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src"), **env),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 def _hospital_run(spec, out) -> list[str]:
     """The compacts command that runs the hospital violation scenario on spec."""
     return [
@@ -312,13 +323,7 @@ def test_hostile_compact_fails_run_without_a_traceback(tmp_path, capsys, name):
     argv = _hospital_run(spec, tmp_path / "report.json")
     assert run_cli(*argv) == EXIT_PARSE
     assert "hostile.cpt:" in capsys.readouterr().err
-    done = subprocess.run(
-        [sys.executable, "-m", "compacts.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    done = _cli_subprocess(argv)
     assert done.returncode == EXIT_PARSE
     assert "hostile.cpt:" in done.stderr and "error:" in done.stderr
     assert "Traceback" not in done.stderr
@@ -353,17 +358,52 @@ def test_duplicate_diagnostics_do_not_depend_on_the_hash_seed(tmp_path):
     )
     stderrs = []
     for seed in ("1", "2", "3"):
-        done = subprocess.run(
-            [sys.executable, "-m", "compacts.cli", "parse", str(spec)],
-            env=dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED=seed),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = _cli_subprocess(["parse", str(spec)], PYTHONHASHSEED=seed)
         assert done.returncode == EXIT_WELL_FORMEDNESS
         stderrs.append(done.stderr)
     assert stderrs[0] == stderrs[1] == stderrs[2]
     assert [line.split()[-3] for line in stderrs[0].splitlines()] == ["Alpha", "Beta", "Gamma"]
+
+
+def test_run_and_eval_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    outputs = []
+    for seed in ("0", "1", "2", "3"):
+        report, chain, evaluated = (tmp_path / f"{name}-{seed}.json" for name in ("run", "chain", "eval"))
+        run = _hospital_run(DEMOS / "hospital.cpt", report) + ["--chain-out", str(chain)]
+        evaluate = [
+            "eval", "--chain", str(chain), "--spec", str(DEMOS / "hospital.cpt"),
+            "--net", str(DEMOS / "hospital_net.json"), "--out", str(evaluated),
+        ]
+        for argv in (run, evaluate):
+            done = _cli_subprocess(argv, PYTHONHASHSEED=seed)
+            assert done.returncode == EXIT_OK, done.stderr
+        outputs.append([path.read_bytes() for path in (report, chain, evaluated)])
+    assert all(output == outputs[0] for output in outputs[1:])
+
+
+def test_run_skips_the_idle_rounds_before_a_late_submission(tmp_path):
+    # nothing is in flight between the violation demo's first events and its
+    # last one, so a run waiting 10**12 rounds for it must not step through them
+    net = json.loads((DEMOS / "hospital_net.json").read_text())
+    net["max_rounds"] = 10**13
+    (tmp_path / "net.json").write_text(json.dumps(net))
+    lines = [json.loads(line) for line in (DEMOS / "hospital_violation.jsonl").read_text().splitlines()]
+    reports = {}
+    for last_round in (10**5, 10**12):
+        lines[-1]["round"] = last_round
+        scenario, out = tmp_path / f"late-{last_round}.jsonl", tmp_path / f"report-{last_round}.json"
+        scenario.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        argv = [
+            "run", "--spec", str(DEMOS / "hospital.cpt"), "--scenario", str(scenario),
+            "--net", str(tmp_path / "net.json"), "--out", str(out),
+        ]
+        done = _cli_subprocess(argv, timeout=10)
+        assert done.returncode == EXIT_OK, done.stderr
+        reports[last_round] = json.loads(out.read_text())
+    near, far = reports[10**5], reports[10**12]
+    assert near["network"].pop("rounds_used") == 10**5 + 3
+    assert far["network"].pop("rounds_used") == 10**12 + 3
+    assert far == near and near["network"]["converged"]
 
 
 def test_trust_subcommand_prints_scores(tmp_path, capsys):

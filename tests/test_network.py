@@ -104,6 +104,28 @@ def test_a_submission_past_max_rounds_means_no_convergence(hospital_spec, share_
     assert shared is converged
 
 
+def test_an_event_admission_refuses_costs_no_index_copy(monkeypatch, hospital_spec):
+    # admission copies a peer's index only once it admits an event, so an
+    # event refused round after round copies nothing; each mined block costs
+    # one copy in admission and one in verify_chain
+    config, roles = read_network_config(str(DEMOS / "hospital_net.json"))
+    org = Organization.make(hospital_spec.context, roles)
+    scenario = read_scenario(str(DEMOS / "hospital_violation.jsonl"))
+    unbound = Submission.make(
+        0, "InvestigationReport",
+        {"report": "inv-002", "patient": "nobody", "nurse": "bob", "verdict": "upheld"}, "hospital",
+    )
+    copies = []
+    real_copy = LedgerIndex.copy
+    monkeypatch.setattr(LedgerIndex, "copy", lambda index: copies.append(index) or real_copy(index))
+    for submissions in (scenario, scenario + [unbound]):
+        copies.clear()
+        result = run_network(submissions, config, rules=ruleset_from_spec(hospital_spec), org=org)
+        events = [e for _, e in result.active_chain.events_in_order()]
+        assert result.converged and len(events) == len(scenario)
+        assert len(copies) == 2 * result.active_chain.height == 8
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 7, 11])
 @pytest.mark.parametrize("admit_round, lone_peer", [(3, False), (0, False), (0, True)])
 def test_an_event_admissible_only_after_a_later_one_is_still_mined(
