@@ -1,15 +1,17 @@
 """Command-line surface: parse and check compacts, run scenarios, evaluate
 chains, verify snapshots, print trust tables.
 
-Exit codes: 0 success, 1 parse error (including a .cpt file that is not
-UTF-8), 2 well-formedness error, 3 chain verification failure, 64 usage error
-(bad invocation, unreadable file), 65 data format error (a scenario, chain
-snapshot, network config or report that is not UTF-8 JSON of its documented
-shape, a network config whose target is below fileformats.MIN_TARGET or that
-repeats a peer id or a principal id, a scenario round that is negative or not
-below the config's max_rounds, or a scenario event from an emitter not on the
-roster). Every command is deterministic given its file inputs and flags;
-randomness only enters through --seed.
+Exit codes: 0 success, 1 parse error (including a .cpt file that is not UTF-8,
+a non-decimal digit, an integer literal outside i64 and a condition nested
+deeper than parser.MAX_CONDITION_DEPTH), 2 well-formedness error, 3 chain
+verification failure, 64 usage error (bad invocation, unreadable file), 65
+data format error (a scenario, chain snapshot, network config or report that
+is not UTF-8 JSON of its documented shape, a network config whose target is
+below fileformats.MIN_TARGET or that repeats a peer id or a principal id, a
+scenario round that is negative, boolean or not below the config's max_rounds,
+a scenario event from an emitter not on the roster, or a report trust row not
+of the schema's types). Every command is deterministic given its file inputs
+and flags; randomness only enters through --seed.
 """
 
 from __future__ import annotations

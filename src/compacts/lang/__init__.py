@@ -19,27 +19,3 @@ from .ast import (
 from .checks import Diagnostic, ObservabilityGap, check_observability, check_well_formedness
 from .parser import ParseError, parse_compact
 from .printer import pretty_print
-
-__all__ = [
-    "And",
-    "Before",
-    "CompactSpec",
-    "Condition",
-    "Constraint",
-    "CountsAsRule",
-    "Diagnostic",
-    "EventPattern",
-    "FactPattern",
-    "Literal",
-    "NormDecl",
-    "NormStateFactPattern",
-    "ObservabilityGap",
-    "Or",
-    "ParseError",
-    "RoleClause",
-    "Variable",
-    "check_observability",
-    "check_well_formedness",
-    "parse_compact",
-    "pretty_print",
-]

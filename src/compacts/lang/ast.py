@@ -116,6 +116,13 @@ def variables_of(condition: Condition) -> set[str]:
     return names
 
 
+def or_alternatives(condition: Condition) -> list[Condition]:
+    """The top-level alternatives of an ``or``, leftmost first."""
+    if isinstance(condition, Or):
+        return or_alternatives(condition.left) + or_alternatives(condition.right)
+    return [condition]
+
+
 @dataclass(frozen=True)
 class RoleClause:
     """``Role`` or ``Role: variable``; the variable names the bound principal."""
@@ -150,10 +157,7 @@ class NormDecl:
         Well-formedness requires every top-level alternative of create to
         bind the same set, so the first alternative is authoritative.
         """
-        alternative = self.create
-        while isinstance(alternative, Or):
-            alternative = alternative.left
-        return tuple(sorted(variables_of(alternative)))
+        return tuple(sorted(variables_of(or_alternatives(self.create)[0])))
 
     def clauses(self) -> Iterator[tuple[str, Condition]]:
         yield "create", self.create
@@ -195,12 +199,6 @@ class CompactSpec:
         for norm in self.norms:
             if norm.id == norm_id:
                 return norm
-        return None
-
-    def schema_for(self, event_type: str) -> Optional[SchemaDecl]:
-        for schema in self.schemas:
-            if schema.event_type == event_type:
-                return schema
         return None
 
     def fact_names(self) -> set[str]:

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ..validator import IntegrityRuleSet
 from . import ast
 
 
@@ -33,13 +34,10 @@ def _err(pos: ast.Pos, code: str, message: str) -> Diagnostic:
     return Diagnostic("error", pos[0], pos[1], code, message)
 
 
-def _or_alternatives(cond: ast.Condition) -> list[ast.Condition]:
-    if isinstance(cond, ast.Or):
-        return _or_alternatives(cond.left) + _or_alternatives(cond.right)
-    return [cond]
-
-
 def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
+    from ..governance import ruleset_from_spec  # governance imports lang
+
+    rules = ruleset_from_spec(spec)  # admission's event types: the declared, then the built-ins
     diags: list[Diagnostic] = []
     fact_projections: dict[str, set[str]] = {}
     for rule in spec.counts_as:
@@ -48,7 +46,7 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
     # declaration-level checks
     for event_type in _repeated(schema.event_type for schema in spec.schemas):
         diags.append(_err(spec.pos, "duplicate-schema", f"event type {event_type} declared twice"))
-    for schema in spec.schemas:
+    for schema in rules.schemas:
         if not schema.by_adornment("key"):
             diags.append(
                 _err(spec.pos, "no-key-parameter", f"schema {schema.event_type} has no key parameter")
@@ -64,15 +62,15 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
                      f"counts-as fact {schema.event_type} shadows an event type")
             )
 
-    carried = {t for channel in spec.channels for t in channel.carries}
-    for channel in spec.channels:
+    carried = {t for channel in rules.channels for t in channel.carries}
+    for channel in rules.channels:
         for event_type in channel.carries:
-            if spec.schema_for(event_type) is None:
+            if rules.schema_for(event_type) is None:
                 diags.append(
                     _err(spec.pos, "unknown-event-type",
                          f"channel {channel.name} carries undeclared type {event_type}")
                 )
-    for schema in spec.schemas:
+    for schema in rules.schemas:
         if schema.event_type not in carried:
             diags.append(
                 _err(spec.pos, "event-type-not-carried",
@@ -83,7 +81,7 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
         diags.append(_err(spec.pos, "duplicate-norm-id", f"norm id {norm_id} declared twice"))
 
     for rule in spec.counts_as:
-        diags.extend(_check_pattern(spec, rule.source, fact_projections, rule.pos))
+        diags.extend(_check_pattern(spec, rules, rule.source, fact_projections, rule.pos))
         if rule.required_role not in spec.roles:
             diags.append(
                 _err(rule.pos, "unknown-role", f"counts-as role {rule.required_role} not declared")
@@ -97,12 +95,13 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
                 )
 
     for norm in spec.norms:
-        diags.extend(_check_norm(spec, norm, fact_projections))
+        diags.extend(_check_norm(spec, rules, norm, fact_projections))
     return diags
 
 
 def _check_norm(
     spec: ast.CompactSpec,
+    rules: IntegrityRuleSet,
     norm: ast.NormDecl,
     fact_projections: dict[str, set[str]],
 ) -> list[Diagnostic]:
@@ -113,7 +112,7 @@ def _check_norm(
 
     for name, cond in norm.clauses():
         for pattern in ast.patterns_of(cond):
-            diags.extend(_check_pattern(spec, pattern, fact_projections, norm.pos, norm_id=norm.id))
+            diags.extend(_check_pattern(spec, rules, pattern, fact_projections, norm.pos, norm_id=norm.id))
         for node in ast.walk(cond):
             if isinstance(node, ast.Before):
                 for side in (node.left, node.right):
@@ -125,7 +124,7 @@ def _check_norm(
 
     # instance key: all create alternatives bind the same variables,
     # covering the subject/object variables
-    alternatives = _or_alternatives(norm.create)
+    alternatives = ast.or_alternatives(norm.create)
     key_vars = ast.variables_of(alternatives[0])
     for alt in alternatives[1:]:
         if ast.variables_of(alt) != key_vars:
@@ -177,6 +176,7 @@ def _check_norm(
 
 def _check_pattern(
     spec: ast.CompactSpec,
+    rules: IntegrityRuleSet,
     pattern: ast.Condition,
     fact_projections: dict[str, set[str]],
     pos: ast.Pos,
@@ -187,7 +187,7 @@ def _check_pattern(
     where = f"norm {norm_id}: " if norm_id else ""
     at = pattern.pos if pattern.pos != (0, 0) else pos
     if isinstance(pattern, ast.EventPattern):
-        schema = spec.schema_for(pattern.event_type)
+        schema = rules.schema_for(pattern.event_type)
         declared = None if schema is None else set(schema.names())
         unknown_head = ("unknown-event-type", f"event type {pattern.event_type} not declared")
         unknown_attribute = ("unknown-attribute", f"{pattern.event_type} has no attribute")
@@ -259,7 +259,11 @@ def check_observability(spec: ast.CompactSpec) -> list[ObservabilityGap]:
 
     A role observes an event type when some channel carrying the type lists
     the role (or, for a principal context, lists the principal directly).
+    The built-in governance types ride a channel open to every role.
     """
+    from ..governance import ruleset_from_spec  # governance imports lang
+
+    channels = ruleset_from_spec(spec).channels
     gaps: list[ObservabilityGap] = []
     for norm in spec.norms:
         needed = sorted(_norm_event_types(spec, norm, set()))
@@ -273,7 +277,7 @@ def check_observability(spec: ast.CompactSpec) -> list[ObservabilityGap]:
             for event_type in needed:
                 visible = any(
                     event_type in channel.carries and party in channel.members
-                    for channel in spec.channels
+                    for channel in channels
                 )
                 if not visible:
                     gaps.append(ObservabilityGap(norm.id, party, event_type))

@@ -469,7 +469,7 @@ def _resolve_fact_patterns(spec: ast.CompactSpec) -> ast.CompactSpec:
     if not fact_names:
         return spec
 
-    def fix(cond: Optional[ast.Condition]) -> Optional[ast.Condition]:
+    def fix(cond: ast.Condition) -> ast.Condition:
         if isinstance(cond, ast.EventPattern) and cond.event_type in fact_names:
             return ast.FactPattern(
                 fact=cond.event_type, constraints=cond.constraints, pos=cond.pos
@@ -478,15 +478,9 @@ def _resolve_fact_patterns(spec: ast.CompactSpec) -> ast.CompactSpec:
             return replace(cond, left=fix(cond.left), right=fix(cond.right))
         return cond
 
+    # a prohibition forbids an event, never a fact; every other clause may name one
     norms = tuple(
-        replace(
-            norm,
-            create=fix(norm.create),
-            antecedent=fix(norm.antecedent),
-            consequent=fix(norm.consequent),
-            exemption=fix(norm.exemption),
-            until=fix(norm.until),
-        )
+        replace(norm, **{name: fix(cond) for name, cond in norm.clauses() if name != "forbids"})
         for norm in spec.norms
     )
     return replace(spec, norms=norms)

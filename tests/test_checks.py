@@ -165,6 +165,28 @@ def test_counts_as_projection_must_come_from_source():
     assert "projection-unbound" in codes(check_well_formedness(parse_compact(text)))
 
 
+@pytest.mark.parametrize(
+    "consequent, expected",
+    [
+        ("Sanction(against: x)", []),
+        ("Complaint(case: x)", []),
+        ("Sanction(x)", ["unknown-attribute"]),
+        ("Penalty(against: x)", ["unknown-event-type"]),
+    ],
+)
+def test_norms_may_name_the_builtin_governance_types(consequent, expected):
+    body = f"""
+  commitment K subject R: x object S: x {{
+    create on A(x);
+    consequent {consequent} within 5 blocks;
+  }}"""
+    assert codes(diagnostics_for(body)) == expected
+
+
+def test_counts_as_fact_may_not_take_a_builtin_name():
+    assert "fact-shadows-event" in codes(diagnostics_for("  counts-as Sanction(x) from A(x) by R;"))
+
+
 # --- observability ---------------------------------------------------------
 
 
@@ -226,3 +248,12 @@ def test_norm_state_facts_trace_transitively(hospital_spec):
     )
     gaps = check_observability(dataclasses.replace(hospital_spec, channels=variant))
     assert ObservabilityGap("C1", "Patient", "Share") in gaps
+
+
+def test_builtin_types_ride_the_governance_channel_to_every_role():
+    text = WRAP.format(body="""
+  commitment K subject R: x object S: x {
+    create on A(x);
+    consequent Sanction(against: x) within 5 blocks;
+  }""")
+    assert check_observability(parse_compact(text)) == []

@@ -229,6 +229,12 @@ def _net(**changes) -> bytes:
     return json.dumps(dict(data, **changes)).encode()
 
 
+def _report_row(**changes) -> bytes:
+    """A report with one trust row, its fields changed as given."""
+    row = dict(principal="alice", norm_id="S", satisfied=1, violated=0, score=0.666667)
+    return json.dumps({"instances": [], "trust": [dict(row, **changes)]}).encode()
+
+
 HOSPITAL_CPT = (DEMOS / "hospital.cpt").read_text()
 P1_CREATE = "Admit(patient, nurse)"
 
@@ -275,6 +281,8 @@ MALFORMED_INPUTS = {
     "net-max-rounds-text": ("net", _net(max_rounds="5")),
     "net-not-utf8": ("net", _net()[:-1] + b', "x": "' + NOT_UTF8 + b'"}'),
     "report-trust-row-lacks-fields": ("report", b'{"instances": [], "trust": [{"principal": "bob"}]}'),
+    "report-trust-score-past-float": ("report", _report_row(score=10**400)),
+    "report-trust-count-bool": ("report", _report_row(satisfied=True)),
     "report-not-utf8": ("report", b'{"instances": [], "x": "' + NOT_UTF8 + b'"}'),
     "cpt-not-utf8": ("cpt", NOT_UTF8 + (DEMOS / "hospital.cpt").read_bytes()),
     "cpt-superscript-digit": ("cpt", _hospital_cpt("within 100 blocks", "within \u00b2 blocks")),

@@ -1,7 +1,10 @@
 """Counts-as derivation, violation-driven activation, governance events."""
 
+import json
+
 import pytest
 
+from compacts.cli import EXIT_OK, main
 from compacts.evaluator import NormState, evaluate
 from compacts.governance import (
     Organization,
@@ -154,3 +157,48 @@ def test_builtins_do_not_shadow_compact_declared_schemas(hospital_spec):
     (gov_channel,) = [c for c in rules.channels if c.name == "governance"]
     assert "Sanction" in gov_channel.carries
     assert "Complaint" not in gov_channel.carries
+
+
+CLUB_CPT = """compact Club context club {
+  roles Member, Board;
+  schema Act(who: text key);
+  channel floor members Member, Board carries Act;
+  commitment S subject Member: who object Board {
+    create on Act(who);
+    consequent Sanction(against: who) within 10 blocks;
+  }
+}
+"""
+CLUB_NET = {
+    "principals": [{"id": "club", "secret": "club-key"}, {"id": "alice", "secret": "alice-key"}],
+    "peers": ["peer-1", "peer-2", "peer-3"],
+    "target": "04" + "00" * 31,
+    "gossip_seed": 7,
+    "max_rounds": 40,
+    "roles": {"alice": ["Member"]},
+}
+CLUB_SCENARIO = [
+    {"round": 0, "event_type": "Act", "attributes": {"who": "alice"}, "emitter": "alice", "logical_ts": 0},
+    {
+        "round": 2,
+        "event_type": "Sanction",
+        "attributes": {"case": "k1", "against": "alice"},
+        "emitter": "club",
+        "logical_ts": 1,
+    },
+]
+
+
+def test_a_norm_on_the_builtin_sanction_parses_and_runs(tmp_path, capsys):
+    spec, net, scenario = tmp_path / "club.cpt", tmp_path / "net.json", tmp_path / "scenario.jsonl"
+    spec.write_text(CLUB_CPT)
+    net.write_text(json.dumps(CLUB_NET))
+    scenario.write_text("".join(json.dumps(line) + "\n" for line in CLUB_SCENARIO))
+    assert main(["parse", str(spec)]) == EXIT_OK
+    out = tmp_path / "report.json"
+    argv = ["run", "--spec", str(spec), "--scenario", str(scenario), "--net", str(net), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert [(i["norm_id"], i["state"]) for i in report["instances"]] == [("S", "satisfied")]
+    assert main(["trust", "--report", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == "alice\tS\ts=1\tv=0\t0.666667\n"

@@ -1,12 +1,18 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every module imports on its own.
 
-Package ``__init__.py`` files are exempt: their imports are re-exports.
-Annotations written as strings count as uses of the names inside them.
+Package ``__init__.py`` files are exempt from the first check: their imports
+are re-exports. Annotations written as strings count as uses of the names
+inside them. The second check runs each import in a fresh interpreter, so an
+import cycle that shows only for some entry module fails it.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +62,20 @@ def test_every_import_is_used(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported and never used: {unused}"
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+@pytest.mark.parametrize("name", sorted(map(_module_name, PACKAGE.rglob("*.py"))))
+def test_each_module_imports_on_its_own(name):
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {name}"],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
