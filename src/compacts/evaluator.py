@@ -102,7 +102,7 @@ class EvalState:
     facts: tuple[DerivedFact, ...]
     frontier: Position
     trace: tuple[tuple[Position, Event], ...]
-    caches: object = field(default=None, compare=False, repr=False)
+    caches: object = field(default=None, compare=False, repr=False)  # the run that froze this state
 
     def instances_in_order(self) -> list[NormInstance]:
         return sorted(
@@ -297,13 +297,15 @@ class _Run:
         self.add_fact(DerivedFact(norm_state_fact_name(state.value, norm_id), bindings, at))
 
     def freeze(self, frontier: Position) -> EvalState:
+        # the run may go on to mutate its instance table; each state keeps a copy
         return EvalState(
             spec=self.spec,
             org=self.org,
-            instances=self.instances,
+            instances=dict(self.instances),
             facts=tuple(self.facts),
             frontier=frontier,
             trace=tuple(self.trace),
+            caches=self,
         )
 
 

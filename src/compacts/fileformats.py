@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from typing import Optional
 
 from .evaluator import EvalState, NormInstance
@@ -297,15 +296,15 @@ def write_report(report: dict, path: str) -> None:
 
 
 def _is_trust_row(row) -> bool:
-    """A row of the types docs/report-schema.json gives: to Python a bool is an
-    int, and an int past the float range cannot be printed as a score."""
+    """A row of the types and bounds docs/report-schema.json gives: to Python
+    a bool is an int, and a score lies in [0, 1]."""
     return (
         isinstance(row, dict)
         and _is_text(row.get("principal"))
         and _is_text(row.get("norm_id"))
         and all(type(row.get(count)) is int and row[count] >= 0 for count in ("satisfied", "violated"))
         and type(row.get("score")) in (int, float)
-        and abs(row["score"]) <= sys.float_info.max
+        and 0 <= row["score"] <= 1
     )
 
 
@@ -316,6 +315,6 @@ def read_report(path: str) -> dict:
     _require(
         isinstance(trust, list) and all(map(_is_trust_row, trust)),
         "report: each trust row needs text principal and norm_id, non-negative integer "
-        "satisfied and violated, and a finite numeric score",
+        "satisfied and violated, and a numeric score in [0, 1]",
     )
     return data

@@ -14,7 +14,7 @@ declare its own versions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .lang import ast
@@ -29,32 +29,27 @@ class UnrosteredEmitter(Exception):
 
 @dataclass(frozen=True)
 class Organization:
-    """A context principal with a static role map for its members."""
+    """A context principal; members maps each principal, in order, to its sorted roles."""
 
     id: str
-    members: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    members: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     @staticmethod
     def make(org_id: str, members: Mapping[str, Sequence[str]]) -> "Organization":
-        return Organization(
-            id=org_id,
-            members=tuple(sorted((pid, tuple(sorted(roles))) for pid, roles in members.items())),
-        )
+        roles = {pid: tuple(sorted(members[pid])) for pid in sorted(members)}
+        return Organization(id=org_id, members=roles)
 
     def roles_of(self, principal: str) -> tuple[str, ...]:
-        for pid, roles in self.members:
-            if pid == principal:
-                return roles
-        return ()
+        return self.members.get(principal, ())
 
     def has_role(self, principal: str, role: str) -> bool:
         return role in self.roles_of(principal)
 
     def holders(self, role: str) -> tuple[str, ...]:
-        return tuple(pid for pid, roles in self.members if role in roles)
+        return tuple(pid for pid, roles in self.members.items() if role in roles)
 
 
-EMPTY_ORGANIZATION = Organization(id="", members=())
+EMPTY_ORGANIZATION = Organization(id="")
 
 
 BUILTIN_GOVERNANCE_SCHEMAS: tuple[SchemaDecl, ...] = (

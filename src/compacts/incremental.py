@@ -27,7 +27,6 @@ semantics: they are a differential pair, so keep them independent.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Mapping, Optional
 
 from .evaluator import EvalState, _Run, ensure_spec_well_formed
@@ -52,7 +51,7 @@ class NonContiguousBlock(Exception):
 def _merge(a: Bindings, b: Bindings) -> Bindings:
     merged = dict(a)
     merged.update(b)
-    return tuple(sorted(merged.items()))
+    return freeze_bindings(merged)
 
 
 class _CondIndex:
@@ -105,17 +104,11 @@ class _CondIndex:
     def advance(self, pos: Position, event: Optional[Event], fact: Optional[DerivedFact]) -> list[Match]:
         """Take in one new event or fact; return the matches it adds."""
         cond = self.cond
-        if isinstance(cond, ast.EventPattern):
-            if event is None:
-                return []
-            extended = match_event_pattern(cond, event, {})
-            if extended is None:
-                return []
-            return self._absorb([Match(freeze_bindings(extended), pos)])
-        if isinstance(cond, (ast.FactPattern, ast.NormStateFactPattern)):
-            if fact is None:
-                return []
-            extended = match_fact_pattern(cond, fact, {})
+        if isinstance(cond, ast.PatternLike):
+            if isinstance(cond, ast.EventPattern):
+                extended = match_event_pattern(cond, event, {}) if event is not None else None
+            else:
+                extended = match_fact_pattern(cond, fact, {}) if fact is not None else None
             if extended is None:
                 return []
             return self._absorb([Match(freeze_bindings(extended), pos)])
@@ -147,14 +140,7 @@ def _file(view: dict, names: tuple[str, ...], match: Match) -> None:
 def initial_state(spec: ast.CompactSpec, org: Organization) -> EvalState:
     """State after the genesis block: nothing seen, frontier at height 0."""
     ensure_spec_well_formed(spec)
-    return EvalState(
-        spec=spec,
-        org=org,
-        instances={},
-        facts=(),
-        frontier=Position(0, -1),
-        trace=(),
-    )
+    return _Run(spec, org).freeze(Position(0, -1))
 
 
 class _IncrementalRun(_Run):
@@ -214,9 +200,8 @@ class _IncrementalRun(_Run):
         return sorted(self.unspawned.pop(norm.id, ()), key=match_sort_key)
 
     def freeze(self, frontier: Position) -> EvalState:
-        # the run goes on to mutate its instance table; each state keeps a copy
         self.frontier = frontier
-        return replace(super().freeze(frontier), instances=dict(self.instances), caches=self)
+        return super().freeze(frontier)
 
 
 def apply_block(state: EvalState, block: Block) -> EvalState:

@@ -21,6 +21,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
+from . import validator
+
 Scalar = Union[str, int, bool]
 
 DIGEST_SIZE = 32
@@ -219,10 +221,9 @@ class Chain:
     def extend(self, block: Block) -> "Chain":
         return Chain(blocks=self.blocks + (block,))
 
-    def events_in_order(self) -> Iterator[tuple[Position, Event]]:
+    def events(self) -> Iterator[Event]:
         for block in self.blocks:
-            for offset, event in enumerate(block.events):
-                yield Position(block.header.index, offset), event
+            yield from block.events
 
 
 def genesis_chain() -> Chain:
@@ -310,10 +311,8 @@ def validate_block(
                 return Rejection("BadSignature", event.event_id)
     if not block.events:
         return None
-    from . import validator
-
     if index is None:
-        index = validator.LedgerIndex(rules, (e for _, e in chain.events_in_order()))
+        index = validator.LedgerIndex(rules, chain.events())
     in_block: set[str] = set()
     for event in block.events:
         if event.event_id in index.event_ids or event.event_id in in_block:
@@ -363,10 +362,8 @@ def verify_chain(
     head = chain.blocks[0]
     if head.header != GENESIS_HEADER or head.events:
         return FirstBadBlock(0, Rejection("BadGenesis", "not the shared genesis"))
-    from .validator import LedgerIndex
-
     blocks = chain.blocks
-    start, index = 1, LedgerIndex(rules)
+    start, index = 1, validator.LedgerIndex(rules)
     if memo is not None:
         for height in range(len(blocks) - 1, 0, -1):
             known = memo.get(hash_block_header(blocks[height].header))

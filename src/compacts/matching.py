@@ -60,11 +60,12 @@ def freeze_bindings(bindings: Mapping[str, Scalar]) -> Bindings:
     return tuple(sorted(bindings.items()))
 
 
-def _scalar_key(value: Scalar) -> tuple[str, str]:
-    if isinstance(value, bool):
-        return ("b", "1" if value else "0")
+def _scalar_key(value: Scalar) -> tuple[str, Scalar]:
+    """The tag keeps the types apart, so only values of one type compare."""
+    if isinstance(value, bool):  # bool is a subclass of int; test it first
+        return ("b", value)
     if isinstance(value, int):
-        return ("i", f"{value:+021d}")
+        return ("i", value)
     return ("s", value)
 
 

@@ -197,7 +197,7 @@ def run_network(
                         continue
                     if not adopt(peer, message):
                         continue
-                    for _, event in message.events_in_order():
+                    for event in message.events():
                         peer.seen.setdefault(event.event_id, event)
                 elif message.event_id in peer.seen:
                     continue

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from .ledger import Event, Scalar
+if TYPE_CHECKING:
+    from .ledger import Event, Scalar
 
 ADORNMENTS = ("key", "out", "in")
 

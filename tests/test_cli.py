@@ -282,6 +282,7 @@ MALFORMED_INPUTS = {
     "net-not-utf8": ("net", _net()[:-1] + b', "x": "' + NOT_UTF8 + b'"}'),
     "report-trust-row-lacks-fields": ("report", b'{"instances": [], "trust": [{"principal": "bob"}]}'),
     "report-trust-score-past-float": ("report", _report_row(score=10**400)),
+    "report-trust-score-above-one": ("report", _report_row(score=1.5)),
     "report-trust-count-bool": ("report", _report_row(satisfied=True)),
     "report-not-utf8": ("report", b'{"instances": [], "x": "' + NOT_UTF8 + b'"}'),
     "cpt-not-utf8": ("cpt", NOT_UTF8 + (DEMOS / "hospital.cpt").read_bytes()),

@@ -13,12 +13,14 @@ from compacts.evaluator import (
     SpecIllFormed,
     evaluate,
 )
+from compacts.fileformats import build_report
 from compacts.governance import Organization
 from compacts.incremental import apply_block, initial_state
 from compacts.lang import parse_compact
 from compacts.lang.ast import And, Before, EventPattern, Constraint, Variable, Literal
 from compacts.ledger import Block, Chain, Event, Position
 from compacts.matching import match_condition
+from compacts.trust import trust_report
 
 from conftest import (
     HOSPITAL_ROLES,
@@ -370,3 +372,29 @@ def test_query_filters(hospital_spec, org):
 
     assert [i.norm_id for i in everything] == ["C1", "P1"]  # stable order
     assert everything == state.instances_in_order()
+
+
+PING_CPT = """
+compact Heartbeat context monitor {
+  roles Monitor;
+  schema Ping(seq: int key, urgent: bool key);
+  schema Pong(seq: int key);
+  channel wire members Monitor carries Ping, Pong;
+  commitment C subject Monitor object Monitor {
+    create on Ping(seq, urgent);
+    consequent Pong(seq) within 5 blocks;
+  }
+}
+"""
+
+
+def test_int_keys_sort_by_value_and_bool_keys_false_first():
+    spec = parse_compact(PING_CPT)
+    keys = [(10, True), (-1, False), (2, True), (-10, False), (0, True), (0, False)]
+    events = [ev(f"e{i}", "Ping", {"seq": seq, "urgent": urgent}) for i, (seq, urgent) in enumerate(keys)]
+    chain = build_chain([events])
+    state = evaluate(chain, spec)
+    expected = [(-10, False), (-1, False), (0, False), (0, True), (2, True), (10, True)]
+    assert [(i.binding_map["seq"], i.binding_map["urgent"]) for i in state.instances_in_order()] == expected
+    report = build_report(state, chain, trust_report(state))
+    assert [(i["bindings"]["seq"], i["bindings"]["urgent"]) for i in report["instances"]] == expected

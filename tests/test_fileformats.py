@@ -14,11 +14,12 @@ from compacts.fileformats import (
     read_network_config,
     read_report,
     read_scenario,
+    trust_to_json,
     write_chain,
     write_report,
 )
 from compacts.ledger import verify_chain
-from compacts.trust import trust_report
+from compacts.trust import TrustScore, trust_report
 
 from conftest import DEMOS, FIXTURES, build_chain, hospital_events
 
@@ -110,6 +111,11 @@ def test_report_validates_against_shipped_schema(hospital_spec, hospital_org):
     with open(DEMOS.parent / "docs" / "report-schema.json", "r", encoding="utf-8") as handle:
         schema = json.load(handle)
     jsonschema.validate(report, schema)
+    # at these counts the written score rounds to 1.0 and to 0.0
+    for satisfied, violated in ((1_999_998, 0), (0, 1_999_998)):
+        row = trust_to_json(TrustScore("alice", "S", satisfied, violated))
+        assert row["score"] in (0.0, 1.0)
+        jsonschema.validate(dict(report, trust=[row]), schema)
 
 
 def test_report_arrays_are_in_stable_order(hospital_spec, hospital_org):

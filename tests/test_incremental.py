@@ -97,8 +97,9 @@ def test_apply_block_does_not_mutate_its_input(hospital_spec, hospital_org):
 
 
 def test_incremental_resumes_from_a_batch_state(hospital_spec, hospital_org):
-    # a state produced by batch evaluation carries no caches; apply_block
-    # must rebuild them and still agree with full batch evaluation
+    # a state produced by batch evaluation carries its batch run, which has no
+    # match caches; apply_block must build them and still agree with full
+    # batch evaluation
     violation, _ = hospital_events()
     chain = build_chain(violation)
     prefix_state = evaluate(

@@ -58,7 +58,7 @@ def test_single_peer_converges_trivially_with_all_events():
     result = run_network(make_submissions(12), make_config(peers=1))
     assert result.converged
     chain = result.active_chain
-    ids = {e.event_id for _, e in chain.events_in_order()}
+    ids = {e.event_id for e in chain.events()}
     assert ids == {f"evt-{i:05d}" for i in range(12)}
 
 
@@ -83,7 +83,7 @@ def test_unrostered_emitter_is_rejected_up_front():
 def test_all_submitted_events_reach_the_active_chain():
     result = run_network(make_submissions(), make_config())
     chain = result.active_chain
-    ids = {e.event_id for _, e in chain.events_in_order()}
+    ids = {e.event_id for e in chain.events()}
     assert ids == {f"evt-{i:05d}" for i in range(20)}
 
 
@@ -100,7 +100,7 @@ def test_a_submission_past_max_rounds_means_no_convergence(hospital_spec, share_
     result = run_network(scenario, config, rules=ruleset_from_spec(hospital_spec), org=org)
     assert config.max_rounds == 40
     assert result.converged is converged
-    shared = any(e.event_type == "Share" for _, e in result.active_chain.events_in_order())
+    shared = any(e.event_type == "Share" for e in result.active_chain.events())
     assert shared is converged
 
 
@@ -121,7 +121,7 @@ def test_an_event_admission_refuses_costs_no_index_copy(monkeypatch, hospital_sp
     for submissions in (scenario, scenario + [unbound]):
         copies.clear()
         result = run_network(submissions, config, rules=ruleset_from_spec(hospital_spec), org=org)
-        events = [e for _, e in result.active_chain.events_in_order()]
+        events = [e for e in result.active_chain.events()]
         assert result.converged and len(events) == len(scenario)
         assert len(copies) == 2 * result.active_chain.height == 8
 
@@ -148,7 +148,7 @@ def test_an_event_admissible_only_after_a_later_one_is_still_mined(
         scenario, replace(config, gossip_seed=seed), rules=ruleset_from_spec(hospital_spec), org=org
     )
     assert result.converged
-    mined = [e.event_type for _, e in result.active_chain.events_in_order()]
+    mined = [e.event_type for e in result.active_chain.events()]
     assert mined == ["Admit", "InvestigationReport"]
     if lone_peer:
         blocks = [[e.event_type for e in b.events] for b in result.active_chain.blocks[1:]]
@@ -208,7 +208,7 @@ def test_every_chain_a_run_returns_verifies_from_genesis(hospital_spec, tmp_path
     context = dict(target=config.target, roster=config.roster, rules=rules, roles_of=org.roles_of)
     for _, chain in result.chains:
         assert verify_chain(chain, **context) is None
-    active = [e for _, e in result.active_chain.events_in_order()]
+    active = [e for e in result.active_chain.events()]
     assert {e.event_id for e in active} == {f"evt-{i:05d}" for i in range(len(scenario))}
     index = LedgerIndex(rules, active)
     signed = network.events_from_scenario(submissions, config.roster)[len(scenario):]
@@ -313,7 +313,7 @@ def verified_hospital_run(monkeypatch, hospital_spec):
 def _tampered_events(chain, roster):
     """A forged event for a block on top of a sound chain, one per kind of
     tampering, with the rejection verification must give."""
-    events = [e for _, e in chain.events_in_order()]
+    events = [e for e in chain.events()]
     report = next(e for e in events if e.event_type == "InvestigationReport")
     admit = next(e for e in events if e.event_type == "Admit")
 

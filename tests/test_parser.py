@@ -213,6 +213,17 @@ def test_the_first_failure_in_the_text_is_reported():
     assert str(err.value) == "2:1: unexpected character '?'"
 
 
+@pytest.mark.parametrize("text, error", [
+    ('a "abc\n', "1:3: unterminated string"),  # at the opening quote
+    ('x "ab\\qc"', "1:6: bad escape"),  # at the backslash
+    ('y "abc', "1:3: unterminated string"),  # end of input
+])
+def test_string_errors_point_at_their_cause(text, error):
+    with pytest.raises(ParseError) as err:
+        list(tokenize(text))
+    assert str(err.value) == error
+
+
 @pytest.mark.parametrize("path", CORPUS)
 def test_error_locality_for_injected_garbage(path):
     """An illegal token at any position yields an error at or before it."""
