@@ -7,10 +7,11 @@ deeper than parser.MAX_CONDITION_DEPTH), 2 well-formedness error, 3 chain
 verification failure, 64 usage error (bad invocation, unreadable file), 65
 data format error (a scenario, chain snapshot, network config or report that
 is not UTF-8 JSON of its documented shape, a network config whose target is
-below fileformats.MIN_TARGET or that repeats a peer id or a principal id, a
-scenario round that is negative, boolean or not below the config's max_rounds,
-a scenario event from an emitter not on the roster, or a report trust row not
-of the schema's types). Every command is deterministic given its file inputs
+below fileformats.MIN_TARGET, that repeats a peer id or a principal id or
+whose gossip_seed or max_rounds is a boolean, a scenario round that is
+negative, boolean or not below the config's max_rounds, a scenario event from
+an emitter not on the roster, or a report trust row not of the schema's
+types). Every command is deterministic given its file inputs
 and flags; randomness only enters through --seed.
 """
 

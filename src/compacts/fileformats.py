@@ -223,10 +223,11 @@ def read_network_config(path: str) -> tuple[NetworkConfig, dict[str, list[str]]]
         all(_is_text(x) for pair in principals for x in pair)
         and len(config.roster) == len(principals) and bool(peers) and _is_text_list(peers)
         and len(set(peers)) == len(peers) and config.target >= MIN_TARGET
-        and isinstance(config.gossip_seed, int) and isinstance(config.max_rounds, int)
+        and type(config.gossip_seed) is int and type(config.max_rounds) is int
         and isinstance(roles, dict) and all(map(_is_text_list, roles.values())),
         "bad network config: principals, peers (at least one) and role lists must be text "
-        f"with unique ids, the target at least {MIN_TARGET:#x}, gossip_seed and max_rounds integers",
+        f"with unique ids, the target at least {MIN_TARGET:#x}, gossip_seed and max_rounds "
+        "integers and not booleans",
     )
     return config, {pid: list(role_list) for pid, role_list in roles.items()}
 

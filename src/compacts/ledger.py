@@ -203,9 +203,20 @@ GENESIS_BLOCK = Block(header=GENESIS_HEADER, events=())
 
 @dataclass(frozen=True, eq=True)
 class Chain:
-    """Sequence of hash-linked blocks starting at the shared genesis block."""
+    """Sequence of hash-linked blocks starting at the shared genesis block.
+
+    A chain may also hold, in a private cell, the admission index
+    (validator.LedgerIndex) that validate_block keeps for it: the rules, the
+    index, and the last block whose events the index holds, which is the tip
+    or a block accepted on top of it. extend hands the index to the child,
+    adding the block's events if the index covers only the tip; for any
+    other block the child starts without one. So only the newest chain holds
+    it and nothing is copied. The cell takes no part in equality, hashing or
+    repr.
+    """
 
     blocks: tuple[Block, ...] = field(default_factory=lambda: (GENESIS_BLOCK,))
+    _admission: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     @property
     def tip(self) -> Block:
@@ -219,7 +230,25 @@ class Chain:
         return hash_block_header(self.tip.header)
 
     def extend(self, block: Block) -> "Chain":
-        return Chain(blocks=self.blocks + (block,))
+        child = Chain(blocks=self.blocks + (block,))
+        if self._admission:
+            rules, index, covered = self._admission.pop()
+            if covered is self.tip:
+                for event in block.events:
+                    index.add(event)
+                covered = block
+            if covered is block:
+                child._admission.append((rules, index, block))
+        return child
+
+    def _take_index(self, rules) -> "validator.LedgerIndex":
+        """Remove the held index and return it if it covers this chain for
+        rules; otherwise build one from this chain's events."""
+        if self._admission:
+            held_rules, index, covered = self._admission.pop()
+            if held_rules is rules and covered is self.tip:
+                return index
+        return validator.LedgerIndex(rules, self.events())
 
     def events(self) -> Iterator[Event]:
         for block in self.blocks:
@@ -289,8 +318,12 @@ def validate_block(
 
     index is the validator.LedgerIndex of chain for these rules, when the
     caller keeps one: the block's events are added to it as they pass, so
-    pass a copy the caller may drop on a rejection. Without it the index is
-    built from chain.
+    pass a copy the caller may drop on a rejection. Without it the chain's
+    own index is used (see Chain): taken from the chain when it holds one
+    for the same rules object that covers exactly the chain, built from the
+    chain's events otherwise. An accepted block leaves it on the chain,
+    marked as covering that block, for extend to hand on; a block rejected
+    at the id or admission checks drops it, and the next call rebuilds it.
     """
     prev = chain.tip.header
     if block.header.prev_hash != hash_block_header(prev):
@@ -311,8 +344,9 @@ def validate_block(
                 return Rejection("BadSignature", event.event_id)
     if not block.events:
         return None
-    if index is None:
-        index = validator.LedgerIndex(rules, chain.events())
+    held = index is None
+    if held:
+        index = chain._take_index(rules)
     in_block: set[str] = set()
     for event in block.events:
         if event.event_id in index.event_ids or event.event_id in in_block:
@@ -328,6 +362,8 @@ def validate_block(
             if problems:
                 return Rejection("IntegrityViolation", str(problems[0]))
         index.add(event)
+    if held:
+        chain._admission.append((rules, index, block))
     return None
 
 

@@ -279,6 +279,8 @@ MALFORMED_INPUTS = {
     "net-zero-target": ("net", _net(target="0")),
     "net-target-below-floor": ("net", _net(target="1")),
     "net-max-rounds-text": ("net", _net(max_rounds="5")),
+    "net-max-rounds-bool": ("net", _net(max_rounds=True)),
+    "net-gossip-seed-bool": ("net", _net(gossip_seed=True)),
     "net-not-utf8": ("net", _net()[:-1] + b', "x": "' + NOT_UTF8 + b'"}'),
     "report-trust-row-lacks-fields": ("report", b'{"instances": [], "trust": [{"principal": "bob"}]}'),
     "report-trust-score-past-float": ("report", _report_row(score=10**400)),
@@ -300,7 +302,10 @@ def test_malformed_input_exits_with_its_documented_code(tmp_path, capsys, fmt, p
     path.write_bytes(payload)
     expected = EXIT_PARSE if fmt == "cpt" else EXIT_DATA
     assert run_cli(*cli_argv(fmt, path, tmp_path / "report.json")) == expected
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    # A bad network config is refused as such, not by a later check on a value it let through.
+    assert fmt != "net" or "network config" in err
 
 
 def _cli_subprocess(argv, timeout=60, **env):

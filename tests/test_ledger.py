@@ -20,7 +20,19 @@ from compacts.ledger import (
     verify_chain,
 )
 
-from conftest import EASY_TARGET, build_chain, load_fixture, signed_event
+from compacts.governance import Organization, ruleset_from_spec
+from compacts.lang import parse_compact
+from compacts.validator import LedgerIndex
+
+from conftest import (
+    DEMOS,
+    EASY_TARGET,
+    HOSPITAL_ROSTER,
+    bench_generators,
+    build_chain,
+    load_fixture,
+    signed_event,
+)
 
 ROSTER = {"ann": "ann-secret", "ben": "ben-secret"}
 
@@ -253,3 +265,107 @@ def test_events_digest_covers_signature_bytes():
     events = some_events()
     resigned = (events[0].with_signature("other-key"), events[1])
     assert events_digest(events) != events_digest(resigned)
+
+
+def _hospital_block(prefix, *events):
+    return Block(mine_block(events, prefix.tip.header, EASY_TARGET, "peer-1"), events)
+
+
+def _hospital_event(event_id, event_type, attributes, emitter):
+    return signed_event(event_id, event_type, attributes, emitter, HOSPITAL_ROSTER)
+
+
+def test_validate_block_hands_its_index_on_like_a_rebuild(hospital_spec, hospital_org):
+    """Every verdict on a chain that carries its admission index matches the
+    verdict on a fresh Chain of the same blocks, which builds one."""
+    rules = ruleset_from_spec(hospital_spec)
+
+    def verdict(prefix, block, rules=rules):
+        context = dict(
+            target=EASY_TARGET, roster=HOSPITAL_ROSTER, rules=rules, roles_of=hospital_org.roles_of
+        )
+        expected = validate_block(Chain(blocks=prefix.blocks), block, **context)
+        assert validate_block(prefix, block, **context) == expected
+        return None if expected is None else expected.reason
+
+    def report(event_id, report_id, patient, nurse="bob"):
+        attributes = {"report": report_id, "patient": patient, "nurse": nurse, "verdict": "excused"}
+        return _hospital_event(event_id, "InvestigationReport", attributes, "hospital")
+
+    admit = _hospital_event("e0", "Admit", {"patient": "charlie", "nurse": "bob"}, "hospital")
+    share = _hospital_event("e1", "Share", {"patient": "charlie", "sharer": "bob"}, "bob")
+    complaint = _hospital_event("e2", "Complaint", {"patient": "charlie"}, "charlie")
+    discharge = _hospital_event("e4", "Discharge", {"patient": "charlie"}, "hospital")
+    consent = _hospital_event("e5", "Consent", {"patient": "charlie"}, "charlie")
+    prefix = build_chain([[admit]])
+    block = _hospital_block(prefix, share)
+    assert verdict(prefix, block) is None
+    prefix = prefix.extend(block)
+
+    # Rejected at its second event, then the honest block on the same prefix.
+    unbound = _hospital_block(prefix, complaint, report("e3", "inv-001", "zed"))
+    assert verdict(prefix, unbound) == "IntegrityViolation"
+    honest = _hospital_block(prefix, complaint, report("e3", "inv-001", "charlie"))
+    assert verdict(prefix, honest) is None
+    chain = prefix.extend(honest)
+
+    # Rejected, then extended anyway, as a monitor may: its events count.
+    duplicate = _hospital_block(chain, discharge, share)
+    assert verdict(chain, duplicate) == "DuplicateEventId"
+    rejected = chain.extend(duplicate)
+    assert verdict(rejected, _hospital_block(rejected, discharge)) == "DuplicateEventId"
+
+    # Two competing blocks on one prefix; the one validated first is adopted.
+    first, second = _hospital_block(chain, discharge), _hospital_block(chain, consent)
+    assert verdict(chain, first) is None
+    assert verdict(chain, second) is None
+    chain = chain.extend(first)
+    after = _hospital_block(chain, consent)
+    assert verdict(chain, after) is None
+    chain = chain.extend(after)
+
+    # A block never validated; then the older prefix extended once more.
+    dave = _hospital_event("e6", "Admit", {"patient": "dave", "nurse": "alice"}, "hospital")
+    erin = _hospital_event("e6", "Admit", {"patient": "erin", "nurse": "alice"}, "hospital")
+    older, chain = chain, chain.extend(_hospital_block(chain, dave))
+    fork = older.extend(_hospital_block(older, erin))
+    for_dave, for_erin = report("e7", "inv-002", "dave", "alice"), report("e7", "inv-002", "erin", "alice")
+    assert verdict(chain, _hospital_block(chain, for_dave)) is None
+    assert verdict(fork, _hospital_block(fork, for_dave)) == "IntegrityViolation"
+    assert verdict(fork, _hospital_block(fork, for_erin)) is None
+
+    # Another rules object, None: the index kept for it holds event ids only.
+    frank = _hospital_event("e8", "Admit", {"patient": "frank", "nurse": "bob"}, "hospital")
+    ids_only = _hospital_block(chain, frank)
+    assert verdict(chain, ids_only, rules=None) is None
+    chain = chain.extend(ids_only)
+    assert verdict(chain, _hospital_block(chain, report("e9", "inv-003", "frank"))) is None
+
+    assert chain._admission
+    assert chain == Chain(blocks=chain.blocks)
+    assert hash(chain) == hash(Chain(blocks=chain.blocks))
+    assert repr(chain) == repr(Chain(blocks=chain.blocks))
+
+
+def test_a_monitor_adds_each_event_to_the_index_once(monkeypatch):
+    """validate_block then extend, block by block: the index grows by each
+    event once rather than being rebuilt from genesis for every block."""
+    generators = bench_generators()
+    blocks, config = generators.peerreview_inputs(1, 20)
+    spec = parse_compact((DEMOS / "peerreview.cpt").read_text())
+    rules, org = ruleset_from_spec(spec), Organization.make(spec.context, config["roles"])
+    roster = {p["id"]: p["secret"] for p in config["principals"]}
+    adds = []
+    real_add = LedgerIndex.add
+
+    def counting_add(index, event):
+        adds.append(event.event_id)
+        real_add(index, event)
+
+    monkeypatch.setattr(LedgerIndex, "add", counting_add)
+    chain = genesis_chain()
+    for block in blocks:
+        assert validate_block(chain, block, generators.DEMO_TARGET, roster, rules, org.roles_of) is None
+        chain = chain.extend(block)
+    assert any(not block.events for block in blocks)
+    assert adds == [event.event_id for event in chain.events()]
