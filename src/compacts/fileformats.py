@@ -31,7 +31,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _is_u64(value) -> bool:
-    return isinstance(value, int) and 0 <= value < 2**64
+    return type(value) is int and 0 <= value < 2**64  # a bool is not one
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")

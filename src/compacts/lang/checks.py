@@ -2,7 +2,8 @@
 
 check_well_formedness enforces the declaration discipline that keeps
 evaluation well-defined: every reference resolves, the create condition binds
-the instance key, deadlines are positive, fact references use bindable names.
+the instance key, deadlines are positive, fact references use bindable names,
+and an event pattern fills each parameter with a term of its declared kind.
 check_observability reports, per norm and concerned role, every event type
 the role cannot see on any of its channels; an empty report means each party
 can compute the norm's state from information it can observe.
@@ -82,6 +83,7 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
 
     for rule in spec.counts_as:
         diags.extend(_check_pattern(spec, rules, rule.source, fact_projections, rule.pos))
+        diags.extend(_check_kinds(rules, [rule.source], f"counts-as {rule.fact}: ", rule.pos))
         if rule.required_role not in spec.roles:
             diags.append(
                 _err(rule.pos, "unknown-role", f"counts-as role {rule.required_role} not declared")
@@ -121,6 +123,8 @@ def _check_norm(
                             _err(norm.pos, "before-operand-not-pattern",
                                  f"norm {norm.id}: 'before' in {name} must compare patterns")
                         )
+    patterns = [pattern for _, cond in norm.clauses() for pattern in ast.patterns_of(cond)]
+    diags.extend(_check_kinds(rules, patterns, f"norm {norm.id}: ", norm.pos))
 
     # instance key: all create alternatives bind the same variables,
     # covering the subject/object variables
@@ -210,6 +214,39 @@ def _check_pattern(
         for constraint in pattern.constraints
         if constraint.attribute not in declared
     ]
+
+
+_LITERAL_KINDS = {str: "text", int: "int", bool: "bool"}
+
+
+def _check_kinds(
+    rules: IntegrityRuleSet, patterns: Iterable[ast.Condition], where: str, pos: ast.Pos
+) -> list[Diagnostic]:
+    """Each literal in an event pattern must be of its parameter's kind, and
+    each variable must fill parameters of one kind across the patterns: the
+    matcher compares values as Python does, so true would match 1. Fact and
+    norm-state patterns are left out; their bindings declare no kind."""
+    diags: list[Diagnostic] = []
+    kinds: dict[str, str] = {}  # variable -> the kind of the first parameter it fills
+    for pattern in patterns:
+        schema = isinstance(pattern, ast.EventPattern) and rules.schema_for(pattern.event_type)
+        if not schema:
+            continue
+        declared = {param.name: param.kind for param in schema.parameters}
+        at = pattern.pos if pattern.pos != (0, 0) else pos
+        for constraint in pattern.constraints:
+            kind, term = declared.get(constraint.attribute), constraint.term
+            if kind is None:
+                continue
+            if isinstance(term, ast.Literal):
+                found = _LITERAL_KINDS[type(term.value)]
+                if found != kind:
+                    message = f"{pattern.event_type} {constraint.attribute} is {kind}, not {found}"
+                    diags.append(_err(at, "literal-kind-mismatch", where + message))
+            elif kinds.setdefault(term.name, kind) != kind:
+                message = f"variable {term.name} fills {kinds[term.name]} and {kind} parameters"
+                diags.append(_err(at, "variable-kind-mismatch", where + message))
+    return diags
 
 
 def _repeated(names: Iterable[str]) -> list[str]:

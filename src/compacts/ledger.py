@@ -205,14 +205,13 @@ GENESIS_BLOCK = Block(header=GENESIS_HEADER, events=())
 class Chain:
     """Sequence of hash-linked blocks starting at the shared genesis block.
 
-    A chain may also hold, in a private cell, the admission index
-    (validator.LedgerIndex) that validate_block keeps for it: the rules, the
-    index, and the last block whose events the index holds, which is the tip
-    or a block accepted on top of it. extend hands the index to the child,
-    adding the block's events if the index covers only the tip; for any
-    other block the child starts without one. So only the newest chain holds
-    it and nothing is copied. The cell takes no part in equality, hashing or
-    repr.
+    A chain is the one holder of its admission index (validator.LedgerIndex),
+    kept in a private cell with the rules it is for and the block it covers:
+    the tip, or a block validate_block accepted on top of it. admission_index
+    builds it from the chain's events on first use. extend hands it to the
+    child only for the block it covers or for an empty block; otherwise the
+    parent keeps it. verify_chain's memo chains each hold their own copy. The
+    cell takes no part in equality, hashing or repr.
     """
 
     blocks: tuple[Block, ...] = field(default_factory=lambda: (GENESIS_BLOCK,))
@@ -232,23 +231,24 @@ class Chain:
     def extend(self, block: Block) -> "Chain":
         child = Chain(blocks=self.blocks + (block,))
         if self._admission:
-            rules, index, covered = self._admission.pop()
-            if covered is self.tip:
-                for event in block.events:
-                    index.add(event)
-                covered = block
-            if covered is block:
+            rules, index, covered = self._admission[-1]
+            if covered is block or (covered is self.tip and not block.events):
+                self._admission.pop()
                 child._admission.append((rules, index, block))
         return child
 
-    def _take_index(self, rules) -> "validator.LedgerIndex":
-        """Remove the held index and return it if it covers this chain for
-        rules; otherwise build one from this chain's events."""
+    def admission_index(self, rules) -> "validator.LedgerIndex":
+        """The chain's index for rules: the one it holds if that covers this
+        chain under the same rules object, else one built from its events,
+        which the chain then holds."""
         if self._admission:
-            held_rules, index, covered = self._admission.pop()
+            held_rules, index, covered = self._admission[-1]
             if held_rules is rules and covered is self.tip:
                 return index
-        return validator.LedgerIndex(rules, self.events())
+            self._admission.clear()
+        index = validator.LedgerIndex(rules, self.events())
+        self._admission.append((rules, index, self.tip))
+        return index
 
     def events(self) -> Iterator[Event]:
         for block in self.blocks:
@@ -306,7 +306,6 @@ def validate_block(
     roster: Optional[Mapping[str, str]] = None,
     rules=None,
     roles_of=None,
-    index=None,
 ) -> Optional[Rejection]:
     """Check a proposed next block against a chain; None means accepted.
 
@@ -316,14 +315,10 @@ def validate_block(
     optional context; the corresponding checks are skipped when absent.
     roles_of resolves a principal's roles for channel membership.
 
-    index is the validator.LedgerIndex of chain for these rules, when the
-    caller keeps one: the block's events are added to it as they pass, so
-    pass a copy the caller may drop on a rejection. Without it the chain's
-    own index is used (see Chain): taken from the chain when it holds one
-    for the same rules object that covers exactly the chain, built from the
-    chain's events otherwise. An accepted block leaves it on the chain,
-    marked as covering that block, for extend to hand on; a block rejected
-    at the id or admission checks drops it, and the next call rebuilds it.
+    Admission runs on the chain's own index (see Chain), the block's events
+    added as they pass. An accepted block leaves it on the chain, covering
+    that block, for extend to hand on; a block rejected at the id or
+    admission checks drops it, and the next call rebuilds it.
     """
     prev = chain.tip.header
     if block.header.prev_hash != hash_block_header(prev):
@@ -344,9 +339,8 @@ def validate_block(
                 return Rejection("BadSignature", event.event_id)
     if not block.events:
         return None
-    held = index is None
-    if held:
-        index = chain._take_index(rules)
+    index = chain.admission_index(rules)
+    chain._admission.clear()  # a rejection leaves the index half-filled
     in_block: set[str] = set()
     for event in block.events:
         if event.event_id in index.event_ids or event.event_id in in_block:
@@ -362,8 +356,7 @@ def validate_block(
             if problems:
                 return Rejection("IntegrityViolation", str(problems[0]))
         index.add(event)
-    if held:
-        chain._admission.append((rules, index, block))
+    chain._admission.append((rules, index, block))
     return None
 
 
@@ -387,11 +380,13 @@ def verify_chain(
     failing index otherwise.
 
     memo maps the header digest of each block verified so far to the
-    verified blocks up to and including it and their validator.LedgerIndex.
-    With it, verification starts after the newest block whose memo entry
-    holds exactly this chain's blocks up to that block, and every block that
-    passes is stored. A memo is only valid for one target, roster, rules and
-    roles_of. Without it every block is verified from genesis.
+    verified Chain that ends at it. With it, verification starts after the
+    newest block whose memo chain holds exactly this chain's blocks up to
+    that block, each block past it is validated on a chain that holds a copy
+    of its parent's index, and every block that passes is stored, so every
+    memo chain keeps its own index. A memo is only valid for one target,
+    roster, rules and roles_of. Without it every block is verified from
+    genesis, each on the chain its parent's validation extended.
     """
     if not chain.blocks:
         return FirstBadBlock(0, Rejection("BadGenesis", "empty chain"))
@@ -399,25 +394,24 @@ def verify_chain(
     if head.header != GENESIS_HEADER or head.events:
         return FirstBadBlock(0, Rejection("BadGenesis", "not the shared genesis"))
     blocks = chain.blocks
-    start, index = 1, validator.LedgerIndex(rules)
+    start, verified = 1, Chain(blocks=blocks[:1])
     if memo is not None:
         for height in range(len(blocks) - 1, 0, -1):
             known = memo.get(hash_block_header(blocks[height].header))
-            if known is not None and known[0] == blocks[: height + 1]:
-                start, index = height + 1, known[1]
+            if known is not None and known.blocks == blocks[: height + 1]:
+                start, verified = height + 1, known
                 break
-    for height in range(start, len(blocks)):
-        block = blocks[height]
-        if memo is not None and block.events:
-            index = index.copy()  # the memo keeps the parent's index
-        rejection = validate_block(
-            Chain(blocks=blocks[:height]), block, target=target, roster=roster,
-            rules=rules, roles_of=roles_of, index=index,
-        )
+    for block in blocks[start:]:
+        prefix = verified
+        if memo is not None:  # the memo's chain keeps its index; validate on a copy
+            prefix = Chain(blocks=verified.blocks)
+            prefix._admission.append((rules, verified.admission_index(rules).copy(), verified.tip))
+        rejection = validate_block(prefix, block, target, roster, rules, roles_of)
         if rejection is not None:
             return FirstBadBlock(block.header.index, rejection)
+        verified = prefix.extend(block)
         if memo is not None:
-            memo[hash_block_header(block.header)] = (blocks[: height + 1], index)
+            memo[hash_block_header(block.header)] = verified
     return None
 
 

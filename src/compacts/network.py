@@ -8,7 +8,9 @@ verifies, mines at most one block of every pending event admission lets in
 delivery next round. Messages are the events and chains themselves. Client
 submissions enter at a generator-chosen peer on their scheduled round and
 are gossiped onward; rounds in which nothing is in flight or due are
-skipped. Identical inputs give bit-identical results.
+skipped. A peer holds the memo's verified Chain, the one holder of its
+admission index; each memo chain keeps its own copy. Identical inputs give
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .governance import Organization, UnrosteredEmitter
 from .ledger import (
@@ -105,22 +107,19 @@ def events_from_scenario(
 
 
 class _Peer:
-    def __init__(self, rules: Optional[IntegrityRuleSet]):
-        self.chain = genesis_chain()
-        self.index = LedgerIndex(rules)  # admission state of self.chain
+    def __init__(self):
+        self.chain = genesis_chain()  # after an adoption, the memo's verified chain
         self.seen: dict[str, Event] = {}  # event_id -> event, arrival order
 
-    def pending(self) -> list[Event]:
-        return [e for e in self.seen.values() if e.event_id not in self.index.event_ids]
 
-
-def _admissible(events: list[Event], index: LedgerIndex, roles_of) -> list[Event]:
-    """The events that may extend the chain whose index is given, under the
-    index's rules: passes over the events not yet chosen take, in order,
-    those admission lets in, until one takes none."""
+def _admissible(seen: Iterable[Event], index: LedgerIndex, roles_of) -> list[Event]:
+    """The seen events that may extend the chain whose index is given, under
+    the index's rules: of those not on the chain, passes over the ones not
+    yet chosen take, in order, those admission lets in, until one takes none."""
+    events = [e for e in seen if e.event_id not in index.event_ids]
     rules = index.rules
     if rules is None:
-        return list(events)
+        return events
     chosen: list[Event] = []
     rest = [e for e in events if not validate_event_schema(e, rules, roles_of)]
     while rest:
@@ -152,8 +151,9 @@ def run_network(
     before then. Converged means one tip and every submission round in
     0..max_rounds-1. A block is verified once, when it is mined; a received
     chain is verified only when the peer would adopt it, and then only past
-    its newest verified block (see verify_chain's memo). Every chain returned
-    passed verify_chain under config.target, the roster, rules and roles_of.
+    its newest verified block (see verify_chain's memo); the peer then holds
+    the memo's chain, with its own index. Every chain returned passed
+    verify_chain under config.target, the roster, rules and roles_of.
     """
     roster = config.roster
     roles_of = org.roles_of if org is not None else None
@@ -164,7 +164,7 @@ def run_network(
     stops = sorted({*due, config.max_rounds})  # the rounds an idle network skips to
     rng = random.Random(config.gossip_seed)
     peer_ids = sorted(config.peers)
-    peers = {pid: _Peer(rules) for pid in peer_ids}
+    peers = {pid: _Peer() for pid in peer_ids}
     memo: dict = {}
 
     def adopt(peer: _Peer, chain: Chain) -> bool:
@@ -173,7 +173,7 @@ def run_network(
             chain, target=config.target, roster=roster, rules=rules, roles_of=roles_of, memo=memo
         ) is not None:
             return False  # invalid chains are dropped
-        peer.chain, peer.index = chain, memo[chain.tip_digest()][1]
+        peer.chain = memo[chain.tip_digest()]  # holds its admission index
         return True
 
     def agreed() -> bool:
@@ -208,7 +208,7 @@ def run_network(
                     peer.seen[message.event_id] = message
                 sent.append((pid, message))
 
-            mineable = _admissible(peer.pending(), peer.index, roles_of)
+            mineable = _admissible(peer.seen.values(), peer.chain.admission_index(rules), roles_of)
             if mineable:
                 header = mine_block(
                     tuple(mineable), peer.chain.tip.header, config.target, miner=pid

@@ -187,6 +187,42 @@ def test_counts_as_fact_may_not_take_a_builtin_name():
     assert "fact-shadows-event" in codes(diagnostics_for("  counts-as Sanction(x) from A(x) by R;"))
 
 
+KINDS = """compact T context org {{
+  roles R, S;
+  schema A(x: int key);
+  schema B(x: bool key, n: int out);
+  channel m members R, S carries A, B;
+{body}
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        # the matcher compares as Python does, so B{x:true} would satisfy A{x:1}'s commitment
+        ("create on A(x); consequent B(x) within 5 blocks;", ["variable-kind-mismatch"]),
+        ("create on A(x); consequent B(x: true, n: x) within 5 blocks;", []),
+        ("create on A(x); consequent B(x: 1, n: x) within 5 blocks;", ["literal-kind-mismatch"]),
+        ("create on A(x: 7) and A(x); consequent B(x: false, n: 2) within 5 blocks;", []),
+    ],
+    ids=["variable-int-and-bool", "variable-int", "literal-int-for-bool", "literals-of-kind"],
+)
+def test_a_term_must_be_of_its_parameters_kind(body, expected):
+    norm = f"commitment K subject R object S {{ {body} }}"
+    assert codes(check_well_formedness(parse_compact(KINDS.format(body=norm)))) == expected
+
+
+@pytest.mark.parametrize(
+    "rule, expected",
+    [("counts-as F(y) from B(x: y, n: y) by R;", ["variable-kind-mismatch"]),
+     ("counts-as F(y) from B(x: y, n: 3) by R;", [])],
+    ids=["bool-and-int", "bool"],
+)
+def test_a_counts_as_source_variable_fills_one_kind(rule, expected):
+    assert codes(check_well_formedness(parse_compact(KINDS.format(body=rule)))) == expected
+
+
 # --- observability ---------------------------------------------------------
 
 

@@ -195,10 +195,10 @@ def test_run_out_of_range_integer_exit_65(tmp_path, capsys, line):
     assert "scenario.jsonl:1:" in capsys.readouterr().err
 
 
-def _golden(path, value) -> bytes:
-    """The golden chain snapshot with one field of block 4 set to value."""
+def _golden(path, value, block=4) -> bytes:
+    """The golden chain snapshot with one field of a block, 4 unless given, set to value."""
     data = json.loads((FIXTURES / "golden_chain.json").read_text())
-    record = data["blocks"][4]
+    record = data["blocks"][block]
     for key in path[:-1]:
         record = record[key]
     record[path[-1]] = value
@@ -265,11 +265,15 @@ MALFORMED_INPUTS = {
     "scenario-not-utf8": ("scenario", _scenario()[:-3] + NOT_UTF8 + b'"}\n'),
     "scenario-round-negative": ("scenario", _scenario(round=-1, logical_ts=0)),
     "scenario-round-bool": ("scenario", _scenario(round=True)),
+    # struct packs True as 1, so a boolean u64 would keep every digest
+    "scenario-logical-ts-bool": ("scenario", _scenario(logical_ts=True)),
     "scenario-round-past-max-rounds": ("scenario", _scenario(round=1_000_000)),
     "snapshot-attributes-array": ("snapshot", _golden(("events", 0, "attributes"), ["x"])),
     "snapshot-emitter-int": ("snapshot", _golden(("events", 0, "emitter"), 5)),
     "snapshot-miner-int": ("snapshot", _golden(("header", "miner"), 5)),
     "snapshot-blocks-int": ("snapshot", b'{"blocks": 5}'),
+    "snapshot-index-bool": ("snapshot", _golden(("header", "index"), True, block=1)),
+    "snapshot-nonce-bool": ("snapshot", _golden(("header", "nonce"), False, block=9)),
     "snapshot-not-utf8": ("snapshot", b'{"blocks": "' + NOT_UTF8 + b'"}'),
     "net-role-list-int": ("net", _net(roles={"bob": 5})),
     "net-roles-array": ("net", _net(roles=[1])),

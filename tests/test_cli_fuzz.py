@@ -10,8 +10,12 @@ deepened into a 61- or 3,001-term 'and' chain of its first pattern; either
 kind may get bytes that are not UTF-8 inserted. A mutated hospital or
 tumor-board compact that ``compacts parse`` accepts is also run on one of
 that compact's bundled scenarios and its network config, so a compact that
-parses but breaks evaluation is caught too. Every run must return a
-documented exit code, with nothing raised out of main.
+parses but breaks evaluation is caught too. A mutated snapshot is also
+evaluated: the golden chain with a compact without norms, the hospital
+violation demo's chain with the hospital compact, so that positions reach the
+report. Every run must return a documented exit code, with nothing raised out
+of main, and every report a run or eval writes must validate against
+docs/report-schema.json.
 
 The tier-1 run is small. A long sweep sets the number of cases per format:
 
@@ -26,6 +30,7 @@ import json
 import os
 import re
 
+import jsonschema
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -43,6 +48,9 @@ from compacts.cli import (
 from conftest import DEMOS, FIXTURES, cli_argv
 
 DOCUMENTED_EXITS = {EXIT_OK, EXIT_PARSE, EXIT_WELL_FORMEDNESS, EXIT_VERIFY, EXIT_USAGE, EXIT_DATA}
+REPORT_SCHEMA = jsonschema.Draft202012Validator(
+    json.loads((DEMOS.parent / "docs" / "report-schema.json").read_text())
+)
 
 # Bytes that no UTF-8 decoder accepts: a lone continuation byte, bytes never
 # used, a truncated sequence and an encoded surrogate.
@@ -157,6 +165,9 @@ def _run(*argv) -> int:
         code = main(list(argv))
     assert code in DOCUMENTED_EXITS, err.getvalue()
     event(f"{argv[0]} exit {code}")  # the mix shows under --hypothesis-show-statistics
+    if code == EXIT_OK and argv[0] in ("run", "eval"):
+        with open(argv[argv.index("--out") + 1], "r", encoding="utf-8") as handle:
+            REPORT_SCHEMA.validate(json.load(handle))
     return code
 
 
@@ -171,6 +182,15 @@ def valid_report(workdir):
     scenario = DEMOS / "hospital_violation.jsonl"
     assert main(cli_argv("scenario", scenario, out)) == EXIT_OK
     return json.loads(out.read_text())
+
+
+@pytest.fixture(scope="module")
+def violation_chain(workdir) -> str:
+    """The hospital violation demo's chain snapshot, as JSON text."""
+    out, chain = workdir / "violation_report.json", workdir / "violation_chain.json"
+    argv = cli_argv("scenario", DEMOS / "hospital_violation.jsonl", out)
+    assert main(argv + ["--chain-out", str(chain)]) == EXIT_OK
+    return chain.read_text()
 
 
 CPT_FILES = sorted(DEMOS.glob("*.cpt"))
@@ -214,7 +234,7 @@ def test_fuzz_runnable_compact(workdir, data):
     _fuzz_compact(workdir, data, [DEMOS / name for name in BUNDLED_RUNS])
 
 
-def _fuzz_json(data, workdir, fmt: str, doc, jsonl: bool = False) -> None:
+def _fuzz_json(data, workdir, fmt: str, doc, jsonl: bool = False, spec: str = "") -> None:
     for _ in range(data.draw(st.integers(1, 2))):
         doc = _mutate_json(data, doc)
     if jsonl and isinstance(doc, list):
@@ -224,8 +244,8 @@ def _fuzz_json(data, workdir, fmt: str, doc, jsonl: bool = False) -> None:
     path = workdir / f"input.{fmt}"
     path.write_bytes(_maybe_not_utf8(data, text.encode()))
     _run(*cli_argv(fmt, path, workdir / "report.json"))
-    if fmt == "snapshot":
-        _run("eval", "--chain", str(path), "--spec", str(DEMOS / "minimal.cpt"),
+    if spec:
+        _run("eval", "--chain", str(path), "--spec", str(DEMOS / spec),
              "--out", str(workdir / "report.json"))
 
 
@@ -239,8 +259,12 @@ def test_fuzz_scenario(workdir, data):
 
 @_examples(150)
 @given(data=st.data())
-def test_fuzz_snapshot(workdir, data):
-    _fuzz_json(data, workdir, "snapshot", json.loads((FIXTURES / "golden_chain.json").read_text()))
+def test_fuzz_snapshot(workdir, violation_chain, data):
+    snapshot, spec = data.draw(st.sampled_from([
+        ((FIXTURES / "golden_chain.json").read_text(), "minimal.cpt"),
+        (violation_chain, "hospital.cpt"),
+    ]))
+    _fuzz_json(data, workdir, "snapshot", json.loads(snapshot), spec=spec)
 
 
 @_examples(100)

@@ -107,23 +107,34 @@ def test_a_submission_past_max_rounds_means_no_convergence(hospital_spec, share_
 def test_an_event_admission_refuses_costs_no_index_copy(monkeypatch, hospital_spec):
     # admission copies a peer's index only once it admits an event, so an
     # event refused round after round copies nothing; each mined block costs
-    # one copy in admission and one in verify_chain
+    # one copy in admission and one in verify_chain. The chain is the one
+    # holder of its index, so nothing builds one from a chain's events, and
+    # the index each peer's chain carries equals such a rebuild.
     config, roles = read_network_config(str(DEMOS / "hospital_net.json"))
     org = Organization.make(hospital_spec.context, roles)
+    rules = ruleset_from_spec(hospital_spec)
     scenario = read_scenario(str(DEMOS / "hospital_violation.jsonl"))
     unbound = Submission.make(
         0, "InvestigationReport",
         {"report": "inv-002", "patient": "nobody", "nurse": "bob", "verdict": "upheld"}, "hospital",
     )
-    copies = []
+    copies, built = [], count_index_builds(monkeypatch)
     real_copy = LedgerIndex.copy
     monkeypatch.setattr(LedgerIndex, "copy", lambda index: copies.append(index) or real_copy(index))
     for submissions in (scenario, scenario + [unbound]):
         copies.clear()
-        result = run_network(submissions, config, rules=ruleset_from_spec(hospital_spec), org=org)
+        result = run_network(submissions, config, rules=rules, org=org)
         events = [e for e in result.active_chain.events()]
         assert result.converged and len(events) == len(scenario)
         assert len(copies) == 2 * result.active_chain.height == 8
+        carried = [chain.admission_index(rules) for _, chain in result.chains]
+        assert built == []
+        for (_, chain), index in zip(result.chains, carried):
+            rebuilt = LedgerIndex(rules, chain.events())
+            assert (index.event_ids, index.bound, index.outs) == (
+                rebuilt.event_ids, rebuilt.bound, rebuilt.outs
+            )
+        built.clear()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 7, 11])
@@ -299,6 +310,22 @@ def count_validations(monkeypatch) -> Counter:
     return validated
 
 
+def count_index_builds(monkeypatch) -> list:
+    """Records, from now on, the number of events each LedgerIndex is built from,
+    for each one built from a non-empty sequence: a rebuild, not a fresh index."""
+    built = []
+    real_init = LedgerIndex.__init__
+
+    def counting_init(index, rules, events=()):
+        events = list(events)
+        if events:
+            built.append(len(events))
+        real_init(index, rules, events)
+
+    monkeypatch.setattr(LedgerIndex, "__init__", counting_init)
+    return built
+
+
 @pytest.fixture
 def verified_hospital_run(monkeypatch, hospital_spec):
     """The final chain of a hospital run, the run's memo and its verify context."""
@@ -306,7 +333,7 @@ def verified_hospital_run(monkeypatch, hospital_spec):
     context = dict(calls[0][2])
     memo = context.pop("memo")
     chain = result.active_chain
-    assert memo[chain.tip_digest()][0] == chain.blocks
+    assert memo[chain.tip_digest()].blocks == chain.blocks
     return chain, memo, context
 
 
@@ -347,6 +374,24 @@ def test_tampered_suffix_is_rejected_as_from_genesis(monkeypatch, verified_hospi
     assert verdict.index == forged.height and str(verdict.rejection).startswith(rejection)
 
 
+def test_sibling_blocks_on_one_memo_parent_each_get_its_index(monkeypatch, verified_hospital_run):
+    # two competing blocks with the same new event id: if validating the
+    # first moved or changed the memo parent's index, the second would be
+    # refused as a duplicate or would rebuild the index
+    chain, memo, context = verified_hospital_run
+    siblings = []
+    for patient in ("zoe", "yan"):
+        event = ledger.Event.make("sibling", "Admit", {"patient": patient, "nurse": "bob"}, "hospital")
+        event = event.with_signature(context["roster"]["hospital"])
+        siblings.append(chain.extend(_forged_block(chain, (event,), context["target"])))
+    from_genesis = [verify_chain(sibling, **context) for sibling in siblings]
+    validated, built = count_validations(monkeypatch), count_index_builds(monkeypatch)
+    assert [verify_chain(sibling, memo=memo, **context) for sibling in siblings] == from_genesis
+    assert from_genesis == [None, None]
+    assert validated == Counter(sibling.tip.header for sibling in siblings)
+    assert built == []
+
+
 def test_memoized_blocks_after_an_altered_block_are_rejected_at_it(verified_hospital_run):
     chain, memo, context = verified_hospital_run
     at = next(i for i, b in enumerate(chain.blocks) if b.events and i < chain.height)
@@ -355,7 +400,7 @@ def test_memoized_blocks_after_an_altered_block_are_rejected_at_it(verified_hosp
     prefix = ledger.Chain(blocks=chain.blocks[:at])
     altered = _forged_block(prefix, (forged_event,) + block.events[1:], context["target"])
     spliced = ledger.Chain(blocks=chain.blocks[:at] + (altered,) + chain.blocks[at + 1:])
-    assert memo[spliced.tip_digest()][0] != spliced.blocks
+    assert memo[spliced.tip_digest()].blocks != spliced.blocks
     verdict = verify_chain(spliced, memo=memo, **context)
     assert verdict == verify_chain(spliced, **context)
     assert verdict.index == at and verdict.rejection.reason == "BadSignature"
