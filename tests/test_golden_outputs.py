@@ -6,7 +6,11 @@ and the SHA-256 of each file the command writes. The commands are both
 hospital demos at the config's gossip seed and at --seed 7, 3 and 9, both
 tumorboard scenarios, bench-generated hospital runs at 40 and 20 patients
 and datatrust evals at 60 and 30 subjects at seeds 11-13, eval of both
-hospital demo chains, and trust and verify-chain on a demo report and chain.
+hospital demo chains, trust and verify-chain on a demo report and chain,
+parse of each bundled compact, and the coldchain and liftservice scenarios.
+The last two encode boolean and integer attributes and join before and and
+conditions, which no other command here does. Commands run from the
+repository root, so a parse diagnostic names its compact by relative path.
 
 On a mismatch the test prints the new table in the fixture's format. A change
 meant to alter outputs replaces the fixture with it by hand and says why.
@@ -22,7 +26,7 @@ from pathlib import Path
 
 from compacts import cli, fileformats, ledger
 
-from conftest import DEMOS, FIXTURES, bench_generators
+from conftest import DEMOS, FIXTURES, REPO, bench_generators
 
 GOLDEN = FIXTURES / "golden_outputs.json"
 
@@ -107,6 +111,18 @@ def _commands(work: Path) -> list[tuple[str, list[str], dict[str, Path]]]:
         {},
     ))
     commands.append(("verify-chain hospital violation chain", ["verify-chain", str(work / "hospital-violation-None.chain.json")], {}))
+    for spec in sorted(DEMOS.glob("*.cpt")):
+        commands.append((f"parse {spec.stem}", ["parse", str(spec.relative_to(REPO))], {}))
+    for demo in ("coldchain", "liftservice"):
+        stem = work / demo
+        outputs = {"report": stem.with_suffix(".report.json"), "chain": stem.with_suffix(".chain.json")}
+        commands.append((
+            f"run {demo}",
+            ["run", "--spec", str(DEMOS / f"{demo}.cpt"), "--scenario", str(DEMOS / f"{demo}.jsonl"),
+             "--net", str(DEMOS / f"{demo}_net.json"),
+             "--out", str(outputs["report"]), "--chain-out", str(outputs["chain"])],
+            outputs,
+        ))
     return commands
 
 
@@ -115,7 +131,7 @@ def golden_table(work: Path) -> dict:
     table = {}
     for name, argv, outputs in _commands(work):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), contextlib.chdir(REPO):
             code = cli.main(argv)
         table[name] = {
             "exit": code,
