@@ -93,7 +93,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         from dataclasses import replace
 
         config = replace(config, gossip_seed=args.seed)
-    if any(sub.round >= config.max_rounds for sub in scenario):
+    if any(round_no >= config.max_rounds for round_no, _ in scenario):
         raise _Exit(EXIT_DATA, f"{args.scenario}: a round is past max_rounds={config.max_rounds}")
     org = Organization.make(spec.context, roles)
     rules = ruleset_from_spec(spec)

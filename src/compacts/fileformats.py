@@ -1,7 +1,8 @@
 """External file formats: chain snapshots, scenarios, network configs, reports.
 
 Chain snapshot: JSON {"blocks": [{"header": {...}, "events": [...]}]} with
-digests as lowercase hex. Scenario: JSON Lines, one submission per line.
+digests as lowercase hex. Scenario: JSON Lines, one event per line with the
+round it is due; it reads as unsigned events with ids by position.
 Network config: JSON with the NetworkConfig fields (target as hex) plus an
 optional "roles" map for the organizational context. Evaluation report: one
 JSON document with chain tip, instance table, derived facts and trust rows in
@@ -17,7 +18,7 @@ from typing import Optional
 from .evaluator import EvalState, NormInstance
 from .ledger import Block, BlockHeader, Chain, Event, Position
 from .matching import DerivedFact
-from .network import NetworkConfig, NetworkResult, Submission
+from .network import NetworkConfig, NetworkResult
 from .trust import TrustScore
 
 
@@ -46,13 +47,15 @@ def _is_text_list(value) -> bool:
     return isinstance(value, list) and all(map(_is_text, value))
 
 
-def _check_encodable(texts, logical_ts, attributes, where: str) -> None:
-    """Reject values the canonical serialization cannot encode: the text
+def _check_encodable(event: Event, where: str) -> None:
+    """Reject an event the canonical serialization cannot encode: the text
     fields must be UTF-8 strings, logical_ts an unsigned and an integer
     attribute a signed 64-bit integer."""
+    texts = (event.event_id, event.event_type, event.emitter)
     _require(all(map(_is_text, texts)), f"{where}: {texts!r} must all be text")
-    _require(_is_u64(logical_ts), f"{where}: logical_ts {logical_ts!r} is not in [0, 2**64)")
-    for name, value in attributes:
+    ts = event.logical_ts
+    _require(_is_u64(ts), f"{where}: logical_ts {ts!r} is not in [0, 2**64)")
+    for name, value in event.attributes:
         encodable = _is_text(value) or (isinstance(value, int) and -(2**63) <= value < 2**63)
         _require(
             _is_text(name) and encodable,
@@ -101,8 +104,7 @@ def event_from_json(data: dict) -> Event:
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataFormatError(f"bad event record: {exc}") from exc
-    texts = (event.event_id, event.event_type, event.emitter)
-    _check_encodable(texts, event.logical_ts, event.attributes, "bad event record")
+    _check_encodable(event, "bad event record")
     return event
 
 
@@ -165,8 +167,10 @@ def read_chain(path: str) -> Chain:
 # --- scenarios --------------------------------------------------------------
 
 
-def read_scenario(path: str) -> list[Submission]:
-    submissions = []
+def read_scenario(path: str) -> list[tuple[int, Event]]:
+    """Each line's round and its unsigned event. Ids are evt-00000,
+    evt-00001, ... by position; run_network signs the events."""
+    scenario = []
     lines = _read_utf8(path, "scenario").split("\n")
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -178,21 +182,21 @@ def read_scenario(path: str) -> list[Submission]:
         except (ValueError, RecursionError) as exc:
             raise DataFormatError(f"{where}: not valid JSON: {exc}") from exc
         try:
-            submission = Submission.make(
-                round=data["round"],
+            round_no = data["round"]
+            event = Event.make(
+                event_id=f"evt-{len(scenario):05d}",
                 event_type=data["event_type"],
                 attributes=data.get("attributes", {}),
                 emitter=data["emitter"],
-                logical_ts=data.get("logical_ts", data["round"]),
+                logical_ts=data.get("logical_ts", round_no),
             )
         except (KeyError, TypeError, AttributeError) as exc:
-            raise DataFormatError(f"{where}: bad submission: {exc}") from exc
-        round_ok = type(submission.round) is int and submission.round >= 0
+            raise DataFormatError(f"{where}: bad scenario event: {exc}") from exc
+        round_ok = type(round_no) is int and round_no >= 0
         _require(round_ok, f"{where}: round must be a non-negative integer")
-        texts = (submission.event_type, submission.emitter)
-        _check_encodable(texts, submission.logical_ts, submission.attributes, where)
-        submissions.append(submission)
-    return submissions
+        _check_encodable(event, where)
+        scenario.append((round_no, event))
+    return scenario
 
 
 # --- network config ---------------------------------------------------------

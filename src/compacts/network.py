@@ -5,12 +5,12 @@ inbox (delivery order drawn from the seeded generator), adopts a received
 chain that beats its own (longest, ties to the smallest tip digest) if it
 verifies, mines at most one block of every pending event admission lets in
 (passes repeat until one lets none in), and broadcasts what it adopted for
-delivery next round. Messages are the events and chains themselves. Client
-submissions enter at a generator-chosen peer on their scheduled round and
-are gossiped onward; rounds in which nothing is in flight or due are
-skipped. A peer holds the memo's verified Chain, the one holder of its
-admission index; each memo chain keeps its own copy. Identical inputs give
-bit-identical results.
+delivery next round. Messages are the events and chains themselves. The
+caller's events, whose ids it chooses and must keep unique, are signed with
+their emitters' roster secrets and enter at a generator-chosen peer at their
+round; a round with nothing in flight or due is skipped. A peer holds the
+memo's verified Chain, the one holder of its admission index; each memo
+chain keeps its own copy. Identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .governance import Organization, UnrosteredEmitter
 from .ledger import (
     Block,
     Chain,
     Event,
-    Scalar,
     genesis_chain,
     mine_block,
     select_active_chain,
@@ -49,33 +48,6 @@ class NetworkConfig:
 
 
 @dataclass(frozen=True)
-class Submission:
-    """One scenario line: an event to submit at a given round."""
-
-    round: int
-    event_type: str
-    attributes: tuple[tuple[str, Scalar], ...]
-    emitter: str
-    logical_ts: int = 0
-
-    @staticmethod
-    def make(
-        round: int,
-        event_type: str,
-        attributes: Mapping[str, Scalar],
-        emitter: str,
-        logical_ts: int = 0,
-    ) -> "Submission":
-        return Submission(
-            round=round,
-            event_type=event_type,
-            attributes=tuple(sorted(attributes.items())),
-            emitter=emitter,
-            logical_ts=logical_ts,
-        )
-
-
-@dataclass(frozen=True)
 class NetworkResult:
     chains: tuple[tuple[str, Chain], ...]  # per peer, in peer-id order
     converged: bool
@@ -84,26 +56,6 @@ class NetworkResult:
     @property
     def active_chain(self) -> Chain:
         return select_active_chain([chain for _, chain in self.chains])
-
-
-def events_from_scenario(
-    scenario: Sequence[Submission], roster: Mapping[str, str]
-) -> list[tuple[int, Event]]:
-    """Signed events for each submission; ids are assigned by position."""
-    out = []
-    for index, sub in enumerate(scenario):
-        secret = roster.get(sub.emitter)
-        if secret is None:
-            raise UnrosteredEmitter(sub.emitter)
-        event = Event.make(
-            event_id=f"evt-{index:05d}",
-            event_type=sub.event_type,
-            attributes=dict(sub.attributes),
-            emitter=sub.emitter,
-            logical_ts=sub.logical_ts,
-        ).with_signature(secret)
-        out.append((sub.round, event))
-    return out
 
 
 class _Peer:
@@ -137,18 +89,21 @@ def _admissible(seen: Iterable[Event], index: LedgerIndex, roles_of) -> list[Eve
 
 
 def run_network(
-    scenario: Sequence[Submission],
+    scenario: Sequence[tuple[int, Event]],
     config: NetworkConfig,
     rules: Optional[IntegrityRuleSet] = None,
     org: Optional[Organization] = None,
 ) -> NetworkResult:
     """Simulate gossip, mining and longest-chain adoption over max_rounds.
 
-    Stops early once every peer has the same tip, nothing is in flight and no
-    submission is due later; a peer that mined took every event it could
-    admit, so none is left waiting. A round that ends with nothing in flight
-    is followed by the next round a submission is due, as no peer can change
-    before then. Converged means one tip and every submission round in
+    Each (round, event) pair is signed with its emitter's roster secret
+    (UnrosteredEmitter if it has none) and submitted at its round. Event ids
+    come from the caller: a repeat, which gossip would drop in silence, is a
+    ValueError. Stops early once every peer has the same tip, nothing is in
+    flight and no event is due later; a peer that mined took every event it
+    could admit, so none is left waiting. A round that ends with nothing in
+    flight is followed by the next round an event is due, as no peer can
+    change before then. Converged means one tip and every event's round in
     0..max_rounds-1. A block is verified once, when it is mined; a received
     chain is verified only when the peer would adopt it, and then only past
     its newest verified block (see verify_chain's memo); the peer then holds
@@ -158,8 +113,13 @@ def run_network(
     roster = config.roster
     roles_of = org.roles_of if org is not None else None
     due: dict[int, list[Event]] = {}
-    for round_no, event in events_from_scenario(scenario, roster):
-        due.setdefault(round_no, []).append(event)
+    if len({event.event_id for _, event in scenario}) < len(scenario):
+        raise ValueError("scenario event ids must be unique")
+    for round_no, event in scenario:
+        secret = roster.get(event.emitter)
+        if secret is None:
+            raise UnrosteredEmitter(event.emitter)
+        due.setdefault(round_no, []).append(event.with_signature(secret))
     last_due = max(due, default=-1)
     stops = sorted({*due, config.max_rounds})  # the rounds an idle network skips to
     rng = random.Random(config.gossip_seed)

@@ -19,7 +19,7 @@ from compacts.governance import Organization, ruleset_from_spec
 from compacts.incremental import apply_block, initial_state
 from compacts.lang import parse_compact, pretty_print
 from compacts.ledger import Block, Chain, Event, verify_chain
-from compacts.network import NetworkConfig, Submission, run_network
+from compacts.network import NetworkConfig, run_network
 from compacts.trust import TrustScore
 from compacts.validator import LedgerIndex, check_integrity
 from compacts.ledger import canonical_serialize
@@ -123,8 +123,8 @@ def test_criterion_04_terminal_stability():
 def test_criterion_05_consensus_convergence():
     roster = tuple((f"client-{i}", f"key-{i}") for i in range(4))
     submissions = [
-        Submission.make(i // 4, "Reading", {"sensor": f"s{i % 3}", "value": i},
-                        f"client-{i % 4}", i)
+        (i // 4, Event.make(f"evt-{i:05d}", "Reading", {"sensor": f"s{i % 3}", "value": i},
+                            f"client-{i % 4}", i))
         for i in range(20)
     ]
     converged = 0

@@ -60,11 +60,13 @@ def test_malformed_chain_is_a_data_format_error(tmp_path):
 
 
 def test_scenario_reader_parses_bundled_files():
-    subs = read_scenario(str(DEMOS / "hospital_violation.jsonl"))
-    assert len(subs) == 4
-    assert subs[0].event_type == "Admit"
-    assert subs[0].round == 0
-    assert dict(subs[1].attributes) == {"patient": "charlie", "sharer": "bob"}
+    # each line's round and its unsigned event, with ids by position
+    scenario = read_scenario(str(DEMOS / "hospital_violation.jsonl"))
+    assert [round_no for round_no, _ in scenario] == [0, 2, 4, 6]
+    assert [event.event_id for _, event in scenario] == [f"evt-{i:05d}" for i in range(4)]
+    assert all(event.signature == b"" for _, event in scenario)
+    assert scenario[0][1].event_type == "Admit"
+    assert dict(scenario[1][1].attributes) == {"patient": "charlie", "sharer": "bob"}
 
 
 def test_scenario_reader_rejects_bad_lines(tmp_path):

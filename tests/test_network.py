@@ -9,8 +9,8 @@ import pytest
 from compacts import ledger, network
 from compacts.fileformats import read_network_config, read_scenario
 from compacts.governance import Organization, UnrosteredEmitter, ruleset_from_spec
-from compacts.ledger import Block, mine_block, verify_chain
-from compacts.network import NetworkConfig, Submission, run_network
+from compacts.ledger import Block, Event, mine_block, verify_chain
+from compacts.network import NetworkConfig, run_network
 from compacts.validator import LedgerIndex, check_integrity
 
 from conftest import DEMOS, bench_generators, load_fixture
@@ -28,9 +28,11 @@ def make_config(peers=5, seed=42, target=1 << 248, max_rounds=30):
     )
 
 
-def make_submissions(count=20):
+def make_scenario(count=20):
+    """(round, unsigned event) pairs: four sensor readings a round."""
     return [
-        Submission.make(i // 4, "Reading", {"sensor": f"s{i % 3}", "value": i}, f"client-{i % 4}", i)
+        (i // 4, Event.make(f"evt-{i:05d}", "Reading", {"sensor": f"s{i % 3}", "value": i},
+                            f"client-{i % 4}", i))
         for i in range(count)
     ]
 
@@ -38,7 +40,7 @@ def make_submissions(count=20):
 def test_golden_run_converges_and_reproduces_digest():
     gold = load_fixture("golden_network.json")
     config = make_config(seed=gold["seed"], target=int(gold["target_hex"], 16))
-    result = run_network(make_submissions(gold["events"]), config)
+    result = run_network(make_scenario(gold["events"]), config)
     assert result.converged
     assert result.rounds_used == gold["rounds_used"]
     chain = result.active_chain
@@ -47,7 +49,7 @@ def test_golden_run_converges_and_reproduces_digest():
 
 
 def test_all_peers_end_on_identical_chains():
-    result = run_network(make_submissions(), make_config())
+    result = run_network(make_scenario(), make_config())
     digests = {chain.tip_digest() for _, chain in result.chains}
     assert len(digests) == 1
     for _, chain in result.chains:
@@ -55,7 +57,7 @@ def test_all_peers_end_on_identical_chains():
 
 
 def test_single_peer_converges_trivially_with_all_events():
-    result = run_network(make_submissions(12), make_config(peers=1))
+    result = run_network(make_scenario(12), make_config(peers=1))
     assert result.converged
     chain = result.active_chain
     ids = {e.event_id for e in chain.events()}
@@ -63,25 +65,36 @@ def test_single_peer_converges_trivially_with_all_events():
 
 
 def test_run_is_bit_identical_across_invocations():
-    first = run_network(make_submissions(), make_config())
-    second = run_network(make_submissions(), make_config())
+    first = run_network(make_scenario(), make_config())
+    second = run_network(make_scenario(), make_config())
     assert first == second
 
 
 def test_different_seeds_still_converge():
     for seed in range(20):
-        result = run_network(make_submissions(), make_config(seed=seed))
+        result = run_network(make_scenario(), make_config(seed=seed))
         assert result.converged, f"seed {seed} failed to converge"
 
 
 def test_unrostered_emitter_is_rejected_up_front():
-    bad = [Submission.make(0, "Reading", {"sensor": "s1", "value": 0}, "mallory", 0)]
+    bad = [(0, Event.make("evt-00000", "Reading", {"sensor": "s1", "value": 0}, "mallory", 0))]
     with pytest.raises(UnrosteredEmitter):
         run_network(bad, make_config())
 
 
+def test_a_repeated_event_id_is_refused_up_front():
+    # gossip keeps the first event of an id it sees, so a repeat would be dropped in silence
+    scenario = make_scenario(8)
+    round_no, event = scenario[5]
+    repeat = (round_no, Event.make(event.event_id, "Reading", {"sensor": "s9", "value": 99}, event.emitter, 9))
+    with pytest.raises(ValueError):
+        run_network(scenario + [repeat], make_config())
+    with pytest.raises(ValueError):
+        run_network(scenario + [scenario[0]], make_config())
+
+
 def test_all_submitted_events_reach_the_active_chain():
-    result = run_network(make_submissions(), make_config())
+    result = run_network(make_scenario(), make_config())
     chain = result.active_chain
     ids = {e.event_id for e in chain.events()}
     assert ids == {f"evt-{i:05d}" for i in range(20)}
@@ -92,8 +105,8 @@ def test_a_submission_past_max_rounds_means_no_convergence(hospital_spec, share_
     # the demo config's max_rounds is 40: a Share at round 40 is never
     # injected, so the run must not claim to have converged
     scenario = [
-        replace(sub, round=share_round) if sub.event_type == "Share" else sub
-        for sub in read_scenario(str(DEMOS / "hospital_violation.jsonl"))
+        (share_round if event.event_type == "Share" else round_no, event)
+        for round_no, event in read_scenario(str(DEMOS / "hospital_violation.jsonl"))
     ]
     config, roles = read_network_config(str(DEMOS / "hospital_net.json"))
     org = Organization.make(hospital_spec.context, roles)
@@ -114,10 +127,10 @@ def test_an_event_admission_refuses_costs_no_index_copy(monkeypatch, hospital_sp
     org = Organization.make(hospital_spec.context, roles)
     rules = ruleset_from_spec(hospital_spec)
     scenario = read_scenario(str(DEMOS / "hospital_violation.jsonl"))
-    unbound = Submission.make(
-        0, "InvestigationReport",
+    unbound = (0, Event.make(
+        "evt-00004", "InvestigationReport",
         {"report": "inv-002", "patient": "nobody", "nurse": "bob", "verdict": "upheld"}, "hospital",
-    )
+    ))
     copies, built = [], count_index_builds(monkeypatch)
     real_copy = LedgerIndex.copy
     monkeypatch.setattr(LedgerIndex, "copy", lambda index: copies.append(index) or real_copy(index))
@@ -151,8 +164,8 @@ def test_an_event_admissible_only_after_a_later_one_is_still_mined(
         config = replace(config, peers=config.peers[:1])
     attributes = {"report": "inv-1", "patient": "charlie", "nurse": "bob", "verdict": "ok"}
     scenario = [
-        Submission.make(0, "InvestigationReport", attributes, "hospital", 0),
-        Submission.make(admit_round, "Admit", {"patient": "charlie", "nurse": "bob"}, "hospital", 1),
+        (0, Event.make("evt-00000", "InvestigationReport", attributes, "hospital", 0)),
+        (admit_round, Event.make("evt-00001", "Admit", {"patient": "charlie", "nurse": "bob"}, "hospital", 1)),
     ]
     org = Organization.make(hospital_spec.context, roles)
     result = run_network(
@@ -202,18 +215,18 @@ def test_every_chain_a_run_returns_verifies_from_genesis(hospital_spec, tmp_path
     # every chain a run returns must pass from-genesis verification under the
     # run's context, hold every admissible submission and no refused one
     scenario, config, roles = _postcondition_inputs(name, tmp_path)
-    report = next(sub for sub in scenario if sub.event_type == "InvestigationReport")
+    report_round, report = next(pair for pair in scenario if pair[1].event_type == "InvestigationReport")
 
-    def changed(round_no, **changes):
+    def changed(round_no, number, **changes):
         attributes = tuple(sorted({**dict(report.attributes), **changes}.items()))
-        return replace(report, round=round_no, attributes=attributes)
+        return round_no, replace(report, event_id=f"evt-{number:05d}", attributes=attributes)
 
-    refused = [  # submissions admission refuses, each with its reason
-        (changed(report.round + 4, verdict="dismissed"), "KeyConflict"),
-        (changed(0, report="inv-x", patient="nobody"), "UnboundInParameter"),
+    refused = [  # events admission refuses, each with its reason
+        (changed(report_round + 4, len(scenario), verdict="dismissed"), "KeyConflict"),
+        (changed(0, len(scenario) + 1, report="inv-x", patient="nobody"), "UnboundInParameter"),
     ]
     rules, org = ruleset_from_spec(hospital_spec), Organization.make(hospital_spec.context, roles)
-    submissions = scenario + [sub for sub, _ in refused]
+    submissions = scenario + [pair for pair, _ in refused]
     result = run_network(submissions, config, rules=rules, org=org)
     assert result.converged
     context = dict(target=config.target, roster=config.roster, rules=rules, roles_of=org.roles_of)
@@ -222,8 +235,7 @@ def test_every_chain_a_run_returns_verifies_from_genesis(hospital_spec, tmp_path
     active = [e for e in result.active_chain.events()]
     assert {e.event_id for e in active} == {f"evt-{i:05d}" for i in range(len(scenario))}
     index = LedgerIndex(rules, active)
-    signed = network.events_from_scenario(submissions, config.roster)[len(scenario):]
-    for (_, event), (_, reason) in zip(signed, refused):
+    for (_, event), reason in refused:
         assert [v.code for v in check_integrity(event, index)] == [reason]
 
 
@@ -250,7 +262,8 @@ def hospital_run(hospital_spec, seed, patients=8):
             ]
         for offset, (event_type, attributes, emitter) in enumerate(steps):
             round_no = p // 2 + 2 * offset
-            submissions.append(Submission.make(round_no, event_type, attributes, emitter, len(submissions)))
+            event = Event.make(f"evt-{len(submissions):05d}", event_type, attributes, emitter, len(submissions))
+            submissions.append((round_no, event))
     config, roles = read_network_config(str(DEMOS / "hospital_net.json"))
     org = Organization.make(hospital_spec.context, roles)
     return submissions, replace(config, gossip_seed=seed), ruleset_from_spec(hospital_spec), org
@@ -275,7 +288,7 @@ def _setup(name, hospital_spec):
     kind, seed = name.split("-")
     if kind == "hospital":
         return hospital_run(hospital_spec, int(seed))
-    return make_submissions(), make_config(seed=int(seed)), None, None
+    return make_scenario(), make_config(seed=int(seed)), None, None
 
 
 @pytest.mark.parametrize("name", ["hospital-7", "hospital-3", "readings-42", "readings-5"])
