@@ -86,9 +86,9 @@ def test_a_repeated_event_id_is_refused_up_front():
     # gossip keeps the first event of an id it sees, so a repeat would be dropped in silence
     scenario = make_scenario(8)
     round_no, event = scenario[5]
-    repeat = (round_no, Event.make(event.event_id, "Reading", {"sensor": "s9", "value": 99}, event.emitter, 9))
+    other = Event.make(event.event_id, "Reading", {"sensor": "s9", "value": 99}, event.emitter, 9)
     with pytest.raises(ValueError):
-        run_network(scenario + [repeat], make_config())
+        run_network(scenario + [(round_no, other)], make_config())
     with pytest.raises(ValueError):
         run_network(scenario + [scenario[0]], make_config())
 
@@ -165,7 +165,8 @@ def test_an_event_admissible_only_after_a_later_one_is_still_mined(
     attributes = {"report": "inv-1", "patient": "charlie", "nurse": "bob", "verdict": "ok"}
     scenario = [
         (0, Event.make("evt-00000", "InvestigationReport", attributes, "hospital", 0)),
-        (admit_round, Event.make("evt-00001", "Admit", {"patient": "charlie", "nurse": "bob"}, "hospital", 1)),
+        (admit_round,
+         Event.make("evt-00001", "Admit", {"patient": "charlie", "nurse": "bob"}, "hospital", 1)),
     ]
     org = Organization.make(hospital_spec.context, roles)
     result = run_network(
@@ -262,7 +263,8 @@ def hospital_run(hospital_spec, seed, patients=8):
             ]
         for offset, (event_type, attributes, emitter) in enumerate(steps):
             round_no = p // 2 + 2 * offset
-            event = Event.make(f"evt-{len(submissions):05d}", event_type, attributes, emitter, len(submissions))
+            number = len(submissions)
+            event = Event.make(f"evt-{number:05d}", event_type, attributes, emitter, number)
             submissions.append((round_no, event))
     config, roles = read_network_config(str(DEMOS / "hospital_net.json"))
     org = Organization.make(hospital_spec.context, roles)
