@@ -3,7 +3,7 @@
 check_well_formedness enforces the declaration discipline that keeps
 evaluation well-defined: every reference resolves, the create condition binds
 the instance key, deadlines are positive, fact references use bindable names,
-and an event pattern fills each parameter with a term of its declared kind.
+and a pattern fills each attribute with a term of its kind.
 check_observability reports, per norm and concerned role, every event type
 the role cannot see on any of its channels; an empty report means each party
 can compute the norm's state from information it can observe.
@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..validator import IntegrityRuleSet
+from ..validator import IntegrityRuleSet, kind_of
 from . import ast
 
 
@@ -45,6 +45,7 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
         fact_projections.setdefault(rule.fact, set()).update(a for a, _ in rule.projection)
 
     # declaration-level checks
+    kinds_of = _attribute_kinds(spec, rules)
     for event_type in _repeated(schema.event_type for schema in spec.schemas):
         diags.append(_err(spec.pos, "duplicate-schema", f"event type {event_type} declared twice"))
     for schema in rules.schemas:
@@ -83,7 +84,10 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
 
     for rule in spec.counts_as:
         diags.extend(_check_pattern(spec, rules, rule.source, fact_projections, rule.pos))
-        diags.extend(_check_kinds(rules, [rule.source], f"counts-as {rule.fact}: ", rule.pos))
+        # a fact attribute holds the kind its first rule gives it
+        projected = tuple(ast.Constraint(a, ast.Variable(v)) for a, v in rule.projection)
+        patterns = [rule.source, ast.FactPattern(rule.fact, projected)]
+        diags.extend(_check_kinds(kinds_of, patterns, f"counts-as {rule.fact}: ", rule.pos)[0])
         if rule.required_role not in spec.roles:
             diags.append(
                 _err(rule.pos, "unknown-role", f"counts-as role {rule.required_role} not declared")
@@ -97,7 +101,7 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
                 )
 
     for norm in spec.norms:
-        diags.extend(_check_norm(spec, rules, norm, fact_projections))
+        diags.extend(_check_norm(spec, rules, norm, fact_projections, kinds_of))
     return diags
 
 
@@ -106,6 +110,7 @@ def _check_norm(
     rules: IntegrityRuleSet,
     norm: ast.NormDecl,
     fact_projections: dict[str, set[str]],
+    kinds_of,
 ) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for clause in (norm.subject, norm.object):
@@ -124,7 +129,7 @@ def _check_norm(
                                  f"norm {norm.id}: 'before' in {name} must compare patterns")
                         )
     patterns = [pattern for _, cond in norm.clauses() for pattern in ast.patterns_of(cond)]
-    diags.extend(_check_kinds(rules, patterns, f"norm {norm.id}: ", norm.pos))
+    diags.extend(_check_kinds(kinds_of, patterns, f"norm {norm.id}: ", norm.pos)[0])
 
     # instance key: all create alternatives bind the same variables,
     # covering the subject/object variables
@@ -216,37 +221,71 @@ def _check_pattern(
     ]
 
 
-_LITERAL_KINDS = {str: "text", int: "int", bool: "bool"}
+def _attribute_kinds(spec: ast.CompactSpec, rules: IntegrityRuleSet):
+    """A function from a pattern to the kind of each attribute it may
+    constrain: an event type's parameter kinds; for a counts-as fact, the kind
+    of the source parameter the attribute's variable fills (the first rule
+    of the fact decides); for a norm-state pattern, the kind the norm's create
+    clause gives the variable."""
+    facts: dict[str, dict[str, str]] = {}
+    norms: dict[str, dict[str, str]] = {}
+
+    def kinds_of(pattern) -> dict[str, str]:
+        if isinstance(pattern, ast.EventPattern):
+            schema = rules.schema_for(pattern.event_type)
+            return {} if schema is None else {p.name: p.kind for p in schema.parameters}
+        if isinstance(pattern, ast.FactPattern):
+            return facts.get(pattern.fact, {})
+        if pattern.norm_id not in norms:
+            norms[pattern.norm_id] = {}  # a cycle of state references adds no kind
+            norm = spec.norm(pattern.norm_id)
+            if norm is not None:
+                norms[pattern.norm_id] = _check_kinds(kinds_of, ast.patterns_of(norm.create))[1]
+        return norms[pattern.norm_id]
+
+    for rule in spec.counts_as:
+        filled = _check_kinds(kinds_of, [rule.source])[1]
+        projected = facts.setdefault(rule.fact, {})
+        for attribute, variable in rule.projection:
+            if variable in filled:
+                projected.setdefault(attribute, filled[variable])
+    return kinds_of
+
+
+def _head(pattern) -> str:
+    if isinstance(pattern, ast.EventPattern):
+        return pattern.event_type
+    if isinstance(pattern, ast.FactPattern):
+        return f"fact {pattern.fact}"
+    return f"{pattern.state} {pattern.norm_id}"
 
 
 def _check_kinds(
-    rules: IntegrityRuleSet, patterns: Iterable[ast.Condition], where: str, pos: ast.Pos
-) -> list[Diagnostic]:
-    """Each literal in an event pattern must be of its parameter's kind, and
-    each variable must fill parameters of one kind across the patterns: the
-    matcher compares values as Python does, so true would match 1. Fact and
-    norm-state patterns are left out; their bindings declare no kind."""
+    kinds_of, patterns: Iterable[ast.Condition], where: str = "", pos: ast.Pos = (0, 0)
+) -> tuple[list[Diagnostic], dict[str, str]]:
+    """Each literal in a pattern must be of its attribute's kind, and each
+    variable must fill attributes of one kind across the patterns: the
+    matcher compares values as Python does, so true would match 1. Returns
+    the diagnostics and each variable's kind, that of the first attribute it
+    fills."""
     diags: list[Diagnostic] = []
-    kinds: dict[str, str] = {}  # variable -> the kind of the first parameter it fills
+    kinds: dict[str, str] = {}
     for pattern in patterns:
-        schema = isinstance(pattern, ast.EventPattern) and rules.schema_for(pattern.event_type)
-        if not schema:
-            continue
-        declared = {param.name: param.kind for param in schema.parameters}
+        declared = kinds_of(pattern)
         at = pattern.pos if pattern.pos != (0, 0) else pos
         for constraint in pattern.constraints:
             kind, term = declared.get(constraint.attribute), constraint.term
             if kind is None:
                 continue
             if isinstance(term, ast.Literal):
-                found = _LITERAL_KINDS[type(term.value)]
+                found = kind_of(term.value)
                 if found != kind:
-                    message = f"{pattern.event_type} {constraint.attribute} is {kind}, not {found}"
+                    message = f"{_head(pattern)} {constraint.attribute} is {kind}, not {found}"
                     diags.append(_err(at, "literal-kind-mismatch", where + message))
             elif kinds.setdefault(term.name, kind) != kind:
                 message = f"variable {term.name} fills {kinds[term.name]} and {kind} parameters"
                 diags.append(_err(at, "variable-kind-mismatch", where + message))
-    return diags
+    return diags, kinds
 
 
 def _repeated(names: Iterable[str]) -> list[str]:

@@ -26,6 +26,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .lang import ast
 from .ledger import Event, Position, Scalar
+from .validator import kind_of
 
 Bindings = tuple[tuple[str, Scalar], ...]  # sorted by variable name
 
@@ -60,17 +61,9 @@ def freeze_bindings(bindings: Mapping[str, Scalar]) -> Bindings:
     return tuple(sorted(bindings.items()))
 
 
-def _scalar_key(value: Scalar) -> tuple[str, Scalar]:
-    """The tag keeps the types apart, so only values of one type compare."""
-    if isinstance(value, bool):  # bool is a subclass of int; test it first
-        return ("b", value)
-    if isinstance(value, int):
-        return ("i", value)
-    return ("s", value)
-
-
 def bindings_sort_key(bindings: Bindings) -> tuple:
-    return tuple((name, *_scalar_key(value)) for name, value in bindings)
+    """The kind keeps the types apart, so only values of one kind compare."""
+    return tuple((name, kind_of(value), value) for name, value in bindings)
 
 
 def match_sort_key(match: Match) -> tuple:

@@ -78,12 +78,12 @@ class AdmissionError:
         return f"{self.code}({self.detail})"
 
 
-def _kind_matches(value: Scalar, kind: str) -> bool:
-    if kind == "bool":
-        return isinstance(value, bool)
-    if kind == "int":
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, str)
+_KINDS = {bool: "bool", int: "int", str: "text"}
+
+
+def kind_of(value: Scalar) -> Optional[str]:
+    """A scalar's kind, by its exact type: a bool is not an int."""
+    return _KINDS.get(type(value))
 
 
 def _on_channel(principal: str, channel: Channel, roles_of) -> bool:
@@ -111,7 +111,7 @@ def validate_event_schema(
     for param in schema.parameters:
         if param.name not in supplied:
             errors.append(AdmissionError("MissingAttribute", param.name))
-        elif not _kind_matches(supplied[param.name], param.kind):
+        elif kind_of(supplied[param.name]) != param.kind:
             errors.append(AdmissionError("KindMismatch", param.name))
     declared = set(schema.names())
     for name in supplied:
@@ -126,12 +126,13 @@ def validate_event_schema(
 class LedgerIndex:
     """Admission state of a ledger prefix, kept as lookups.
 
-    ``event_ids`` holds every event id. ``bound`` holds every (name, value)
-    pair an event bound as a key or out parameter: the values an in
-    parameter may refer to. ``outs`` maps (event type, key values) to the
+    ``event_ids`` holds every event id. ``bound`` holds every (name, kind,
+    value) an event bound as a key or out parameter: the values an in
+    parameter may refer to. The parameter's kind keeps bindings of different
+    kinds apart (to Python, True == 1); admission has already held each value
+    to its parameter's kind. ``outs`` maps (event type, key values) to the
     set of out-value tuples of the events with those keys. An index belongs
-    to one rule set; with ``rules`` None it tracks event ids only. Values
-    compare as Python compares them, so True and 1 are the same binding.
+    to one rule set; with ``rules`` None it tracks event ids only.
     """
 
     __slots__ = ("rules", "event_ids", "bound", "outs")
@@ -139,7 +140,7 @@ class LedgerIndex:
     def __init__(self, rules: Optional[IntegrityRuleSet], events: Iterable[Event] = ()):
         self.rules = rules
         self.event_ids: set[str] = set()
-        self.bound: set[tuple[str, Scalar]] = set()
+        self.bound: set[tuple[str, str, Scalar]] = set()
         self.outs: dict[tuple[str, tuple], frozenset[tuple]] = {}
         for event in events:
             self.add(event)
@@ -162,7 +163,7 @@ class LedgerIndex:
         attrs = event.attribute_map
         for param in schema.parameters:
             if param.adornment != "in" and param.name in attrs:
-                self.bound.add((param.name, attrs[param.name]))
+                self.bound.add((param.name, param.kind, attrs[param.name]))
         key, outs = _key_and_outs(event.event_type, schema, attrs)
         self.outs[key] = self.outs.get(key, frozenset()) | {outs}
 
@@ -178,7 +179,7 @@ def check_integrity(event: Event, index: LedgerIndex) -> list[AdmissionError]:
 
     (a) key uniqueness: no earlier event of the same type may agree on all
     key parameters yet differ on any out parameter; (b) in-causality: every
-    in-adorned (name, value) pair must already occur as a key-or-out binding
+    in-adorned (name, kind, value) must already occur as a key-or-out binding
     of some earlier event. Assumes validate_event_schema passed. The ledger
     so far is given as its LedgerIndex, whose rules are the ones checked.
     """
@@ -196,7 +197,7 @@ def check_integrity(event: Event, index: LedgerIndex) -> list[AdmissionError]:
 
     for param in schema.by_adornment("in"):
         value = attrs.get(param.name)
-        if (param.name, value) not in index.bound:
+        if (param.name, param.kind, value) not in index.bound:
             violations.append(
                 AdmissionError("UnboundInParameter", f"{param.name}={value!r}")
             )

@@ -42,7 +42,7 @@ def scan_check_integrity(
     bound = _bound_pairs(ledger_view, rules)
     for param in schema.by_adornment("in"):
         value = attrs.get(param.name)
-        if (param.name, value) not in bound:
+        if (param.name, param.kind, value) not in bound:
             violations.append(
                 AdmissionError("UnboundInParameter", f"{param.name}={value!r}")
             )
@@ -51,9 +51,10 @@ def scan_check_integrity(
 
 def _bound_pairs(
     ledger_view: Iterable[Event], rules: IntegrityRuleSet
-) -> set[tuple[str, Scalar]]:
-    """(name, value) pairs introduced as key-or-out bindings so far."""
-    pairs: set[tuple[str, Scalar]] = set()
+) -> set[tuple[str, str, Scalar]]:
+    """(name, kind, value) introduced as key-or-out bindings so far: an in
+    parameter refers only to a binding of its own kind."""
+    pairs: set[tuple[str, str, Scalar]] = set()
     for earlier in ledger_view:
         schema = rules.schema_for(earlier.event_type)
         if schema is None:
@@ -61,5 +62,5 @@ def _bound_pairs(
         attrs = earlier.attribute_map
         for param in schema.parameters:
             if param.adornment in ("key", "out") and param.name in attrs:
-                pairs.add((param.name, attrs[param.name]))
+                pairs.add((param.name, param.kind, attrs[param.name]))
     return pairs

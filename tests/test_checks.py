@@ -223,6 +223,52 @@ def test_a_counts_as_source_variable_fills_one_kind(rule, expected):
     assert codes(check_well_formedness(parse_compact(KINDS.format(body=rule)))) == expected
 
 
+DERIVED_KINDS = """compact T context org {{
+  roles R, S;
+  schema A(x: int key);
+  schema B(y: text key, x: bool out);
+  schema D(y: text key, x: int out);
+  channel m members R, S carries A, B, D;
+  counts-as F(x) from A(x) by R;
+  commitment P subject R object S {{ create on A(x); consequent D(y: "p", x) within 5 blocks; }}
+{body}
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "create, expected",
+    [
+        # F's x and P's x are A's int x: batch evaluate keyed C by x=1, the fold by x=true
+        ("fact F(x) and B(y, x)", ["variable-kind-mismatch"] * 2),
+        ("fact F(x) and D(y, x)", []),
+        ("violated P(x) and B(y, x)", ["variable-kind-mismatch"] * 2),
+        ("violated P(x) and D(y, x)", []),
+        ("fact F(x: true) and D(y, x)", ["literal-kind-mismatch"]),
+        ("violated P(x: 2) and D(y, x)", []),
+    ],
+    ids=["fact-int-and-bool", "fact-int", "state-int-and-bool", "state-int",
+         "fact-bool-literal-for-int", "state-int-literal"],
+)
+def test_a_fact_or_norm_state_attribute_has_the_kind_its_source_gives(create, expected):
+    event_type = "B" if "B(" in create else "D"
+    norm = f"""commitment C subject R object S {{
+    create on {create};
+    consequent {event_type}(y: "never", x) within 5 blocks;
+  }}"""
+    assert codes(check_well_formedness(parse_compact(DERIVED_KINDS.format(body=norm)))) == expected
+
+
+@pytest.mark.parametrize(
+    "rule, expected",
+    [("counts-as F(x) from B(y, x) by R;", ["variable-kind-mismatch"]),
+     ("counts-as F(x) from D(y, x) by R;", [])],
+    ids=["second-rule-bool", "second-rule-int"],
+)
+def test_a_fact_attribute_has_one_kind_across_its_rules(rule, expected):
+    assert codes(check_well_formedness(parse_compact(DERIVED_KINDS.format(body=rule)))) == expected
+
+
 # --- observability ---------------------------------------------------------
 
 

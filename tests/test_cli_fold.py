@@ -40,6 +40,8 @@ def _run_argv(spec, scenario, net):
     ("hospital.cpt", "hospital_compliant.jsonl", "hospital_net.json"),
     ("tumorboard.cpt", "tumorboard_member.jsonl", "tumorboard_net.json"),
     ("tumorboard.cpt", "tumorboard_nonmember.jsonl", "tumorboard_net.json"),
+    ("coldchain.cpt", "coldchain.jsonl", "coldchain_net.json"),
+    ("liftservice.cpt", "liftservice.jsonl", "liftservice_net.json"),
 ])
 def test_run_reports_on_the_demos_equal_batch(monkeypatch, tmp_path, spec, scenario, net):
     fold, batch = _reports(monkeypatch, tmp_path, _run_argv(spec, DEMOS / scenario, DEMOS / net))
@@ -75,3 +77,40 @@ def test_eval_report_on_a_demo_chain_equals_batch(monkeypatch, tmp_path):
             "--net", str(DEMOS / "hospital_net.json")]
     fold, batch = _reports(monkeypatch, tmp_path, argv)
     assert fold == batch
+
+
+# Before the checker gave fact and norm-state attributes their kinds, this
+# compact ran with exit 0: batch evaluate keyed C by x=1 and the fold by
+# x=true, so the two reports differed in their bytes, yet compared equal once
+# parsed, as 1 == True.
+KEYED_BY_TWO_KINDS = """compact Probe context org {
+  roles R;
+  schema A(x: int key);
+  schema B(y: text key, x: bool out);
+  channel m members R carries A, B;
+  counts-as F(x) from A(x) by R;
+  commitment C subject R object R {
+    create on fact F(x) and B(y, x);
+    consequent B(y: "never", x) within 5 blocks;
+  }
+}
+"""
+
+
+def test_a_norm_keyed_by_two_kinds_is_refused_before_either_engine_runs(tmp_path, capsys):
+    spec = tmp_path / "probe.cpt"
+    spec.write_text(KEYED_BY_TWO_KINDS)
+    scenario = tmp_path / "probe.jsonl"
+    scenario.write_text(
+        '{"round": 0, "event_type": "A", "attributes": {"x": 1}, "emitter": "r"}\n'
+        '{"round": 1, "event_type": "B", "attributes": {"y": "q", "x": true}, "emitter": "r"}\n'
+    )
+    net = _write_json(tmp_path / "net.json", {
+        "principals": [{"id": "r", "secret": "k"}], "peers": ["p1"], "target": "04" + "0" * 62,
+        "gossip_seed": 1, "max_rounds": 10, "roles": {"r": ["R"]},
+    })
+    assert cli.main(["parse", str(spec)]) == cli.EXIT_WELL_FORMEDNESS
+    argv = ["run", "--spec", str(spec), "--scenario", str(scenario), "--net", net,
+            "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == cli.EXIT_WELL_FORMEDNESS
+    assert "norm C: variable x fills int and bool parameters" in capsys.readouterr().err
