@@ -252,14 +252,6 @@ def _attribute_kinds(spec: ast.CompactSpec, rules: IntegrityRuleSet):
     return kinds_of
 
 
-def _head(pattern) -> str:
-    if isinstance(pattern, ast.EventPattern):
-        return pattern.event_type
-    if isinstance(pattern, ast.FactPattern):
-        return f"fact {pattern.fact}"
-    return f"{pattern.state} {pattern.norm_id}"
-
-
 def _check_kinds(
     kinds_of, patterns: Iterable[ast.Condition], where: str = "", pos: ast.Pos = (0, 0)
 ) -> tuple[list[Diagnostic], dict[str, str]]:
@@ -280,7 +272,7 @@ def _check_kinds(
             if isinstance(term, ast.Literal):
                 found = kind_of(term.value)
                 if found != kind:
-                    message = f"{_head(pattern)} {constraint.attribute} is {kind}, not {found}"
+                    message = f"attribute {constraint.attribute} is {kind}, not {found}"
                     diags.append(_err(at, "literal-kind-mismatch", where + message))
             elif kinds.setdefault(term.name, kind) != kind:
                 message = f"variable {term.name} fills {kinds[term.name]} and {kind} parameters"

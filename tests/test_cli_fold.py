@@ -79,10 +79,9 @@ def test_eval_report_on_a_demo_chain_equals_batch(monkeypatch, tmp_path):
     assert fold == batch
 
 
-# Before the checker gave fact and norm-state attributes their kinds, this
-# compact ran with exit 0: batch evaluate keyed C by x=1 and the fold by
-# x=true, so the two reports differed in their bytes, yet compared equal once
-# parsed, as 1 == True.
+# Run, this compact would have batch evaluate key C by x=1 and the fold by
+# x=true: the reports would differ in their bytes, yet compare equal once
+# parsed, as 1 == True. F's x is A's int x, so the checker refuses it.
 KEYED_BY_TWO_KINDS = """compact Probe context org {
   roles R;
   schema A(x: int key);

@@ -35,10 +35,11 @@ OF_TWO_KINDS = st.tuples(SCALARS, SCALARS).filter(lambda pair: type(pair[0]) is 
 
 
 def _rules(first_kind: str, second_kind: str) -> IntegrityRuleSet:
-    """Bind introduces v of the first kind; Use and Own refer to v, as the
-    second kind and the first."""
+    """Bind introduces v, a key of the first kind; Use and Own refer to v, as
+    the second kind and the first. With 1 and true: an int key bound to 1
+    must not bind a bool in parameter of the same name to true."""
     schemas = (
-        SchemaDecl("Bind", (Parameter("k", "text", "key"), Parameter("v", first_kind, "out"))),
+        SchemaDecl("Bind", (Parameter("k", "text", "key"), Parameter("v", first_kind, "key"))),
         SchemaDecl("Use", (Parameter("k", "text", "key"), Parameter("v", second_kind, "in"))),
         SchemaDecl("Own", (Parameter("k", "text", "key"), Parameter("v", first_kind, "in"))),
     )

@@ -136,25 +136,6 @@ def test_in_parameter_bound_by_earlier_key():
     assert check_integrity(followup, LedgerIndex(RULES, [admit])) == []
 
 
-def test_an_in_parameter_is_bound_only_by_its_own_kind():
-    # True == 1 to Python: an int key must not bind a bool in of the same name
-    rules = IntegrityRuleSet(
-        schemas=(
-            SchemaDecl("A", (Parameter("x", "int", "key"),)),
-            SchemaDecl("B", (Parameter("y", "text", "key"), Parameter("x", "bool", "in"))),
-            SchemaDecl("C", (Parameter("z", "text", "key"), Parameter("x", "bool", "out"))),
-        ),
-        channels=(Channel("all", ("hospital",), ("A", "B", "C")),),
-    )
-    probe = ev("e1", "B", {"y": "a", "x": True})
-    assert validate_event_schema(probe, rules) == []
-    ledger = [ev("e0", "A", {"x": 1})]
-    assert errors_of(check_integrity(probe, LedgerIndex(rules, ledger))) == ["UnboundInParameter"]
-    assert errors_of(scan_check_integrity(probe, ledger, rules)) == ["UnboundInParameter"]
-    ledger.append(ev("e2", "C", {"z": "c", "x": True}))
-    assert check_integrity(probe, LedgerIndex(rules, ledger)) == []
-
-
 def test_byte_identical_replay_is_not_an_integrity_matter():
     # duplicate event ids are the ledger's DuplicateEventId check
     share = ev("e1", "Share", {"patient": "c", "sharer": "bob"}, emitter="bob")
