@@ -43,9 +43,9 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
     fact_projections: dict[str, set[str]] = {}
     for rule in spec.counts_as:
         fact_projections.setdefault(rule.fact, set()).update(a for a, _ in rule.projection)
+    kinds_of = _attribute_kinds(spec, rules)
 
     # declaration-level checks
-    kinds_of = _attribute_kinds(spec, rules)
     for event_type in _repeated(schema.event_type for schema in spec.schemas):
         diags.append(_err(spec.pos, "duplicate-schema", f"event type {event_type} declared twice"))
     for schema in rules.schemas:

@@ -112,9 +112,9 @@ def run_network(
     """
     roster = config.roster
     roles_of = org.roles_of if org is not None else None
-    due: dict[int, list[Event]] = {}
     if len({event.event_id for _, event in scenario}) < len(scenario):
         raise ValueError("scenario event ids must be unique")
+    due: dict[int, list[Event]] = {}
     for round_no, event in scenario:
         secret = roster.get(event.emitter)
         if secret is None:
