@@ -2,14 +2,19 @@
 
 import dataclasses
 import glob
+import hashlib
+import json
+import random
+import re
 
 import pytest
 
-from compacts.lang import check_observability, check_well_formedness, parse_compact
+from compacts.lang import ParseError, check_observability, check_well_formedness, parse_compact
 from compacts.lang.checks import ObservabilityGap
+from compacts.lang.parser import KEYWORDS
 from compacts.validator import Channel
 
-from conftest import DEMOS
+from conftest import DEMOS, FIXTURES
 
 WRAP = """compact T context org {{
   roles R, S;
@@ -339,3 +344,99 @@ def test_builtin_types_ride_the_governance_channel_to_every_role():
     consequent Sanction(against: x) within 5 blocks;
   }""")
     assert check_observability(parse_compact(text)) == []
+
+
+# --- seeded mutants --------------------------------------------------------
+#
+# The checker's verdicts on 1,500 seeded mutants of the bundled compacts, held
+# to fixtures/golden_check_mutants.json: per mutant, the SHA-256 of its
+# ParseError, or of its diagnostics and observability gaps. A mutant is one
+# bundled compact with one lexeme substituted: a kind keyword for another
+# kind, a declared name for another name of the same compact, or a literal
+# for a literal of another kind. A change meant to alter the checker's output
+# rewrites the fixture with `PYTHONPATH=src:tests python tests/test_checks.py`
+# and says which rows changed and why; the failing test names them.
+
+MUTANT_GOLDEN = FIXTURES / "golden_check_mutants.json"
+MUTANTS = 1500
+BUNDLED = sorted(DEMOS.glob("*.cpt"))
+_LEXEME = re.compile(r'#[^\n]*|"(?:\\.|[^"\\\n])*"|counts-as|-?\d+|\w+|\S')
+_KINDS = ("text", "int", "bool")
+_LITERALS = {"text": ('"s"', '"accept"'), "int": ("0", "3", "-1"), "bool": ("true", "false")}
+
+
+def _literal_kind(lexeme: str):
+    if lexeme.startswith('"'):
+        return "text"
+    if lexeme in ("true", "false"):
+        return "bool"
+    return "int" if lexeme.lstrip("-").isdecimal() else None
+
+
+def mutant(number: int) -> tuple[str, str]:
+    """Mutant `number`: its substitution, as `compact line:col old -> new`,
+    and its text."""
+    path = BUNDLED[number % len(BUNDLED)]
+    text = path.read_text(encoding="utf-8")
+    spans: dict[str, list[re.Match]] = {"kind": [], "name": [], "literal": []}
+    previous = ""
+    for match in _LEXEME.finditer(text):
+        lexeme = match.group()
+        if lexeme.startswith("#"):
+            continue
+        if lexeme in _KINDS:
+            spans["kind"].append(match)
+        elif _literal_kind(lexeme) and previous == ":":  # a term, not a deadline
+            spans["literal"].append(match)
+        elif (lexeme[0].isalpha() or lexeme[0] == "_") and lexeme not in KEYWORDS:
+            spans["name"].append(match)
+        previous = lexeme
+    names = sorted({match.group() for match in spans["name"]})
+    rng = random.Random(number)
+    match = rng.choice(spans[rng.choice([category for category in spans if spans[category]])])
+    old = match.group()
+    if old in _KINDS:
+        new = rng.choice([kind for kind in _KINDS if kind != old])
+    elif _literal_kind(old):
+        new = rng.choice([lit for kind in _KINDS if kind != _literal_kind(old) for lit in _LITERALS[kind]])
+    else:
+        new = rng.choice([name for name in names if name != old])
+    line = text.count("\n", 0, match.start()) + 1
+    col = match.start() - text.rfind("\n", 0, match.start())
+    return f"{path.name} {line}:{col} {old} -> {new}", text[: match.start()] + new + text[match.end():]
+
+
+def mutant_outcome(text: str) -> list:
+    """["parse", line, col, message] or ["checked", diagnostics, gaps]."""
+    try:
+        spec = parse_compact(text)
+    except ParseError as exc:
+        return ["parse", exc.line, exc.col, exc.message]
+    diagnostics = [dataclasses.astuple(d) for d in check_well_formedness(spec)]
+    return ["checked", diagnostics, [dataclasses.astuple(g) for g in check_observability(spec)]]
+
+
+def mutant_table(count: int = MUTANTS) -> dict:
+    outcomes = [mutant_outcome(mutant(number)[1]) for number in range(count)]
+    return {
+        "mutants": count,
+        "reached": sum(outcome[0] == "checked" for outcome in outcomes),
+        "with_diagnostics": sum(outcome[0] == "checked" and bool(outcome[1]) for outcome in outcomes),
+        "digests": [hashlib.sha256(json.dumps(outcome).encode()).hexdigest() for outcome in outcomes],
+    }
+
+
+def test_checker_verdicts_on_seeded_mutants_match_the_golden():
+    table = mutant_table()
+    assert table["reached"] >= 1000 and table["with_diagnostics"] >= 600
+    expected = json.loads(MUTANT_GOLDEN.read_text(encoding="utf-8"))
+    changed = [
+        f"mutant {number}: {mutant(number)[0]}"
+        for number, (got, want) in enumerate(zip(table["digests"], expected["digests"]))
+        if got != want
+    ]
+    assert table == expected, "\n".join(changed)
+
+
+if __name__ == "__main__":
+    MUTANT_GOLDEN.write_text(json.dumps(mutant_table(), indent=0) + "\n", encoding="utf-8")
