@@ -39,11 +39,8 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
     from ..governance import ruleset_from_spec  # governance imports lang
 
     rules = ruleset_from_spec(spec)  # admission's event types: the declared, then the built-ins
+    declared = _declarations(spec, rules)
     diags: list[Diagnostic] = []
-    fact_projections: dict[str, set[str]] = {}
-    for rule in spec.counts_as:
-        fact_projections.setdefault(rule.fact, set()).update(a for a, _ in rule.projection)
-    kinds_of = _attribute_kinds(spec, rules)
 
     # declaration-level checks
     for event_type in _repeated(schema.event_type for schema in spec.schemas):
@@ -58,7 +55,7 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
                 _err(spec.pos, "duplicate-parameter",
                      f"schema {schema.event_type} repeats parameter {name}")
             )
-        if schema.event_type in fact_projections:
+        if schema.event_type in spec.fact_names():
             diags.append(
                 _err(spec.pos, "fact-shadows-event",
                      f"counts-as fact {schema.event_type} shadows an event type")
@@ -83,11 +80,11 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
         diags.append(_err(spec.pos, "duplicate-norm-id", f"norm id {norm_id} declared twice"))
 
     for rule in spec.counts_as:
-        diags.extend(_check_pattern(spec, rules, rule.source, fact_projections, rule.pos))
+        diags.extend(_check_pattern(declared, rule.source, rule.pos))
         # a fact attribute holds the kind its first rule gives it
         projected = tuple(ast.Constraint(a, ast.Variable(v)) for a, v in rule.projection)
         patterns = [rule.source, ast.FactPattern(rule.fact, projected)]
-        diags.extend(_check_kinds(kinds_of, patterns, f"counts-as {rule.fact}: ", rule.pos)[0])
+        diags.extend(_check_kinds(declared, patterns, f"counts-as {rule.fact}: ", rule.pos)[0])
         if rule.required_role not in spec.roles:
             diags.append(
                 _err(rule.pos, "unknown-role", f"counts-as role {rule.required_role} not declared")
@@ -101,35 +98,29 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
                 )
 
     for norm in spec.norms:
-        diags.extend(_check_norm(spec, rules, norm, fact_projections, kinds_of))
+        for clause in (norm.subject, norm.object):
+            if clause.role not in spec.roles:
+                diags.append(_err(norm.pos, "unknown-role", f"norm {norm.id}: role {clause.role} not declared"))
+        diags.extend(_check_norm(declared, norm))
     return diags
 
 
-def _check_norm(
-    spec: ast.CompactSpec,
-    rules: IntegrityRuleSet,
-    norm: ast.NormDecl,
-    fact_projections: dict[str, set[str]],
-    kinds_of,
-) -> list[Diagnostic]:
+def _check_norm(declared, norm: ast.NormDecl) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    for clause in (norm.subject, norm.object):
-        if clause.role not in spec.roles:
-            diags.append(_err(norm.pos, "unknown-role", f"norm {norm.id}: role {clause.role} not declared"))
-
+    where = f"norm {norm.id}: "
     for name, cond in norm.clauses():
         for pattern in ast.patterns_of(cond):
-            diags.extend(_check_pattern(spec, rules, pattern, fact_projections, norm.pos, norm_id=norm.id))
+            diags.extend(_check_pattern(declared, pattern, norm.pos, where))
         for node in ast.walk(cond):
             if isinstance(node, ast.Before):
                 for side in (node.left, node.right):
                     if not isinstance(side, ast.PatternLike):
                         diags.append(
                             _err(norm.pos, "before-operand-not-pattern",
-                                 f"norm {norm.id}: 'before' in {name} must compare patterns")
+                                 f"{where}'before' in {name} must compare patterns")
                         )
     patterns = [pattern for _, cond in norm.clauses() for pattern in ast.patterns_of(cond)]
-    diags.extend(_check_kinds(kinds_of, patterns, f"norm {norm.id}: ", norm.pos)[0])
+    diags.extend(_check_kinds(declared, patterns, where, norm.pos)[0])
 
     # instance key: all create alternatives bind the same variables,
     # covering the subject/object variables
@@ -138,15 +129,11 @@ def _check_norm(
     for alt in alternatives[1:]:
         if ast.variables_of(alt) != key_vars:
             diags.append(
-                _err(norm.pos, "create-bindings-vary",
-                     f"norm {norm.id}: create alternatives bind different variables")
+                _err(norm.pos, "create-bindings-vary", f"{where}create alternatives bind different variables")
             )
     for clause in (norm.subject, norm.object):
         if clause.variable is not None and clause.variable not in key_vars:
-            diags.append(
-                _err(norm.pos, "unbound-variable",
-                     f"norm {norm.id}: {clause.variable} not bound by create")
-            )
+            diags.append(_err(norm.pos, "unbound-variable", f"{where}{clause.variable} not bound by create"))
 
     # a variable in a non-create clause either joins the instance key or is
     # constrained locally; a singleton unknown variable is a likely typo
@@ -162,98 +149,83 @@ def _check_norm(
             if var not in key_vars and count == 1:
                 diags.append(
                     _err(norm.pos, "unbound-variable",
-                         f"norm {norm.id}: variable {var} in {name} is bound neither by create nor locally")
+                         f"{where}variable {var} in {name} is bound neither by create nor locally")
                 )
 
     if norm.kind == ast.COMMITMENT:
         if norm.deadline_blocks is not None and norm.deadline_blocks <= 0:
-            diags.append(
-                _err(norm.pos, "nonpositive-deadline", f"norm {norm.id}: deadline must be positive")
-            )
+            diags.append(_err(norm.pos, "nonpositive-deadline", f"{where}deadline must be positive"))
         if norm.expiry_blocks is not None and norm.expiry_blocks <= 0:
-            diags.append(
-                _err(norm.pos, "nonpositive-expiry", f"norm {norm.id}: expiry must be positive")
-            )
+            diags.append(_err(norm.pos, "nonpositive-expiry", f"{where}expiry must be positive"))
     else:
         if norm.exemption is not None and norm.exemption_guard != norm.forbids:
             diags.append(
                 _err(norm.pos, "exemption-guard-mismatch",
-                     f"norm {norm.id}: the pattern after 'before' must restate the forbidden pattern")
+                     f"{where}the pattern after 'before' must restate the forbidden pattern")
             )
     return diags
 
 
-def _check_pattern(
-    spec: ast.CompactSpec,
-    rules: IntegrityRuleSet,
-    pattern: ast.Condition,
-    fact_projections: dict[str, set[str]],
-    pos: ast.Pos,
-    norm_id: Optional[str] = None,
-) -> list[Diagnostic]:
+def _declarations(spec: ast.CompactSpec, rules: IntegrityRuleSet):
+    """A function from a pattern to what its head declares: each attribute
+    mapped to its kind (None if unknown), or None if the head is undeclared.
+    An event type declares its parameters. A counts-as fact declares its
+    projected attributes, each of the kind of the source parameter its
+    variable fills (the first rule that gives one decides). A norm-state
+    pattern declares the norm's create variables, each of the kind the
+    create clause gives it; a cycle of state references adds no kind."""
+    facts: dict[str, dict[str, Optional[str]]] = {}
+    norms: dict[str, Optional[dict[str, Optional[str]]]] = {}
+
+    def declared(pattern) -> Optional[dict[str, Optional[str]]]:
+        if isinstance(pattern, ast.EventPattern):
+            schema = rules.schema_for(pattern.event_type)
+            return None if schema is None else {p.name: p.kind for p in schema.parameters}
+        if isinstance(pattern, ast.FactPattern):
+            return facts.get(pattern.fact)
+        if pattern.norm_id not in norms:
+            norm = spec.norm(pattern.norm_id)
+            norms[pattern.norm_id] = None if norm is None else dict.fromkeys(norm.create_variables())
+            if norm is not None:
+                kinds = _check_kinds(declared, ast.patterns_of(norm.create))[1]
+                norms[pattern.norm_id] = {name: kinds.get(name) for name in norm.create_variables()}
+        return norms[pattern.norm_id]
+
+    for rule in spec.counts_as:
+        filled = _check_kinds(declared, [rule.source])[1]
+        projected = facts.setdefault(rule.fact, {})
+        for attribute, variable in rule.projection:
+            if projected.get(attribute) is None:
+                projected[attribute] = filled.get(variable)
+    return declared
+
+
+def _check_pattern(declared, pattern: ast.Condition, pos: ast.Pos, where: str = "") -> list[Diagnostic]:
     """The pattern's head must be declared, and so must each attribute it
-    constrains; `declared` is what the head declares, None if nothing."""
-    where = f"norm {norm_id}: " if norm_id else ""
+    constrains."""
     at = pattern.pos if pattern.pos != (0, 0) else pos
     if isinstance(pattern, ast.EventPattern):
-        schema = rules.schema_for(pattern.event_type)
-        declared = None if schema is None else set(schema.names())
         unknown_head = ("unknown-event-type", f"event type {pattern.event_type} not declared")
         unknown_attribute = ("unknown-attribute", f"{pattern.event_type} has no attribute")
     elif isinstance(pattern, ast.FactPattern):
-        declared = fact_projections.get(pattern.fact)
         unknown_head = ("unknown-fact", f"fact {pattern.fact} has no counts-as rule")
         unknown_attribute = ("unknown-fact-binding", f"fact {pattern.fact} carries no binding")
-    elif isinstance(pattern, ast.NormStateFactPattern):
-        target = spec.norm(pattern.norm_id)
-        declared = None if target is None else set(target.create_variables())
+    else:
         unknown_head = ("unknown-norm-id", f"norm {pattern.norm_id} not declared")
         unknown_attribute = ("unknown-fact-binding", f"{pattern.norm_id} instances carry no binding")
-    else:
-        return []
-    if declared is None:
+    attributes = declared(pattern)
+    if attributes is None:
         return [_err(at, unknown_head[0], where + unknown_head[1])]
     code, message = unknown_attribute
     return [
         _err(at, code, f"{where}{message} {constraint.attribute}")
         for constraint in pattern.constraints
-        if constraint.attribute not in declared
+        if constraint.attribute not in attributes
     ]
 
 
-def _attribute_kinds(spec: ast.CompactSpec, rules: IntegrityRuleSet):
-    """A function from a pattern to the kind of each attribute it may
-    constrain: an event type's parameter kinds; for a counts-as fact, the kind
-    of the source parameter the attribute's variable fills (the first rule
-    of the fact decides); for a norm-state pattern, the kind the norm's create
-    clause gives the variable."""
-    facts: dict[str, dict[str, str]] = {}
-    norms: dict[str, dict[str, str]] = {}
-
-    def kinds_of(pattern) -> dict[str, str]:
-        if isinstance(pattern, ast.EventPattern):
-            schema = rules.schema_for(pattern.event_type)
-            return {} if schema is None else {p.name: p.kind for p in schema.parameters}
-        if isinstance(pattern, ast.FactPattern):
-            return facts.get(pattern.fact, {})
-        if pattern.norm_id not in norms:
-            norms[pattern.norm_id] = {}  # a cycle of state references adds no kind
-            norm = spec.norm(pattern.norm_id)
-            if norm is not None:
-                norms[pattern.norm_id] = _check_kinds(kinds_of, ast.patterns_of(norm.create))[1]
-        return norms[pattern.norm_id]
-
-    for rule in spec.counts_as:
-        filled = _check_kinds(kinds_of, [rule.source])[1]
-        projected = facts.setdefault(rule.fact, {})
-        for attribute, variable in rule.projection:
-            if variable in filled:
-                projected.setdefault(attribute, filled[variable])
-    return kinds_of
-
-
 def _check_kinds(
-    kinds_of, patterns: Iterable[ast.Condition], where: str = "", pos: ast.Pos = (0, 0)
+    declared, patterns: Iterable[ast.Condition], where: str = "", pos: ast.Pos = (0, 0)
 ) -> tuple[list[Diagnostic], dict[str, str]]:
     """Each literal in a pattern must be of its attribute's kind, and each
     variable must fill attributes of one kind across the patterns: the
@@ -263,10 +235,10 @@ def _check_kinds(
     diags: list[Diagnostic] = []
     kinds: dict[str, str] = {}
     for pattern in patterns:
-        declared = kinds_of(pattern)
+        attributes = declared(pattern) or {}
         at = pattern.pos if pattern.pos != (0, 0) else pos
         for constraint in pattern.constraints:
-            kind, term = declared.get(constraint.attribute), constraint.term
+            kind, term = attributes.get(constraint.attribute), constraint.term
             if kind is None:
                 continue
             if isinstance(term, ast.Literal):
