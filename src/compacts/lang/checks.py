@@ -3,7 +3,11 @@
 check_well_formedness enforces the declaration discipline that keeps
 evaluation well-defined: every reference resolves, the create condition binds
 the instance key, deadlines are positive, fact references use bindable names,
-and a pattern fills each attribute with a term of its kind.
+and a pattern fills each attribute with a term of its kind. A counts-as rule
+names each fact attribute once (duplicate-fact-attribute: a repeated one
+would never derive its fact), and a `Role: var` clause's variable fills text
+parameters (role-variable-kind: a principal is text, so any other kind would
+drop the norm's outcomes from trust).
 check_observability reports, per norm and concerned role, every event type
 the role cannot see on any of its channels; an empty report means each party
 can compute the norm's state from information it can observe.
@@ -96,11 +100,18 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
                     _err(rule.pos, "projection-unbound",
                          f"counts-as {rule.fact} projects {var}, not bound by its source")
                 )
+        for attr in _repeated(a for a, _ in rule.projection):
+            diags.append(
+                _err(rule.pos, "duplicate-fact-attribute",
+                     f"counts-as {rule.fact} names attribute {attr} twice")
+            )
 
     for norm in spec.norms:
         for clause in (norm.subject, norm.object):
             if clause.role not in spec.roles:
-                diags.append(_err(norm.pos, "unknown-role", f"norm {norm.id}: role {clause.role} not declared"))
+                diags.append(
+                    _err(norm.pos, "unknown-role", f"norm {norm.id}: role {clause.role} not declared")
+                )
         diags.extend(_check_norm(declared, norm))
     return diags
 
@@ -131,9 +142,15 @@ def _check_norm(declared, norm: ast.NormDecl) -> list[Diagnostic]:
             diags.append(
                 _err(norm.pos, "create-bindings-vary", f"{where}create alternatives bind different variables")
             )
+    # a role variable names a principal, and a principal is text
+    create_kinds = declared(ast.NormStateFactPattern(ast.NORM_STATES[0], norm.id, ()))
     for clause in (norm.subject, norm.object):
         if clause.variable is not None and clause.variable not in key_vars:
             diags.append(_err(norm.pos, "unbound-variable", f"{where}{clause.variable} not bound by create"))
+        elif create_kinds.get(clause.variable) not in (None, "text"):
+            kind = create_kinds[clause.variable]
+            message = f"role {clause.role} takes {clause.variable}, which fills {kind} parameters"
+            diags.append(_err(norm.pos, "role-variable-kind", where + message))
 
     # a variable in a non-create clause either joins the instance key or is
     # constrained locally; a singleton unknown variable is a likely typo

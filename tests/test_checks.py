@@ -274,6 +274,41 @@ def test_a_fact_attribute_has_one_kind_across_its_rules(rule, expected):
     assert codes(check_well_formedness(parse_compact(DERIVED_KINDS.format(body=rule)))) == expected
 
 
+ROLE_KINDS = """compact T context org {{
+  roles R, S;
+  schema A(x: int key, y: text out, z: bool out);
+  schema B(x: int key);
+  channel m members R, S carries A, B;
+  commitment C subject {roles} {{ create on A(x, y, z); consequent B(x) within 5 blocks; }}
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "roles, expected",
+    [("R: x object S: y", ["role-variable-kind"]),
+     ("R: y object S: z", ["role-variable-kind"]),
+     ("R: y object S: y", []),
+     ("R object S", [])],
+    ids=["int-subject", "bool-object", "text", "bare-roles"],
+)
+def test_a_role_variable_fills_text_parameters(roles, expected):
+    # resolve_party takes only a text binding as a principal: any other kind
+    # would leave the norm's outcomes out of the trust table
+    assert codes(check_well_formedness(parse_compact(ROLE_KINDS.format(roles=roles)))) == expected
+
+
+@pytest.mark.parametrize(
+    "rule, expected",
+    [("counts-as F(a: x, a: tag) from B(x, tag) by R;", ["duplicate-fact-attribute"]),
+     ("counts-as F(a: x, b: tag) from B(x, tag) by R;", [])],
+    ids=["repeated", "distinct"],
+)
+def test_a_counts_as_rule_names_each_fact_attribute_once(rule, expected):
+    # the projection would become a shorter dict, and no match would derive the fact
+    assert codes(diagnostics_for(rule)) == expected
+
+
 # --- observability ---------------------------------------------------------
 
 

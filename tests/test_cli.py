@@ -49,6 +49,44 @@ def test_parse_well_formedness_error_exit_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_a_non_text_role_variable_stops_parse_and_run(tmp_path, capsys):
+    # at exit 0, C was satisfied but its subject x=7 named no principal, so the
+    # trust table came out empty
+    spec = tmp_path / "role.cpt"
+    spec.write_text(
+        "compact P context org { roles R, S; schema A(x: int key, y: text out); "
+        "schema B(x: int key); channel m members R, S carries A, B; "
+        "commitment C subject R: x object S: y { create on A(x, y); consequent B(x) within 5 blocks; } }"
+    )
+    scenario = tmp_path / "role.jsonl"
+    scenario.write_text(
+        '{"round": 0, "event_type": "A", "attributes": {"x": 7, "y": "s1"}, "emitter": "p1"}\n'
+        '{"round": 2, "event_type": "B", "attributes": {"x": 7}, "emitter": "p1"}\n'
+    )
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({
+        "principals": [{"id": "p1", "secret": "k1"}, {"id": "s1", "secret": "k2"}],
+        "peers": ["peer-1"], "target": "04" + "0" * 62, "gossip_seed": 1, "max_rounds": 20,
+        "roles": {"p1": ["R"], "s1": ["S"]},
+    }))
+    assert run_cli("parse", str(spec)) == EXIT_WELL_FORMEDNESS
+    out = tmp_path / "report.json"
+    argv = ["run", "--spec", str(spec), "--scenario", str(scenario), "--net", str(net), "--out", str(out)]
+    assert run_cli(*argv) == EXIT_WELL_FORMEDNESS
+    assert not out.exists()
+    assert "role R takes x, which fills int parameters" in capsys.readouterr().err
+
+
+def test_a_repeated_fact_attribute_stops_parse(tmp_path, capsys):
+    spec = tmp_path / "dup.cpt"
+    spec.write_text(
+        "compact P context org { roles R; schema A(x: text key, y: text out); "
+        "channel m members R carries A; counts-as G(a: x, a: y) from A(x, y) by R; }"
+    )
+    assert run_cli("parse", str(spec)) == EXIT_WELL_FORMEDNESS
+    assert "counts-as G names attribute a twice" in capsys.readouterr().err
+
+
 def test_parse_missing_file_exit_usage(capsys):
     assert run_cli("parse", "/nonexistent/nothing.cpt") == EXIT_USAGE
 
