@@ -191,21 +191,26 @@ def _declarations(spec: ast.CompactSpec, rules: IntegrityRuleSet):
     variable fills (the first rule that gives one decides). A norm-state
     pattern declares the norm's create variables, each of the kind the
     create clause gives it; a cycle of state references adds no kind."""
+    events = {
+        event_type: {p.name: p.kind for p in rules.schema_for(event_type).parameters}
+        for event_type in {schema.event_type for schema in rules.schemas}
+    }
     facts: dict[str, dict[str, Optional[str]]] = {}
     norms: dict[str, Optional[dict[str, Optional[str]]]] = {}
 
     def declared(pattern) -> Optional[dict[str, Optional[str]]]:
         if isinstance(pattern, ast.EventPattern):
-            schema = rules.schema_for(pattern.event_type)
-            return None if schema is None else {p.name: p.kind for p in schema.parameters}
+            return events.get(pattern.event_type)
         if isinstance(pattern, ast.FactPattern):
             return facts.get(pattern.fact)
         if pattern.norm_id not in norms:
             norm = spec.norm(pattern.norm_id)
-            norms[pattern.norm_id] = None if norm is None else dict.fromkeys(norm.create_variables())
+            norms[pattern.norm_id] = None
             if norm is not None:
+                names = norm.create_variables()
+                norms[pattern.norm_id] = dict.fromkeys(names)  # what a cycle of references sees
                 kinds = _check_kinds(declared, ast.patterns_of(norm.create))[1]
-                norms[pattern.norm_id] = {name: kinds.get(name) for name in norm.create_variables()}
+                norms[pattern.norm_id] = {name: kinds.get(name) for name in names}
         return norms[pattern.norm_id]
 
     for rule in spec.counts_as:
