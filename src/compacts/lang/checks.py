@@ -131,7 +131,8 @@ def _check_norm(declared, norm: ast.NormDecl) -> list[Diagnostic]:
                                  f"{where}'before' in {name} must compare patterns")
                         )
     patterns = [pattern for _, cond in norm.clauses() for pattern in ast.patterns_of(cond)]
-    diags.extend(_check_kinds(declared, patterns, where, norm.pos)[0])
+    kind_diags, kinds = _check_kinds(declared, patterns, where, norm.pos)
+    diags.extend(kind_diags)
 
     # instance key: all create alternatives bind the same variables,
     # covering the subject/object variables
@@ -143,12 +144,11 @@ def _check_norm(declared, norm: ast.NormDecl) -> list[Diagnostic]:
                 _err(norm.pos, "create-bindings-vary", f"{where}create alternatives bind different variables")
             )
     # a role variable names a principal, and a principal is text
-    create_kinds = declared(ast.NormStateFactPattern(ast.NORM_STATES[0], norm.id, ()))
     for clause in (norm.subject, norm.object):
         if clause.variable is not None and clause.variable not in key_vars:
             diags.append(_err(norm.pos, "unbound-variable", f"{where}{clause.variable} not bound by create"))
-        elif create_kinds.get(clause.variable) not in (None, "text"):
-            kind = create_kinds[clause.variable]
+        elif kinds.get(clause.variable) not in (None, "text"):
+            kind = kinds[clause.variable]
             message = f"role {clause.role} takes {clause.variable}, which fills {kind} parameters"
             diags.append(_err(norm.pos, "role-variable-kind", where + message))
 
@@ -191,16 +191,17 @@ def _declarations(spec: ast.CompactSpec, rules: IntegrityRuleSet):
     variable fills (the first rule that gives one decides). A norm-state
     pattern declares the norm's create variables, each of the kind the
     create clause gives it; a cycle of state references adds no kind."""
-    events = {
-        event_type: {p.name: p.kind for p in rules.schema_for(event_type).parameters}
-        for event_type in {schema.event_type for schema in rules.schemas}
-    }
+    events: dict[str, Optional[dict[str, str]]] = {}
     facts: dict[str, dict[str, Optional[str]]] = {}
     norms: dict[str, Optional[dict[str, Optional[str]]]] = {}
 
     def declared(pattern) -> Optional[dict[str, Optional[str]]]:
         if isinstance(pattern, ast.EventPattern):
-            return events.get(pattern.event_type)
+            if pattern.event_type not in events:
+                schema = rules.schema_for(pattern.event_type)
+                kinds = None if schema is None else {p.name: p.kind for p in schema.parameters}
+                events[pattern.event_type] = kinds
+            return events[pattern.event_type]
         if isinstance(pattern, ast.FactPattern):
             return facts.get(pattern.fact)
         if pattern.norm_id not in norms:
