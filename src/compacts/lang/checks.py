@@ -143,11 +143,12 @@ def _check_norm(declared, norm: ast.NormDecl) -> list[Diagnostic]:
             diags.append(
                 _err(norm.pos, "create-bindings-vary", f"{where}create alternatives bind different variables")
             )
-    # a role variable names a principal, and a principal is text
+    # a role variable names a principal, and a principal is text: kinds holds
+    # the kind of the first attribute each variable fills, create's first
     for clause in (norm.subject, norm.object):
         if clause.variable is not None and clause.variable not in key_vars:
             diags.append(_err(norm.pos, "unbound-variable", f"{where}{clause.variable} not bound by create"))
-        elif kinds.get(clause.variable) not in (None, "text"):
+        elif kinds.get(clause.variable, "text") != "text":
             kind = kinds[clause.variable]
             message = f"role {clause.role} takes {clause.variable}, which fills {kind} parameters"
             diags.append(_err(norm.pos, "role-variable-kind", where + message))
