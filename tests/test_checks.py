@@ -382,15 +382,6 @@ def test_builtin_types_ride_the_governance_channel_to_every_role():
 
 
 # --- seeded mutants --------------------------------------------------------
-#
-# The checker's verdicts on 1,500 seeded mutants of the bundled compacts, held
-# to fixtures/golden_check_mutants.json: per mutant, the SHA-256 of its
-# ParseError, or of its diagnostics and observability gaps. A mutant is one
-# bundled compact with one lexeme substituted: a kind keyword for another
-# kind, a declared name for another name of the same compact, or a literal
-# for a literal of another kind. A change meant to alter the checker's output
-# rewrites the fixture with `PYTHONPATH=src:tests python tests/test_checks.py`
-# and says which rows changed and why; the failing test names them.
 
 MUTANT_GOLDEN = FIXTURES / "golden_check_mutants.json"
 MUTANTS = 1500
@@ -462,6 +453,17 @@ def mutant_table(count: int = MUTANTS) -> dict:
 
 
 def test_checker_verdicts_on_seeded_mutants_match_the_golden():
+    """The checker's verdicts on 1,500 seeded mutants of the bundled
+    compacts, held to fixtures/golden_check_mutants.json: per mutant, the
+    SHA-256 of its ParseError, or of its diagnostics and observability gaps.
+    A mutant is one bundled compact with one lexeme substituted: a kind
+    keyword for another kind, a declared name for another name of the same
+    compact, or a pattern's literal for a literal of another kind.
+
+    On a mismatch the test names each changed mutant and its substitution. A
+    change meant to alter the checker's output rewrites the fixture with
+    `PYTHONPATH=src:tests python tests/test_checks.py` and says which rows
+    changed and why."""
     table = mutant_table()
     assert table["reached"] >= 1000 and table["with_diagnostics"] >= 600
     expected = json.loads(MUTANT_GOLDEN.read_text(encoding="utf-8"))
