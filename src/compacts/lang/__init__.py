@@ -16,6 +16,6 @@ from .ast import (
     RoleClause,
     Variable,
 )
-from .checks import Diagnostic, ObservabilityGap, check_observability, check_well_formedness
+from .checks import Diagnostic, check_well_formedness
 from .parser import ParseError, parse_compact
 from .printer import pretty_print

@@ -8,9 +8,9 @@ names each fact attribute once (duplicate-fact-attribute: a repeated one
 would never derive its fact), and a `Role: var` clause's variable fills text
 parameters (role-variable-kind: a principal is text, so any other kind would
 drop the norm's outcomes from trust).
-check_observability reports, per norm and concerned role, every event type
-the role cannot see on any of its channels; an empty report means each party
-can compute the norm's state from information it can observe.
+Its last pass warns (unobservable-event-type) of each event type a norm's
+party cannot see on any of its channels: without one, each party can compute
+the norm's state from information it can observe.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
                     _err(norm.pos, "unknown-role", f"norm {norm.id}: role {clause.role} not declared")
                 )
         diags.extend(_check_norm(declared, norm))
-    return diags
+    return diags + _unobservable(spec, rules)
 
 
 def _check_norm(declared, norm: ast.NormDecl) -> list[Diagnostic]:
@@ -282,23 +282,10 @@ def _repeated(names: Iterable[str]) -> list[str]:
     return [name for name in counts if counts[name] > 1]
 
 
-# --- observability -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ObservabilityGap:
-    norm_id: str
-    role: str
-    event_type: str
-
-
 def _norm_event_types(spec: ast.CompactSpec, norm: ast.NormDecl, seen: set[str]) -> set[str]:
-    """Event types a party must see to compute the norm's state.
-
-    Derived facts trace back to their sources: counts-as facts to the source
-    event types of their rules, norm-state facts to the referenced norm's
-    event types (transitively).
-    """
+    """Event types a party must see to compute the norm's state. Derived
+    facts trace back to their sources: counts-as facts to their rules' source
+    event types, norm-state facts to the referenced norm's (transitively)."""
     if norm.id in seen:
         return set()
     seen.add(norm.id)
@@ -318,31 +305,21 @@ def _norm_event_types(spec: ast.CompactSpec, norm: ast.NormDecl, seen: set[str])
     return types
 
 
-def check_observability(spec: ast.CompactSpec) -> list[ObservabilityGap]:
-    """Event types each concerned role cannot observe, per norm.
-
-    A role observes an event type when some channel carrying the type lists
-    the role (or, for a principal context, lists the principal directly).
-    The built-in governance types ride a channel open to every role.
-    """
-    from ..governance import ruleset_from_spec  # governance imports lang
-
-    channels = ruleset_from_spec(spec).channels
-    gaps: list[ObservabilityGap] = []
+def _unobservable(spec: ast.CompactSpec, rules: IntegrityRuleSet) -> list[Diagnostic]:
+    """A warning per norm, party and event type that no channel open to the
+    party carries. The built-in governance types ride a channel open to every
+    role; a principal context resolves to channels only at runtime."""
+    visible = {(member, t) for channel in rules.channels for member in channel.members for t in channel.carries}
+    gaps: list[Diagnostic] = []
     for norm in spec.norms:
         needed = sorted(_norm_event_types(spec, norm, set()))
-        parties = [norm.subject.role, norm.object.role]
         context = norm.context if norm.context is not None else spec.context
-        if context in spec.roles:
-            # a principal context resolves to channels only at runtime,
-            # through the role map; nothing to check statically
-            parties.append(context)
-        for party in dict.fromkeys(parties):
-            for event_type in needed:
-                visible = any(
-                    event_type in channel.carries and party in channel.members
-                    for channel in channels
-                )
-                if not visible:
-                    gaps.append(ObservabilityGap(norm.id, party, event_type))
+        parties = (norm.subject.role, norm.object.role) + ((context,) if context in spec.roles else ())
+        gaps.extend(
+            Diagnostic("warning", *norm.pos, "unobservable-event-type",
+                       f"norm {norm.id}: role {party} cannot observe {event_type}")
+            for party in dict.fromkeys(parties)
+            for event_type in needed
+            if (party, event_type) not in visible
+        )
     return gaps

@@ -1,4 +1,4 @@
-"""Well-formedness diagnostics and the static observability report."""
+"""Well-formedness diagnostics, the observability warnings among them."""
 
 import dataclasses
 import glob
@@ -6,11 +6,11 @@ import hashlib
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
-from compacts.lang import ParseError, check_observability, check_well_formedness, parse_compact
-from compacts.lang.checks import ObservabilityGap
+from compacts.lang import Diagnostic, ParseError, check_well_formedness, parse_compact
 from compacts.lang.parser import KEYWORDS
 from compacts.validator import Channel
 
@@ -35,11 +35,43 @@ def codes(diags):
     return [d.code for d in diags]
 
 
+def gaps(spec):
+    """The messages of the observability warnings on spec."""
+    return [d.message for d in check_well_formedness(spec) if d.severity == "warning"]
+
+
 @pytest.mark.parametrize("path", sorted(glob.glob(str(DEMOS / "*.cpt"))))
 def test_bundled_corpus_is_well_formed(path):
     with open(path, "r", encoding="utf-8") as handle:
         spec = parse_compact(handle.read())
-    assert check_well_formedness(spec) == []
+    assert [d for d in check_well_formedness(spec) if d.severity == "error"] == []
+
+
+BUNDLED_GAPS = {
+    # the analyst cannot tell whether an export is exempted or the
+    # prohibition closed, and the subject sees neither its grant nor its breach
+    "datatrust.cpt": [
+        "norm NoExport: role Analyst cannot observe Emergency",
+        "norm NoExport: role Analyst cannot observe OptIn",
+        "norm NoExport: role Analyst cannot observe Purge",
+        "norm NoExport: role Subject cannot observe Export",
+        "norm NoExport: role Subject cannot observe Grant",
+        "norm Redress: role Subject cannot observe Export",
+        "norm Redress: role Subject cannot observe Grant",
+    ],
+    # blind review: the author never sees a review
+    "peerreview.cpt": [
+        "norm Decision: role Author cannot observe Review",
+        "norm Publication: role Author cannot observe Review",
+    ],
+}
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(str(DEMOS / "*.cpt"))))
+def test_bundled_corpus_warns_of_its_known_observability_gaps(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        spec = parse_compact(handle.read())
+    assert gaps(spec) == BUNDLED_GAPS.get(Path(path).name, [])
 
 
 def test_unbound_variable_in_consequent():
@@ -176,7 +208,8 @@ def test_counts_as_projection_must_come_from_source():
         ("Sanction(against: x)", []),
         ("Complaint(case: x)", []),
         ("Sanction(x)", ["unknown-attribute"]),
-        ("Penalty(against: x)", ["unknown-event-type"]),
+        # an undeclared type rides no channel, so neither party observes it
+        ("Penalty(against: x)", ["unknown-event-type"] + ["unobservable-event-type"] * 2),
     ],
 )
 def test_norms_may_name_the_builtin_governance_types(consequent, expected):
@@ -313,7 +346,7 @@ def test_a_counts_as_rule_names_each_fact_attribute_once(rule, expected):
 
 
 def test_hospital_report_is_empty(hospital_spec):
-    assert check_observability(hospital_spec) == []
+    assert gaps(hospital_spec) == []
 
 
 def test_patient_off_clinical_channel_flags_share(hospital_spec):
@@ -325,10 +358,10 @@ def test_patient_off_clinical_channel_flags_share(hospital_spec):
         )
         for c in hospital_spec.channels
     )
-    gaps = check_observability(dataclasses.replace(hospital_spec, channels=variant))
-    assert ObservabilityGap("P1", "Patient", "Share") in gaps
+    found = gaps(dataclasses.replace(hospital_spec, channels=variant))
+    assert "norm P1: role Patient cannot observe Share" in found
     # nothing else about the patient's oversight channel changed
-    assert ObservabilityGap("C1", "Patient", "Complaint") not in gaps
+    assert "norm C1: role Patient cannot observe Complaint" not in found
 
 
 def test_single_channel_carrying_everything_is_clean():
@@ -343,7 +376,7 @@ def test_single_channel_carrying_everything_is_clean():
         until A(x);
       }
     }"""
-    assert check_observability(parse_compact(text)) == []
+    assert gaps(parse_compact(text)) == []
 
 
 def test_derived_facts_trace_to_source_event_types(tumor_spec):
@@ -353,8 +386,8 @@ def test_derived_facts_trace_to_source_event_types(tumor_spec):
         Channel(c.name, tuple(m for m in c.members if m != "Oncologist"), c.carries)
         for c in tumor_spec.channels
     )
-    gaps = check_observability(dataclasses.replace(tumor_spec, channels=variant))
-    assert ObservabilityGap("N1", "Oncologist", "Assert") in gaps
+    found = gaps(dataclasses.replace(tumor_spec, channels=variant))
+    assert "norm N1: role Oncologist cannot observe Assert" in found
 
 
 def test_norm_state_facts_trace_transitively(hospital_spec):
@@ -368,8 +401,8 @@ def test_norm_state_facts_trace_transitively(hospital_spec):
         )
         for c in hospital_spec.channels
     )
-    gaps = check_observability(dataclasses.replace(hospital_spec, channels=variant))
-    assert ObservabilityGap("C1", "Patient", "Share") in gaps
+    found = gaps(dataclasses.replace(hospital_spec, channels=variant))
+    assert "norm C1: role Patient cannot observe Share" in found
 
 
 def test_builtin_types_ride_the_governance_channel_to_every_role():
@@ -378,7 +411,30 @@ def test_builtin_types_ride_the_governance_channel_to_every_role():
     create on A(x);
     consequent Sanction(against: x) within 5 blocks;
   }""")
-    assert check_observability(parse_compact(text)) == []
+    assert gaps(parse_compact(text)) == []
+
+
+def test_a_gap_is_a_warning_at_its_norm_after_every_error():
+    text = WRAP.format(body="""
+  commitment K subject R: x object S: x {
+    create on A(x);
+    consequent Penalty(x) within 5 blocks;
+  }
+  commitment L subject R: x object S: x {
+    create on A(x);
+    consequent B(x, tag: 3) within 5 blocks;
+  }""")
+    diags = check_well_formedness(parse_compact(text))
+    assert [(d.severity, d.code) for d in diags] == [
+        ("error", "unknown-event-type"),
+        ("error", "literal-kind-mismatch"),
+        ("warning", "unobservable-event-type"),
+        ("warning", "unobservable-event-type"),
+    ]
+    assert diags[2] == Diagnostic(
+        "warning", 8, 3, "unobservable-event-type", "norm K: role R cannot observe Penalty"
+    )
+    assert diags[3].message == "norm K: role S cannot observe Penalty"
 
 
 # --- seeded mutants --------------------------------------------------------
@@ -433,13 +489,12 @@ def mutant(number: int) -> tuple[str, str]:
 
 
 def mutant_outcome(text: str) -> list:
-    """["parse", line, col, message] or ["checked", diagnostics, gaps]."""
+    """["parse", line, col, message] or ["checked", diagnostics]."""
     try:
         spec = parse_compact(text)
     except ParseError as exc:
         return ["parse", exc.line, exc.col, exc.message]
-    diagnostics = [dataclasses.astuple(d) for d in check_well_formedness(spec)]
-    return ["checked", diagnostics, [dataclasses.astuple(g) for g in check_observability(spec)]]
+    return ["checked", [dataclasses.astuple(d) for d in check_well_formedness(spec)]]
 
 
 def mutant_table(count: int = MUTANTS) -> dict:
@@ -455,7 +510,7 @@ def mutant_table(count: int = MUTANTS) -> dict:
 def test_checker_verdicts_on_seeded_mutants_match_the_golden():
     """The checker's verdicts on 1,500 seeded mutants of the bundled
     compacts, held to fixtures/golden_check_mutants.json: per mutant, the
-    SHA-256 of its ParseError, or of its diagnostics and observability gaps.
+    SHA-256 of its ParseError, or of its diagnostics.
     A mutant is one bundled compact with one lexeme substituted: a kind
     keyword for another kind, a declared name for another name of the same
     compact, or a pattern's literal for a literal of another kind.
