@@ -15,12 +15,13 @@ the norm's state from information it can observe.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional, TypeVar
 
 from ..validator import IntegrityRuleSet, kind_of
 from . import ast
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -46,22 +47,27 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
     declared = _declarations(spec, rules)
     diags: list[Diagnostic] = []
 
-    # declaration-level checks
-    for event_type in _repeated(schema.event_type for schema in spec.schemas):
-        diags.append(_err(spec.pos, "duplicate-schema", f"event type {event_type} declared twice"))
+    # declaration-level checks, each at its declaration (a duplicate at its
+    # second); a built-in declaration has no position and takes the compact's
+    def at(decl) -> ast.Pos:
+        return decl.pos if decl.pos != (0, 0) else spec.pos
+
+    for schema in _repeated(spec.schemas, lambda schema: schema.event_type):
+        diags.append(_err(at(schema), "duplicate-schema", f"event type {schema.event_type} declared twice"))
+    rule_for = {rule.fact: rule for rule in reversed(spec.counts_as)}  # a fact's first rule
     for schema in rules.schemas:
         if not schema.by_adornment("key"):
             diags.append(
-                _err(spec.pos, "no-key-parameter", f"schema {schema.event_type} has no key parameter")
+                _err(at(schema), "no-key-parameter", f"schema {schema.event_type} has no key parameter")
             )
         for name in _repeated(schema.names()):
             diags.append(
-                _err(spec.pos, "duplicate-parameter",
+                _err(at(schema), "duplicate-parameter",
                      f"schema {schema.event_type} repeats parameter {name}")
             )
-        if schema.event_type in spec.fact_names():
+        if schema.event_type in rule_for:
             diags.append(
-                _err(spec.pos, "fact-shadows-event",
+                _err(rule_for[schema.event_type].pos, "fact-shadows-event",
                      f"counts-as fact {schema.event_type} shadows an event type")
             )
 
@@ -70,18 +76,18 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
         for event_type in channel.carries:
             if rules.schema_for(event_type) is None:
                 diags.append(
-                    _err(spec.pos, "unknown-event-type",
+                    _err(at(channel), "unknown-event-type",
                          f"channel {channel.name} carries undeclared type {event_type}")
                 )
     for schema in rules.schemas:
         if schema.event_type not in carried:
             diags.append(
-                _err(spec.pos, "event-type-not-carried",
+                _err(at(schema), "event-type-not-carried",
                      f"event type {schema.event_type} is carried by no channel")
             )
 
-    for norm_id in _repeated(norm.id for norm in spec.norms):
-        diags.append(_err(spec.pos, "duplicate-norm-id", f"norm id {norm_id} declared twice"))
+    for norm in _repeated(spec.norms, lambda norm: norm.id):
+        diags.append(_err(norm.pos, "duplicate-norm-id", f"norm id {norm.id} declared twice"))
 
     for rule in spec.counts_as:
         diags.extend(_check_pattern(declared, rule.source, rule.pos))
@@ -276,10 +282,13 @@ def _check_kinds(
     return diags, kinds
 
 
-def _repeated(names: Iterable[str]) -> list[str]:
-    """Each name that occurs more than once, once, in source order."""
-    counts = Counter(names)
-    return [name for name in counts if counts[name] > 1]
+def _repeated(items: Iterable[T], key: Callable[[T], Hashable] = lambda item: item) -> list[T]:
+    """The second occurrence of each key that occurs more than once, in the
+    order of the keys' first occurrences."""
+    groups: dict[Hashable, list[T]] = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return [group[1] for group in groups.values() if len(group) > 1]
 
 
 def _norm_event_types(spec: ast.CompactSpec, norm: ast.NormDecl, seen: set[str]) -> set[str]:

@@ -228,11 +228,11 @@ class _Parser:
         return names
 
     def schema_decl(self) -> SchemaDecl:
-        self.expect_keyword("schema")
+        head = self.expect_keyword("schema")
         name = self.expect_name("event type").value
         params = self.parenthesized(self.param)
         self.expect(";")
-        return SchemaDecl(event_type=name, parameters=params)
+        return SchemaDecl(event_type=name, parameters=params, pos=(head.line, head.col))
 
     def param(self) -> Parameter:
         name = self.expect_name("parameter name").value
@@ -246,14 +246,14 @@ class _Parser:
         return Parameter(name=name, kind=kind, adornment=adornment)
 
     def channel_decl(self) -> Channel:
-        self.expect_keyword("channel")
+        head = self.expect_keyword("channel")
         name = self.expect_name("channel name").value
         self.expect_keyword("members")
         members = self.comma_list(lambda: self.expect_name("member name").value)
         self.expect_keyword("carries")
         carries = self.comma_list(lambda: self.expect_name("event type").value)
         self.expect(";")
-        return Channel(name=name, members=tuple(members), carries=tuple(carries))
+        return Channel(name, tuple(members), tuple(carries), pos=(head.line, head.col))
 
     def counts_as_decl(self) -> ast.CountsAsRule:
         head = self.expect_keyword("counts-as")

@@ -10,7 +10,7 @@ parameter name).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -31,6 +31,7 @@ class Parameter:
 class SchemaDecl:
     event_type: str
     parameters: tuple[Parameter, ...]
+    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)  # a built-in has none
 
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.parameters)
@@ -48,6 +49,7 @@ class Channel:
     name: str
     members: tuple[str, ...]  # role names or principal ids
     carries: tuple[str, ...]  # event types
+    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,26 @@ def test_norms_may_name_the_builtin_governance_types(consequent, expected):
     assert codes(diagnostics_for(body)) == expected
 
 
+NORM_K = "commitment K subject R: x object S: x { create on A(x); consequent A(x) within 5 blocks; }"
+DECLARATION_CASES = {
+    "duplicate-schema": "  schema E(x: text key);\n    schema E(x: int key);",
+    "no-key-parameter": "\n    schema E(x: text out);",
+    "duplicate-parameter": "\n    schema E(x: text key, x: int out);",
+    "fact-shadows-event": "\n    counts-as Sanction(x) from A(x) by R;",
+    "unknown-event-type": "\n    channel n members R carries Z;",
+    "event-type-not-carried": "\n    schema E(x: text key);",
+    "duplicate-norm-id": f"  {NORM_K}\n    {NORM_K}",
+}
+
+
+@pytest.mark.parametrize("code", DECLARATION_CASES)
+def test_a_declaration_diagnostic_points_at_its_declaration(code):
+    # each case puts the declaration at fault at 8:5; a duplicate is
+    # reported at its second declaration, a shadowing fact at its rule
+    found = [(d.line, d.col) for d in diagnostics_for(DECLARATION_CASES[code]) if d.code == code]
+    assert found == [(8, 5)]
+
+
 def test_counts_as_fact_may_not_take_a_builtin_name():
     assert "fact-shadows-event" in codes(diagnostics_for("  counts-as Sanction(x) from A(x) by R;"))
 
