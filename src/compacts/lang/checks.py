@@ -44,7 +44,7 @@ def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
     from ..governance import ruleset_from_spec  # governance imports lang
 
     rules = ruleset_from_spec(spec)  # admission's event types: the declared, then the built-ins
-    declared = _declarations(spec, rules)
+    declared = _Declarations(spec, rules)
     diags: list[Diagnostic] = []
 
     # declaration-level checks, each at its declaration (a duplicate at its
@@ -190,44 +190,48 @@ def _check_norm(declared, norm: ast.NormDecl) -> list[Diagnostic]:
     return diags
 
 
-def _declarations(spec: ast.CompactSpec, rules: IntegrityRuleSet):
+class _Declarations:
     """A function from a pattern to what its head declares: each attribute
     mapped to its kind (None if unknown), or None if the head is undeclared.
     An event type declares its parameters. A counts-as fact declares its
     projected attributes, each of the kind of the source parameter its
     variable fills (the first rule that gives one decides). A norm-state
     pattern declares the norm's create variables, each of the kind the
-    create clause gives it; a cycle of state references adds no kind."""
-    events: dict[str, Optional[dict[str, str]]] = {}
-    facts: dict[str, dict[str, Optional[str]]] = {}
-    norms: dict[str, Optional[dict[str, Optional[str]]]] = {}
+    create clause gives it; a cycle of state references adds no kind. An
+    object, not a closure, so that its tables hold no reference to it and
+    go when the check returns."""
 
-    def declared(pattern) -> Optional[dict[str, Optional[str]]]:
+    def __init__(self, spec: ast.CompactSpec, rules: IntegrityRuleSet):
+        self.spec, self.rules = spec, rules
+        self.events: dict[str, Optional[dict[str, str]]] = {}
+        self.facts: dict[str, dict[str, Optional[str]]] = {}
+        self.norms: dict[str, Optional[dict[str, Optional[str]]]] = {}
+        for rule in spec.counts_as:
+            filled = _check_kinds(self, [rule.source])[1]
+            projected = self.facts.setdefault(rule.fact, {})
+            for attribute, variable in rule.projection:
+                if projected.get(attribute) is None:
+                    projected[attribute] = filled.get(variable)
+
+    def __call__(self, pattern) -> Optional[dict[str, Optional[str]]]:
         if isinstance(pattern, ast.EventPattern):
-            if pattern.event_type not in events:
-                schema = rules.schema_for(pattern.event_type)
+            if pattern.event_type not in self.events:
+                schema = self.rules.schema_for(pattern.event_type)
                 kinds = None if schema is None else {p.name: p.kind for p in schema.parameters}
-                events[pattern.event_type] = kinds
-            return events[pattern.event_type]
+                self.events[pattern.event_type] = kinds
+            return self.events[pattern.event_type]
         if isinstance(pattern, ast.FactPattern):
-            return facts.get(pattern.fact)
+            return self.facts.get(pattern.fact)
+        norms = self.norms
         if pattern.norm_id not in norms:
-            norm = spec.norm(pattern.norm_id)
+            norm = self.spec.norm(pattern.norm_id)
             norms[pattern.norm_id] = None
             if norm is not None:
                 names = norm.create_variables()
                 norms[pattern.norm_id] = dict.fromkeys(names)  # what a cycle of references sees
-                kinds = _check_kinds(declared, ast.patterns_of(norm.create))[1]
+                kinds = _check_kinds(self, ast.patterns_of(norm.create))[1]
                 norms[pattern.norm_id] = {name: kinds.get(name) for name in names}
         return norms[pattern.norm_id]
-
-    for rule in spec.counts_as:
-        filled = _check_kinds(declared, [rule.source])[1]
-        projected = facts.setdefault(rule.fact, {})
-        for attribute, variable in rule.projection:
-            if projected.get(attribute) is None:
-                projected[attribute] = filled.get(variable)
-    return declared
 
 
 def _check_pattern(declared, pattern: ast.Condition, pos: ast.Pos, where: str = "") -> list[Diagnostic]:

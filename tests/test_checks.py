@@ -1,6 +1,7 @@
 """Well-formedness diagnostics, the observability warnings among them."""
 
 import dataclasses
+import gc
 import glob
 import hashlib
 import json
@@ -455,6 +456,20 @@ def test_a_gap_is_a_warning_at_its_norm_after_every_error():
         "warning", 8, 3, "unobservable-event-type", "norm K: role R cannot observe Penalty"
     )
     assert diags[3].message == "norm K: role S cannot observe Penalty"
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(str(DEMOS / "*.cpt"))))
+def test_a_check_leaves_no_reference_cycle(path):
+    # the check's tables go as soon as it returns, not at the next collection
+    with open(path, "r", encoding="utf-8") as handle:
+        spec = parse_compact(handle.read())
+    gc.collect()
+    gc.disable()
+    try:
+        check_well_formedness(spec)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- seeded mutants --------------------------------------------------------
