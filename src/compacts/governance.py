@@ -96,7 +96,9 @@ def counts_as_facts_for_event(
     org: Organization,
 ) -> list[DerivedFact]:
     """Facts one event establishes: source pattern matches and the emitter
-    holds the required role in the context."""
+    holds the required role in the context. The rules come from a
+    well-formed compact, so the source binds each projected variable and
+    each fact attribute is named once."""
     facts: list[DerivedFact] = []
     for rule in rules:
         extended = match_event_pattern(rule.source, event, {})
@@ -104,9 +106,7 @@ def counts_as_facts_for_event(
             continue
         if not org.has_role(event.emitter, rule.required_role):
             continue
-        projected = {attr: extended[var] for attr, var in rule.projection if var in extended}
-        if len(projected) != len(rule.projection):
-            continue
+        projected = {attr: extended[var] for attr, var in rule.projection}
         facts.append(DerivedFact(rule.fact, freeze_bindings(projected), pos))
     return facts
 

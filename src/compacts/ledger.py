@@ -209,8 +209,7 @@ class Chain:
     kept in a private cell with the rules it is for and the block it covers:
     the tip, or a block validate_block accepted on top of it. admission_index
     builds it from the chain's events on first use. extend hands it to the
-    child only for the block it covers or for an empty block; otherwise the
-    parent keeps it. verify_chain's memo chains each hold their own copy. The
+    child only for the block it covers; otherwise the parent keeps it. verify_chain's memo chains each hold their own copy. The
     cell takes no part in equality, hashing or repr.
     """
 
@@ -232,7 +231,7 @@ class Chain:
         child = Chain(blocks=self.blocks + (block,))
         if self._admission:
             rules, index, covered = self._admission[-1]
-            if covered is block or (covered is self.tip and not block.events):
+            if covered is block:
                 self._admission.pop()
                 child._admission.append((rules, index, block))
         return child
@@ -316,9 +315,9 @@ def validate_block(
     roles_of resolves a principal's roles for channel membership.
 
     Admission runs on the chain's own index (see Chain), the block's events
-    added as they pass. An accepted block leaves it on the chain, covering
-    that block, for extend to hand on; a block rejected at the id or
-    admission checks drops it, and the next call rebuilds it.
+    added as they pass. An accepted block, an empty one too, leaves it on
+    the chain, covering that block, for extend to hand on; a block rejected
+    at the id or admission checks drops it, and the next call rebuilds it.
     """
     prev = chain.tip.header
     if block.header.prev_hash != hash_block_header(prev):
@@ -337,8 +336,6 @@ def validate_block(
             secret = roster.get(event.emitter)
             if secret is None or not verify_event_signature(event, secret):
                 return Rejection("BadSignature", event.event_id)
-    if not block.events:
-        return None
     index = chain.admission_index(rules)
     chain._admission.clear()  # a rejection leaves the index half-filled
     in_block: set[str] = set()
