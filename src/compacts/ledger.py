@@ -209,8 +209,9 @@ class Chain:
     kept in a private cell with the rules it is for and the block it covers:
     the tip, or a block validate_block accepted on top of it. admission_index
     builds it from the chain's events on first use. extend hands it to the
-    child only for the block it covers; otherwise the parent keeps it. verify_chain's memo chains each hold their own copy. The
-    cell takes no part in equality, hashing or repr.
+    child only for the block it covers; otherwise the parent keeps it.
+    verify_chain's memo chains each hold their own copy. The cell takes no
+    part in equality, hashing or repr.
     """
 
     blocks: tuple[Block, ...] = field(default_factory=lambda: (GENESIS_BLOCK,))
