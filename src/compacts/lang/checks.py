@@ -319,9 +319,10 @@ def _norm_event_types(spec: ast.CompactSpec, norm: ast.NormDecl, seen: set[str])
 
 
 def _unobservable(spec: ast.CompactSpec, rules: IntegrityRuleSet) -> list[Diagnostic]:
-    """A warning per norm, party and event type that no channel open to the
-    party carries. The built-in governance types ride a channel open to every
-    role; a principal context resolves to channels only at runtime."""
+    """A warning per norm, party and declared event type that no channel open
+    to the party carries; an undeclared type already draws its own error. The
+    built-in governance types ride a channel open to every role; a principal
+    context resolves to channels only at runtime."""
     visible = {(member, t) for channel in rules.channels for member in channel.members for t in channel.carries}
     gaps: list[Diagnostic] = []
     for norm in spec.norms:
@@ -333,6 +334,6 @@ def _unobservable(spec: ast.CompactSpec, rules: IntegrityRuleSet) -> list[Diagno
                        f"norm {norm.id}: role {party} cannot observe {event_type}")
             for party in dict.fromkeys(parties)
             for event_type in needed
-            if (party, event_type) not in visible
+            if (party, event_type) not in visible and rules.schema_for(event_type) is not None
         )
     return gaps

@@ -5,7 +5,10 @@ header whose SHA-256 hash must fall below a numeric target; headers link by
 hash back to a fixed, content-defined genesis block. Everything here is a pure
 function of its arguments: the nonce search is a deterministic scan from 0,
 signatures are keyed digests (SHA-256 of secret followed by the canonical
-bytes), and serialization is bit-exact so digests agree across runs.
+bytes), and serialization is bit-exact so digests agree across runs. Each
+byte is computed once: an event encodes its canonical bytes on first use and
+keeps them, and mining hashes a block's fixed header prefix once, then per
+nonce copies that hash state and feeds only the 8 nonce bytes.
 
 Byte layout of the canonical serialization: fields in declared order, integers
 as 8-byte big-endian, every text/byte field preceded by a 4-byte big-endian
@@ -88,7 +91,8 @@ class Event:
     """An emitter-signed occurrence; the unit of shared truth on the ledger.
 
     logical_ts is client-supplied and advisory only; Position on the chain is
-    the authoritative order.
+    the authoritative order. signing_bytes keeps the bytes it encodes in a
+    private cell, which takes no part in equality, hashing or repr.
     """
 
     event_id: str
@@ -97,6 +101,7 @@ class Event:
     emitter: str
     logical_ts: int
     signature: bytes = b""
+    _encoded: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def make(
@@ -122,13 +127,15 @@ class Event:
 
     def signing_bytes(self) -> bytes:
         """Canonical bytes of every field except the signature."""
-        return (
-            _text_bytes(self.event_id)
-            + _text_bytes(self.event_type)
-            + _attributes_bytes(dict(self.attributes))
-            + _text_bytes(self.emitter)
-            + struct.pack(">Q", self.logical_ts)
-        )
+        if self._encoded is None:
+            object.__setattr__(self, "_encoded", (
+                _text_bytes(self.event_id)
+                + _text_bytes(self.event_type)
+                + _attributes_bytes(dict(self.attributes))
+                + _text_bytes(self.emitter)
+                + struct.pack(">Q", self.logical_ts)
+            ))
+        return self._encoded
 
     def with_signature(self, secret: str) -> "Event":
         return Event(
@@ -159,18 +166,18 @@ def verify_event_signature(event: Event, secret: str) -> bool:
     return event.signature == sign_bytes(secret, event.signing_bytes())
 
 
+def _header_prefix(index: int, prev_hash: bytes, events_digest: bytes, miner: str) -> bytes:
+    """A header's canonical bytes up to the nonce, which is the last field."""
+    return struct.pack(">Q", index) + _blob_bytes(prev_hash) + _blob_bytes(events_digest) + _text_bytes(miner)
+
+
 def canonical_serialize(item: Union[Event, BlockHeader]) -> bytes:
     """Deterministic, injective byte encoding used for all hashing."""
     if isinstance(item, Event):
         return item.signing_bytes() + _blob_bytes(item.signature)
     if isinstance(item, BlockHeader):
-        return (
-            struct.pack(">Q", item.index)
-            + _blob_bytes(item.prev_hash)
-            + _blob_bytes(item.events_digest)
-            + _text_bytes(item.miner)
-            + struct.pack(">Q", item.nonce)
-        )
+        prefix = _header_prefix(item.index, item.prev_hash, item.events_digest, item.miner)
+        return prefix + struct.pack(">Q", item.nonce)
     raise TypeError(f"cannot serialize {type(item).__name__}")
 
 
@@ -273,18 +280,12 @@ def mine_block(
         raise ValueError("target must be positive")
     digest = events_digest(tuple(events))
     prev_digest = hash_block_header(prev)
-    nonce = 0
-    while nonce <= MAX_NONCE:
-        header = BlockHeader(
-            index=prev.index + 1,
-            prev_hash=prev_digest,
-            events_digest=digest,
-            miner=miner,
-            nonce=nonce,
-        )
-        if int.from_bytes(hash_block_header(header), "big") < target:
-            return header
-        nonce += 1
+    midstate = hashlib.sha256(_header_prefix(prev.index + 1, prev_digest, digest, miner))
+    for nonce in range(MAX_NONCE + 1):
+        attempt = midstate.copy()
+        attempt.update(struct.pack(">Q", nonce))
+        if int.from_bytes(attempt.digest(), "big") < target:
+            return BlockHeader(prev.index + 1, prev_digest, digest, miner, nonce)
     raise NonceExhausted(f"no nonce below target {target:#x}")
 
 

@@ -5,12 +5,19 @@ computed once from the serialization rules with a standalone SHA-256 script
 and are frozen; the library must reproduce them bit for bit.
 """
 
+import dataclasses
 import hashlib
+import struct
+
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from compacts.ledger import (
     GENESIS_HEADER,
     BlockHeader,
     Event,
+    _attributes_bytes,
+    _text_bytes,
     canonical_serialize,
     hash_block_header,
     sign_bytes,
@@ -100,3 +107,55 @@ def test_signature_is_keyed_digest_of_signing_bytes():
 def test_sign_bytes_depends_on_secret_and_payload():
     assert sign_bytes("k1", b"x") != sign_bytes("k2", b"x")
     assert sign_bytes("k1", b"x") != sign_bytes("k1", b"y")
+
+
+def test_a_replaced_event_is_encoded_afresh():
+    # the encoding is kept per instance: a copy with one field changed and
+    # the old signature kept is re-encoded, so the forgery shows
+    event = make_event().with_signature("secret")
+    event.signing_bytes()
+    for change in (
+        {"event_id": "e2"},
+        {"event_type": "Alarm"},
+        {"attributes": (("ok", True), ("sensor", "s1"), ("value", 18))},
+        {"emitter": "bob"},
+        {"logical_ts": 4},
+    ):
+        forged = dataclasses.replace(event, **change)
+        assert not verify_event_signature(forged, "secret")
+        assert canonical_serialize(forged) != canonical_serialize(event)
+
+
+def test_kept_bytes_take_no_part_in_equality_hash_or_repr():
+    kept = make_event().with_signature("secret")
+    kept.signing_bytes()
+    fresh = make_event().with_signature("secret")
+    assert vars(kept) != vars(fresh)  # only the first holds its bytes
+    assert kept == fresh
+    assert hash(kept) == hash(fresh)
+    assert repr(kept) == repr(fresh)
+
+
+I64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+SCALARS = st.one_of(st.text(), I64, st.booleans())
+
+
+@given(
+    event_id=st.text(),
+    event_type=st.text(),
+    attributes=st.dictionaries(st.text(), SCALARS, max_size=5),
+    emitter=st.text(),
+    logical_ts=st.integers(min_value=0, max_value=2**64 - 1),
+)
+@example("é", "Ünïcödé", {"lo": -(2**63), "hi": 2**63 - 1, "yes": True, "no": False, "日本": "語"}, "", 2**64 - 1)
+def test_signing_bytes_equal_a_fresh_encoding(event_id, event_type, attributes, emitter, logical_ts):
+    event = Event.make(event_id, event_type, attributes, emitter, logical_ts)
+    expected = (
+        _text_bytes(event_id)
+        + _text_bytes(event_type)
+        + _attributes_bytes(attributes)
+        + _text_bytes(emitter)
+        + struct.pack(">Q", logical_ts)
+    )
+    assert event.signing_bytes() == expected
+    assert event.signing_bytes() == expected  # again, from the kept bytes

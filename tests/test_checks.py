@@ -204,8 +204,8 @@ def test_counts_as_projection_must_come_from_source():
         ("Sanction(against: x)", []),
         ("Complaint(case: x)", []),
         ("Sanction(x)", ["unknown-attribute"]),
-        # an undeclared type rides no channel, so neither party observes it
-        ("Penalty(against: x)", ["unknown-event-type"] + ["unobservable-event-type"] * 2),
+        # an undeclared type draws its error alone, no observability warning
+        ("Penalty(against: x)", ["unknown-event-type"]),
     ],
 )
 def test_norms_may_name_the_builtin_governance_types(consequent, expected):
@@ -431,9 +431,12 @@ def test_builtin_types_ride_the_governance_channel_to_every_role():
 
 
 def test_a_gap_is_a_warning_at_its_norm_after_every_error():
+    # R cannot observe E; the undeclared Penalty draws its error alone
     text = WRAP.format(body="""
+  schema E(x: text key);
+  channel n members S carries E;
   commitment K subject R: x object S: x {
-    create on A(x);
+    create on E(x);
     consequent Penalty(x) within 5 blocks;
   }
   commitment L subject R: x object S: x {
@@ -445,12 +448,10 @@ def test_a_gap_is_a_warning_at_its_norm_after_every_error():
         ("error", "unknown-event-type"),
         ("error", "literal-kind-mismatch"),
         ("warning", "unobservable-event-type"),
-        ("warning", "unobservable-event-type"),
     ]
     assert diags[2] == Diagnostic(
-        "warning", 8, 3, "unobservable-event-type", "norm K: role R cannot observe Penalty"
+        "warning", 10, 3, "unobservable-event-type", "norm K: role R cannot observe E"
     )
-    assert diags[3].message == "norm K: role S cannot observe Penalty"
 
 
 @pytest.mark.parametrize("path", sorted(glob.glob(str(DEMOS / "*.cpt"))))

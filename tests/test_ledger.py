@@ -1,6 +1,7 @@
 """Mining, block validation, chain verification, fork choice."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -8,9 +9,12 @@ import pytest
 from compacts.ledger import (
     GENESIS_HEADER,
     Block,
+    BlockHeader,
     Chain,
     EmptyCandidateSet,
     Event,
+    _header_prefix,
+    canonical_serialize,
     events_digest,
     genesis_chain,
     hash_block_header,
@@ -67,6 +71,32 @@ def test_mine_golden_least_nonce():
             nonce=nonce,
         )
         assert int.from_bytes(hash_block_header(candidate), "big") >= target
+
+
+def reference_mine(events, prev, target, miner):
+    """The scan by definition: a whole header built and hashed per nonce."""
+    for nonce in itertools.count():
+        header = BlockHeader(prev.index + 1, hash_block_header(prev), events_digest(events), miner, nonce)
+        if int.from_bytes(hash_block_header(header), "big") < target:
+            return header
+
+
+@pytest.mark.parametrize("miner", ["", "peer-1", "mïner-日本-🙂"])
+@pytest.mark.parametrize("bits", range(256, 246, -1))
+def test_mine_block_matches_the_reference_scan(miner, bits):
+    rng = random.Random(f"{miner}/{bits}")
+    prev = BlockHeader(
+        index=rng.randrange(2**63),
+        prev_hash=rng.randbytes(32),
+        events_digest=rng.randbytes(32),
+        miner=rng.choice(["", "peer-2", "prév"]),
+        nonce=rng.randrange(2**64),
+    )
+    events = some_events(start=bits, count=rng.randrange(3))
+    header = mine_block(events, prev, 1 << bits, miner)
+    assert header == reference_mine(events, prev, 1 << bits, miner)
+    prefix = _header_prefix(header.index, header.prev_hash, header.events_digest, header.miner)
+    assert canonical_serialize(header) == prefix + header.nonce.to_bytes(8, "big")
 
 
 def test_nonce_exhaustion_raises(monkeypatch):
