@@ -15,11 +15,14 @@ height strictly exceeds the anchor height plus the allowance; boundary
 positions carry offset -1.
 
 The fixpoint repeats a pass (spawn, then step every live, that is
-non-terminal, instance) until a pass adds no fact. This is exact: events are
-fixed within a position, so a clause gains a match only from a new fact; each
-transition emits a new fact (an instance enters each state at most once); and
-a spawned instance is stepped in the pass that spawned it. Nothing seen lies
-past the current position, so matching needs no time cutoff.
+non-terminal, instance in creation order) until a pass adds no fact. This is
+exact: events are fixed within a position, so a clause gains a match only
+from a new fact; each transition emits a new fact (an instance enters each
+state at most once); and a spawned instance is stepped in the pass that
+spawned it. Nothing seen lies past the current position, so matching needs
+no time cutoff. Here a pass steps, and _lapse checks, every live instance;
+the incremental run narrows both through two hooks, _pass_keys and
+_lapse_keys, to an agenda and a lapse heap (incremental.py says why).
 
 Every lifecycle rule is written once, in _Run, which reads condition matches
 only through clause_matches and create_matches. Here both rescan the full
@@ -37,7 +40,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 from .governance import EMPTY_ORGANIZATION, Organization, counts_as_facts_for_event
 from .lang import ast
@@ -168,7 +171,7 @@ class _Run:
         self._fixpoint()
 
     def _lapse(self, now: Position) -> None:
-        for key in list(self.live):
+        for key in self._lapse_keys(now):
             inst = self.instances[key]
             norm = self.spec.norm(inst.norm_id)
             if norm.kind != ast.COMMITMENT:
@@ -184,6 +187,10 @@ class _Run:
                 and now.block_index > inst.detached_at.block_index + norm.deadline_blocks
             ):
                 self._transition(key, replace(inst, state=NormState.VIOLATED, closed_at=now), now)
+
+    def _lapse_keys(self, now: Position) -> Iterable[tuple[str, Bindings]]:
+        """Keys _lapse checks at now, in creation order: here every live one."""
+        return list(self.live)
 
     def _fixpoint(self) -> None:
         known = -1
@@ -211,13 +218,17 @@ class _Run:
                     self._emit(norm.id, match.bindings, NormState.DETACHED, match.witness)
 
     def _transitions(self) -> None:
-        for key in list(self.live):
+        for key in self._pass_keys():
             inst = self.instances[key]
             norm = self.spec.norm(inst.norm_id)
             if norm.kind == ast.COMMITMENT:
                 self._step_commitment(key, inst, norm)
             else:
                 self._step_prohibition(key, inst, norm)
+
+    def _pass_keys(self) -> Iterable[tuple[str, Bindings]]:
+        """Keys one pass steps, in creation order: here every live one."""
+        return list(self.live)
 
     def _step_commitment(self, key, inst: NormInstance, norm: ast.NormDecl) -> None:
         base = inst.binding_map

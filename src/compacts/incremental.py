@@ -11,8 +11,21 @@ produces new leaf matches, which join against the other side's existing
 matches on the way up the condition tree. Both the joins and the lifecycle's
 clause queries look matches up by their bindings instead of scanning a
 cache. The lifecycle rules are the batch evaluator's own (evaluator._Run);
-_IncrementalRun only answers their match queries from the cached sets, and
-hands _spawn just the create matches added since its last pass.
+_IncrementalRun answers their match queries from the cached sets, hands
+_spawn just the create matches added since its last pass, and tells a pass
+and _lapse which instances to look at.
+
+A block steps only what it touched. A step reads only the instance and the
+clause matches compatible with its key (_first_unexempted's merged bindings
+select a subset of those), so an instance whose state has not changed and
+whose clauses gained no compatible match since its last step would step to
+no transition again. A pass steps an agenda: an instance joins it when
+spawned, when a transition leaves it live, and when a clause of its norm
+gains a match that agrees with its key on the names both bind. It keeps
+batch's order: creation order; woken above the cursor, an instance steps in
+this pass, at or below it (the one stepping too) in the next. _lapse pops a
+heap of (due height, seq, key), pushed when a commitment with an expiry
+spawns and when one detaches; _Run's lapse conditions skip stale entries.
 
 The run is not copied from block to block: apply_block hands it on in the
 state it returns and continues it from that state. A state the run has moved
@@ -27,9 +40,11 @@ semantics: they are a differential pair, so keep them independent.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+import heapq
+from itertools import islice
+from typing import Iterator, Mapping, Optional
 
-from .evaluator import EvalState, _Run, ensure_spec_well_formed
+from .evaluator import EvalState, NormInstance, NormState, _Run, ensure_spec_well_formed
 from .governance import EMPTY_ORGANIZATION, Organization, counts_as_facts_for_event
 from .lang import ast
 from .ledger import Block, Chain, Event, Position, Scalar
@@ -44,6 +59,9 @@ from .matching import (
 )
 
 
+_Key = tuple[str, Bindings]  # an instance's (norm id, key bindings)
+
+
 class NonContiguousBlock(Exception):
     """The block does not directly extend the state's frontier."""
 
@@ -54,51 +72,71 @@ def _merge(a: Bindings, b: Bindings) -> Bindings:
     return freeze_bindings(merged)
 
 
-class _CondIndex:
-    """Cached match set of one condition, updated by deltas.
+class _Filed:
+    """Items (matches, or live instance keys) mapped to their bindings and
+    found by lookup. There is one view per set of base variable names, built
+    on its first query. It files each item under its bindings projected onto
+    those names, grouped by which of the names the item binds: the two sides
+    of an ``or`` may bind different ones."""
 
-    matches is a dict used as an insertion-ordered set of Match tuples.
-    views answer "which matches are compatible with these bindings" by
-    lookup instead of a scan. There is one view per set of base variable
-    names, built on its first query. It files each match under the match's
-    bindings projected onto those names, grouped by which of the names the
-    match binds: the two sides of an ``or`` may bind different ones.
-    """
+    __slots__ = ("items", "views")
 
-    __slots__ = ("cond", "matches", "views", "left", "right")
+    def __init__(self):
+        self.items: dict = {}
+        # base names -> names an item binds among them -> projection -> items
+        self.views: dict[tuple[str, ...], dict[tuple[str, ...], dict[Bindings, dict]]] = {}
+
+    def compatible_with(self, base: Mapping[str, Scalar]) -> list:
+        """The items that agree with base on every variable both bind."""
+        names = tuple(sorted(base))
+        view = self.views.get(names)
+        if view is None:
+            view = self.views[names] = {}
+            for item, bindings in self.items.items():
+                _slot(view, names, bindings)[item] = None
+        found: list = []
+        for group, table in view.items():
+            found.extend(table.get(tuple([(name, base[name]) for name in group]), ()))
+        return found
+
+    def add(self, item, bindings: Bindings) -> None:
+        self.items[item] = bindings
+        for names, view in self.views.items():
+            _slot(view, names, bindings)[item] = None
+
+    def discard(self, item) -> None:
+        bindings = self.items.pop(item)
+        for names, view in self.views.items():
+            del _slot(view, names, bindings)[item]
+
+
+def _slot(view: dict, names: tuple[str, ...], bindings: Bindings) -> dict:
+    projection = tuple([(name, value) for name, value in bindings if name in names])
+    group = tuple([name for name, _ in projection])
+    return view.setdefault(group, {}).setdefault(projection, {})
+
+
+class _CondIndex(_Filed):
+    """Cached match set of one condition, updated by deltas: the items are
+    its Match tuples."""
+
+    __slots__ = ("cond", "left", "right")
 
     def __init__(self, cond: ast.Condition):
+        super().__init__()
         self.cond = cond
-        self.matches: dict[Match, None] = {}
-        # base names -> names a match binds among them -> projection -> matches
-        self.views: dict[tuple[str, ...], dict[tuple[str, ...], dict[Bindings, list[Match]]]] = {}
         self.left: Optional[_CondIndex] = None
         self.right: Optional[_CondIndex] = None
         if isinstance(cond, (ast.And, ast.Or, ast.Before)):
             self.left = _CondIndex(cond.left)
             self.right = _CondIndex(cond.right)
 
-    def compatible_with(self, base: Mapping[str, Scalar]) -> list[Match]:
-        """The cached matches that agree with base on every variable both bind."""
-        names = tuple(sorted(base))
-        view = self.views.get(names)
-        if view is None:
-            view = self.views[names] = {}
-            for match in self.matches:
-                _file(view, names, match)
-        found: list[Match] = []
-        for group, table in view.items():
-            found.extend(table.get(tuple([(name, base[name]) for name in group]), ()))
-        return found
-
     def _absorb(self, candidates: list[Match]) -> list[Match]:
         fresh = []
         for match in candidates:
-            if match not in self.matches:
-                self.matches[match] = None
+            if match not in self.items:
+                self.add(match, match.bindings)
                 fresh.append(match)
-                for names, view in self.views.items():
-                    _file(view, names, match)
         return fresh
 
     def advance(self, pos: Position, event: Optional[Event], fact: Optional[DerivedFact]) -> list[Match]:
@@ -131,12 +169,6 @@ class _CondIndex:
         )
 
 
-def _file(view: dict, names: tuple[str, ...], match: Match) -> None:
-    projection = tuple([(name, value) for name, value in match.bindings if name in names])
-    group = tuple([name for name, _ in projection])
-    view.setdefault(group, {}).setdefault(projection, []).append(match)
-
-
 def initial_state(spec: ast.CompactSpec, org: Organization) -> EvalState:
     """State after the genesis block: nothing seen, frontier at height 0."""
     ensure_spec_well_formed(spec)
@@ -146,8 +178,9 @@ def initial_state(spec: ast.CompactSpec, org: Organization) -> EvalState:
 class _IncrementalRun(_Run):
     """The shared lifecycle over cached match sets, advanced block by block.
 
-    Next to _Run's fields it keeps a condition index per (norm, clause) and
-    the create matches _spawn has not read yet. A run is valid for the one
+    Next to _Run's fields it keeps a condition index per (norm, clause), the
+    create matches _spawn has not read yet, creation sequences, each norm's
+    live keys, the agenda and the lapse heap. A run is valid for the one
     frontier it was frozen at: the state freeze returns holds it, and
     apply_block continues it from that state. Any other state, batch or
     superseded, replays its trace and facts into a new run.
@@ -160,6 +193,12 @@ class _IncrementalRun(_Run):
             for clause, cond in norm.clauses():
                 self.indexes[(norm.id, clause)] = _CondIndex(cond)
         self.unspawned: dict[str, list[Match]] = {}
+        self.seq: dict[_Key, int] = {}
+        self.waiting = {norm.id: _Filed() for norm in state.spec.norms}
+        self.agenda: list[tuple[int, int, _Key]] = []  # (pass, seq, key)
+        self.passes = 0  # passes done: the number of the pass under way, or next
+        self.cursor = -1  # seq of the instance being stepped, -1 between passes
+        self.lapses: list[tuple[int, int, _Key]] = []
         for pos, event in state.trace:
             self.trace.append((pos, event))
             self._advance(pos, event, None)
@@ -167,6 +206,8 @@ class _IncrementalRun(_Run):
             self.add_fact(fact)
         self.instances = dict(state.instances)
         self.live = {key: None for key, inst in state.instances.items() if not inst.is_terminal()}
+        for key in self.instances:
+            self._enlist(key)
         self.frontier: Optional[Position] = state.frontier
 
     def _advance(self, pos: Position, event: Optional[Event], fact: Optional[DerivedFact]) -> None:
@@ -174,6 +215,58 @@ class _IncrementalRun(_Run):
             fresh = idx.advance(pos, event, fact)
             if fresh and clause == "create":
                 self.unspawned.setdefault(norm_id, []).extend(fresh)
+            elif fresh:
+                for match in fresh:
+                    for key in self.waiting[norm_id].compatible_with(dict(match.bindings)):
+                        self._wake(key)
+
+    def _enlist(self, key: _Key) -> None:
+        """Number a new instance; a live one is woken, filed and scheduled."""
+        self.seq[key] = len(self.seq)
+        inst = self.instances[key]
+        if not inst.is_terminal():
+            self._wake(key)
+            self.waiting[inst.norm_id].add(key, inst.key_bindings)
+            self._schedule(key, inst)
+
+    def _wake(self, key: _Key) -> None:
+        seq = self.seq[key]  # at or below the cursor it waits for the next pass
+        heapq.heappush(self.agenda, (self.passes + (seq <= self.cursor), seq, key))
+
+    def _schedule(self, key: _Key, inst: NormInstance) -> None:
+        norm, seq = self.spec.norm(inst.norm_id), self.seq[key]
+        if inst.state is NormState.DETACHED:
+            heapq.heappush(self.lapses, (inst.detached_at.block_index + norm.deadline_blocks, seq, key))
+        elif norm.expiry_blocks is not None:
+            heapq.heappush(self.lapses, (inst.created_at.block_index + norm.expiry_blocks, seq, key))
+
+    def _lapse_keys(self, now: Position) -> list[_Key]:
+        due = []
+        while self.lapses and self.lapses[0][0] < now.block_index:
+            due.append(heapq.heappop(self.lapses)[1:])
+        return [key for _, key in sorted(set(due)) if key in self.live]
+
+    def _spawn(self) -> None:
+        super()._spawn()
+        spawned = list(islice(reversed(self.instances), len(self.instances) - len(self.seq)))
+        for key in reversed(spawned):
+            self._enlist(key)
+
+    def _pass_keys(self) -> Iterator[_Key]:
+        while self.agenda and self.agenda[0][0] == self.passes:
+            _, seq, key = heapq.heappop(self.agenda)
+            if seq > self.cursor and key in self.live:
+                self.cursor = seq
+                yield key
+        self.passes, self.cursor = self.passes + 1, -1
+
+    def _transition(self, key, updated: NormInstance, at: Position) -> None:
+        super()._transition(key, updated, at)
+        if updated.is_terminal():
+            self.waiting[updated.norm_id].discard(key)
+        else:  # detached: stepped again next pass, and lapses at its deadline
+            self._wake(key)
+            self._schedule(key, updated)
 
     def process_event(self, pos: Position, event: Event) -> None:
         self.trace.append((pos, event))

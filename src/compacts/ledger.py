@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 from . import validator
@@ -138,14 +138,10 @@ class Event:
         return self._encoded
 
     def with_signature(self, secret: str) -> "Event":
-        return Event(
-            event_id=self.event_id,
-            event_type=self.event_type,
-            attributes=self.attributes,
-            emitter=self.emitter,
-            logical_ts=self.logical_ts,
-            signature=sign_bytes(secret, self.signing_bytes()),
-        )
+        signed = replace(self, signature=sign_bytes(secret, self.signing_bytes()))
+        # the signature is not among the bytes it signs: the copy keeps them
+        object.__setattr__(signed, "_encoded", self._encoded)
+        return signed
 
 
 @dataclass(frozen=True, eq=True)

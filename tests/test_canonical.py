@@ -126,10 +126,19 @@ def test_a_replaced_event_is_encoded_afresh():
         assert canonical_serialize(forged) != canonical_serialize(event)
 
 
+def test_a_signed_copy_keeps_the_bytes_it_was_signed_over():
+    # the signature is not among the bytes it signs, so the copy that carries
+    # it need not encode them again
+    signed = make_event().with_signature("secret")
+    assert vars(signed)["_encoded"] is not None
+    assert signed._encoded == make_event(signature=signed.signature).signing_bytes()
+    assert verify_event_signature(signed, "secret")
+
+
 def test_kept_bytes_take_no_part_in_equality_hash_or_repr():
     kept = make_event().with_signature("secret")
     kept.signing_bytes()
-    fresh = make_event().with_signature("secret")
+    fresh = make_event(signature=kept.signature)
     assert vars(kept) != vars(fresh)  # only the first holds its bytes
     assert kept == fresh
     assert hash(kept) == hash(fresh)

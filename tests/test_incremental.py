@@ -1,16 +1,19 @@
 """apply_block against the batch oracle: replay equivalence and stability."""
 
+import json
+
 import pytest
 
-from compacts import incremental
-from compacts.evaluator import _Run, evaluate
-from compacts.governance import Organization
+from compacts import fileformats, incremental
+from compacts.evaluator import NormState, _Run, evaluate
+from compacts.governance import Organization, ruleset_from_spec
 from compacts.incremental import NonContiguousBlock, apply_block, fold_chain, initial_state
 from compacts.lang import parse_compact
-from compacts.ledger import Chain, Position
+from compacts.ledger import GENESIS_BLOCK, Chain, Position
 from compacts.matching import bindings_sort_key
+from compacts.network import run_network
 
-from conftest import DEMOS, bench_generators, build_chain, hospital_events
+from conftest import DEMOS, FIXTURES, bench_generators, build_chain, hospital_events, signed_event
 from scenario_gen import extend_randomly, random_case
 
 
@@ -239,3 +242,190 @@ def test_terminal_states_survive_chain_extension(seed):
     later = evaluate(extended, spec, org)
     for key, frozen_state in terminal.items():
         assert later.instances[key].state is frozen_state
+
+
+# --- the agenda and the lapse heap --------------------------------------------
+#
+# The fold steps only the instances a block touched, in batch's order. Its
+# transitions, and their order, must be batch's: an agenda stepped out of
+# creation order, or one that defers a later instance woken in this pass,
+# changes the order before it changes a final state.
+
+
+def transition_log(engine, chain, spec, org, monkeypatch) -> list:
+    """Every _transition call one engine makes on a chain, in order."""
+    log = []
+    real = _Run._transition
+
+    def recording(self, key, updated, at):
+        log.append((key, updated, at))
+        real(self, key, updated, at)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(_Run, "_transition", recording)
+        engine(chain, spec, org)
+    return log
+
+
+def same_transitions(chain, spec, org, monkeypatch) -> list:
+    """Batch's transition log, once the fold's is found equal to it."""
+    batch = transition_log(evaluate, chain, spec, org, monkeypatch)
+    assert transition_log(fold_chain, chain, spec, org, monkeypatch) == batch
+    return batch
+
+
+def _network_case(spec_file, lines, config, tmp_path):
+    """The chain a network run adopts, with its compact and organization."""
+    scenario, net = tmp_path / "scenario.jsonl", tmp_path / "net.json"
+    scenario.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    net.write_text(json.dumps(config))
+    return _demo_case(spec_file, scenario, net)
+
+
+def _demo_case(spec_file, scenario, net):
+    spec = parse_compact((DEMOS / spec_file).read_text())
+    config, roles = fileformats.read_network_config(str(net))
+    org = Organization.make(spec.context, roles)
+    scenario = fileformats.read_scenario(str(scenario))
+    return spec, org, run_network(scenario, config, rules=ruleset_from_spec(spec), org=org).active_chain
+
+
+@pytest.mark.parametrize("spec_file, scenario, net", [
+    ("hospital.cpt", "hospital_violation.jsonl", "hospital_net.json"),
+    ("hospital.cpt", "hospital_compliant.jsonl", "hospital_net.json"),
+    ("tumorboard.cpt", "tumorboard_member.jsonl", "tumorboard_net.json"),
+    ("tumorboard.cpt", "tumorboard_nonmember.jsonl", "tumorboard_net.json"),
+    ("coldchain.cpt", "coldchain.jsonl", "coldchain_net.json"),
+    ("liftservice.cpt", "liftservice.jsonl", "liftservice_net.json"),
+])
+def test_the_fold_makes_batchs_transitions_in_order_on_the_demos(monkeypatch, spec_file, scenario, net):
+    spec, org, chain = _demo_case(spec_file, DEMOS / scenario, DEMOS / net)
+    same_transitions(chain, spec, org, monkeypatch)  # the nonmember's events are refused: none
+
+
+def test_the_fold_makes_batchs_transitions_in_order_on_the_narratives(monkeypatch, hospital_spec, hospital_org):
+    for groups in hospital_events():
+        assert same_transitions(build_chain(groups), hospital_spec, hospital_org, monkeypatch)
+
+
+def test_the_fold_makes_batchs_transitions_in_order_on_generated_hospital_runs(monkeypatch, tmp_path):
+    lines, config = bench_generators().hospital_inputs(1, 40)
+    spec, org, chain = _network_case("hospital.cpt", lines, config, tmp_path)
+    assert same_transitions(chain, spec, org, monkeypatch)
+
+
+@pytest.mark.parametrize("workload, size", [("datatrust", 60), ("peerreview", 80)])
+def test_the_fold_makes_batchs_transitions_in_order_on_generated_chains(monkeypatch, workload, size):
+    blocks, config = getattr(bench_generators(), f"{workload}_inputs")(1, size)
+    spec = parse_compact((DEMOS / f"{workload}.cpt").read_text())
+    org = Organization.make(spec.context, config["roles"])
+    assert same_transitions(Chain(blocks=(GENESIS_BLOCK,) + tuple(blocks)), spec, org, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_fold_makes_batchs_transitions_in_order_on_random_cases(monkeypatch, seed):
+    spec, org, chain, _ = random_case(seed)
+    same_transitions(chain, spec, org, monkeypatch)  # some cases make none
+
+
+def test_a_match_wakes_an_instance_that_binds_fewer_of_its_names(monkeypatch):
+    # K's create is an 'or' whose A-branch binds x and whose B-branch binds x
+    # and y. D(x, y) agrees with the A-instance on x, the one name both bind,
+    # so it satisfies that instance as it does the B-instance.
+    spec = parse_compact((FIXTURES / "or_create.cpt").read_text())
+    roster = {"r": "r-key"}
+    org = Organization.make(spec.context, {"r": ["R"]})
+
+    def ev(i, event_type, attributes):
+        return signed_event(f"e{i}", event_type, attributes, "r", roster)
+
+    chain = build_chain([
+        [ev(0, "A", {"x": "a"}), ev(1, "B", {"x": "b", "y": "c"})],
+        [ev(2, "Go", {"x": "a"}), ev(3, "Go", {"x": "b"})],
+        [],
+        [ev(4, "D", {"x": "a", "y": "q"}), ev(5, "D", {"x": "b", "y": "c"})],
+        [], [], [], [],
+    ])
+    state = fold_chain(chain, spec, org)
+    assert state == evaluate(chain, spec, org)
+    by_key = {inst.key_bindings: inst for inst in state.instances.values()}
+    assert set(by_key) == {(("x", "a"),), (("x", "b"), ("y", "c"))}
+    assert {inst.state for inst in by_key.values()} == {NormState.SATISFIED}
+    assert same_transitions(chain, spec, org, monkeypatch)
+
+
+# B both detaches X and performs it, so X detaches in one pass and is
+# satisfied in the next. Y is created after X and is met by X's detachment:
+# batch steps Y in the pass X detaches in, before X is stepped again.
+WOKEN_LATER_IN_THE_PASS = """compact SamePass context org {
+  roles R;
+  schema A(x: text key);
+  schema B(x: text key);
+  channel main members R carries A, B;
+  commitment X subject R object R {
+    create on A(x);
+    antecedent B(x);
+    consequent B(x) within 5 blocks;
+  }
+  commitment Y subject R object R {
+    create on A(x);
+    consequent detached X(x) within 5 blocks;
+  }
+}
+"""
+
+
+def test_an_instance_woken_later_in_the_pass_steps_in_that_pass(monkeypatch):
+    spec = parse_compact(WOKEN_LATER_IN_THE_PASS)
+    roster = {"r": "r-key"}
+    org = Organization.make(spec.context, {"r": ["R"]})
+    chain = build_chain([
+        [signed_event("e0", "A", {"x": "a"}, "r", roster)],
+        [signed_event("e1", "B", {"x": "a"}, "r", roster)],
+    ])
+    log = same_transitions(chain, spec, org, monkeypatch)
+    assert [(key[0], updated.state) for key, updated, _ in log] == [
+        ("X", NormState.DETACHED), ("Y", NormState.SATISFIED), ("X", NormState.SATISFIED),
+    ]
+
+
+def test_an_empty_block_with_no_lapse_due_reads_no_match(monkeypatch):
+    # and over the whole fold, the agenda steps at most half the instances
+    # batch steps: batch steps every live instance in every pass
+    blocks, config = bench_generators().peerreview_inputs(1, 80)
+    spec = parse_compact((DEMOS / "peerreview.cpt").read_text())
+    org = Organization.make(spec.context, config["roles"])
+    chain = Chain(blocks=(GENESIS_BLOCK,) + tuple(blocks))
+    reads, steps = [0], {"fold": 0, "batch": 0}
+    real_reads = incremental._IncrementalRun.clause_matches
+
+    def reading(self, *args):
+        reads[0] += 1
+        return real_reads(self, *args)
+
+    def stepping(method):
+        def wrapper(self, *args):
+            steps["fold" if isinstance(self, incremental._IncrementalRun) else "batch"] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(incremental._IncrementalRun, "clause_matches", reading)
+    for step in ("_step_commitment", "_step_prohibition"):
+        monkeypatch.setattr(_Run, step, stepping(getattr(_Run, step)))
+    quiet = []
+    state = initial_state(spec, org)
+    batch = evaluate(chain, spec, org)
+    lapsed = {
+        inst.closed_at.block_index for inst in batch.instances.values()
+        if inst.closed_at is not None and inst.closed_at.offset_in_block == -1
+    }
+    for block in blocks:
+        before = reads[0]
+        state = apply_block(state, block)
+        if not block.events and block.header.index not in lapsed:
+            quiet.append(reads[0] - before)
+    assert state == batch
+    assert len(quiet) >= 50 and lapsed
+    assert quiet == [0] * len(quiet)
+    assert 0 < 2 * steps["fold"] <= steps["batch"], steps
