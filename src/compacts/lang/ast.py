@@ -116,11 +116,18 @@ def variables_of(condition: Condition) -> set[str]:
     return names
 
 
-def or_alternatives(condition: Condition) -> list[Condition]:
-    """The top-level alternatives of an ``or``, leftmost first."""
-    if isinstance(condition, Or):
-        return or_alternatives(condition.left) + or_alternatives(condition.right)
-    return [condition]
+def bindings(condition: Condition) -> tuple[set[str], set[str]]:
+    """(every, some): the names that every alternative of the condition's
+    disjunctive form binds, and the names that some alternative binds. The
+    disjunctive form distributes ``or`` through ``and`` and ``before``, so
+    an alternative takes one side of each ``or`` it meets."""
+    if not isinstance(condition, (And, Or, Before)):
+        names = variables_of(condition)
+        return names, names
+    every_left, some_left = bindings(condition.left)
+    every_right, some_right = bindings(condition.right)
+    every = every_left & every_right if isinstance(condition, Or) else every_left | every_right
+    return every, some_left | some_right
 
 
 @dataclass(frozen=True)
@@ -152,12 +159,11 @@ class NormDecl:
     pos: Pos = field(default=(0, 0), compare=False, repr=False)
 
     def create_variables(self) -> tuple[str, ...]:
-        """Instance key: the variables bound by the create condition.
-
-        Well-formedness requires every top-level alternative of create to
-        bind the same set, so the first alternative is authoritative.
+        """Instance key: the variables that every alternative of the create
+        condition binds. Well-formedness requires every alternative to bind
+        the same set (see bindings).
         """
-        return tuple(sorted(variables_of(or_alternatives(self.create)[0])))
+        return tuple(sorted(bindings(self.create)[0]))
 
     def clauses(self) -> Iterator[tuple[str, Condition]]:
         yield "create", self.create

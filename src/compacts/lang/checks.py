@@ -140,15 +140,14 @@ def _check_norm(declared, norm: ast.NormDecl) -> list[Diagnostic]:
     kind_diags, kinds = _check_kinds(declared, patterns, where, norm.pos)
     diags.extend(kind_diags)
 
-    # instance key: all create alternatives bind the same variables,
-    # covering the subject/object variables
-    alternatives = ast.or_alternatives(norm.create)
-    key_vars = ast.variables_of(alternatives[0])
-    for alt in alternatives[1:]:
-        if ast.variables_of(alt) != key_vars:
-            diags.append(
-                _err(norm.pos, "create-bindings-vary", f"{where}create alternatives bind different variables")
-            )
+    # instance key: every alternative of create, with 'or' distributed
+    # through 'and' and 'before', binds the same variables, covering the
+    # subject/object variables
+    key_vars, bound_somewhere = ast.bindings(norm.create)
+    if key_vars != bound_somewhere:
+        diags.append(
+            _err(norm.pos, "create-bindings-vary", f"{where}create alternatives bind different variables")
+        )
     # a role variable names a principal, and a principal is text: kinds holds
     # the kind of the first attribute each variable fills, create's first
     for clause in (norm.subject, norm.object):

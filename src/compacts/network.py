@@ -1,16 +1,13 @@
 """Deterministic multi-peer network simulation with longest-chain consensus.
 
-Rounds advance in lockstep. Each round every peer, in id order, drains its
-inbox (delivery order drawn from the seeded generator), adopts a received
-chain that beats its own (longest, ties to the smallest tip digest) if it
-verifies, mines at most one block of every pending event admission lets in
-(passes repeat until one lets none in), and broadcasts what it adopted for
-delivery next round. Messages are the events and chains themselves. The
-caller's events, whose ids it chooses and must keep unique, are signed with
-their emitters' roster secrets and enter at a generator-chosen peer at their
-round; a round with nothing in flight or due is skipped. A peer holds the
-memo's verified Chain, the one holder of its admission index; each memo
-chain keeps its own copy. Identical inputs give bit-identical results.
+A peer (_Peer) holds its chain and the events it has seen. receive(message)
+takes an event, recorded if its signature checks, or a chain, adopted if it
+beats the peer's own (longest, ties to the smallest tip digest) and
+verifies, and says whether to forward it. turn() mines one block of every
+seen event admission lets in and returns what to send. Each round every
+peer, in id order, receives its inbox (in an order drawn from the seeded
+generator) and takes its turn; what it forwards and sends reaches every
+other peer next round. Identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -58,12 +55,6 @@ class NetworkResult:
         return select_active_chain([chain for _, chain in self.chains])
 
 
-class _Peer:
-    def __init__(self):
-        self.chain = genesis_chain()  # after an adoption, the memo's verified chain
-        self.seen: dict[str, Event] = {}  # event_id -> event, arrival order
-
-
 def _admissible(seen: Iterable[Event], index: LedgerIndex, roles_of) -> list[Event]:
     """The seen events that may extend the chain whose index is given, under
     the index's rules: of those not on the chain, passes over the ones not
@@ -88,6 +79,52 @@ def _admissible(seen: Iterable[Event], index: LedgerIndex, roles_of) -> list[Eve
     return chosen
 
 
+class _Peer:
+    """A peer, verifying under its run's target, roster, rules, roles_of and
+    verify memo. A test substitutes a subclass by patching network._Peer."""
+
+    def __init__(self, pid: str, target: int, roster: dict, rules, roles_of, memo: dict):
+        self.pid, self.target, self.roster = pid, target, roster
+        self.rules, self.roles_of, self.memo = rules, roles_of, memo
+        self.chain = genesis_chain()  # after an adoption, the memo's verified chain
+        self.seen: dict[str, Event] = {}  # event_id -> event, arrival order
+
+    def adopt(self, chain: Chain) -> bool:
+        """Switch to chain if it passes verification."""
+        if verify_chain(chain, target=self.target, roster=self.roster, rules=self.rules,
+                        roles_of=self.roles_of, memo=self.memo) is not None:
+            return False  # invalid chains are dropped
+        self.chain = self.memo[chain.tip_digest()]  # holds its admission index
+        return True
+
+    def receive(self, message) -> bool:
+        """Take one event or chain; returns whether to forward it."""
+        if isinstance(message, Chain):
+            # a tie keeps the peer's own chain, which it may be sent back
+            if select_active_chain([self.chain, message]) is self.chain or not self.adopt(message):
+                return False
+            for event in message.events():
+                self.seen.setdefault(event.event_id, event)
+            return True
+        if message.event_id in self.seen:
+            return False
+        secret = self.roster.get(message.emitter)
+        if secret is None or not verify_event_signature(message, secret):
+            return False
+        self.seen[message.event_id] = message
+        return True
+
+    def turn(self) -> list:
+        """Mine one block of every seen event admission lets in; returns what to send."""
+        chain = self.chain
+        mineable = tuple(_admissible(self.seen.values(), chain.admission_index(self.rules), self.roles_of))
+        if not mineable:
+            return []
+        header = mine_block(mineable, chain.tip.header, self.target, miner=self.pid)
+        mined = chain.extend(Block(header=header, events=mineable))
+        return [mined] if self.adopt(mined) else []  # verifies the new block once, for every peer
+
+
 def run_network(
     scenario: Sequence[tuple[int, Event]],
     config: NetworkConfig,
@@ -97,18 +134,17 @@ def run_network(
     """Simulate gossip, mining and longest-chain adoption over max_rounds.
 
     Each (round, event) pair is signed with its emitter's roster secret
-    (UnrosteredEmitter if it has none) and submitted at its round. Event ids
-    come from the caller: a repeat, which gossip would drop in silence, is a
-    ValueError. Stops early once every peer has the same tip, nothing is in
-    flight and no event is due later; a peer that mined took every event it
-    could admit, so none is left waiting. A round that ends with nothing in
-    flight is followed by the next round an event is due, as no peer can
-    change before then. Converged means one tip and every event's round in
-    0..max_rounds-1. A block is verified once, when it is mined; a received
-    chain is verified only when the peer would adopt it, and then only past
-    its newest verified block (see verify_chain's memo); the peer then holds
-    the memo's chain, with its own index. Every chain returned passed
-    verify_chain under config.target, the roster, rules and roles_of.
+    (UnrosteredEmitter if it has none) and, at its round, put in the inbox of
+    a generator-chosen peer; a repeated event id, which receive would drop in
+    silence, is a ValueError. Each round every peer receives its shuffled
+    inbox and takes its turn. The run stops once every peer has the same tip,
+    nothing is in flight and no event is due later: a turn takes every event
+    the peer can admit, so none is left waiting. An idle round skips to the
+    next one an event is due. Converged means one tip and every event's round
+    in 0..max_rounds-1. Every chain returned passed verify_chain under
+    config.target, the roster, rules and roles_of; a peer verifies a received
+    chain only to adopt it, and only past its newest verified block (see
+    verify_chain's memo).
     """
     roster = config.roster
     roles_of = org.roles_of if org is not None else None
@@ -124,17 +160,8 @@ def run_network(
     stops = sorted({*due, config.max_rounds})  # the rounds an idle network skips to
     rng = random.Random(config.gossip_seed)
     peer_ids = sorted(config.peers)
-    peers = {pid: _Peer() for pid in peer_ids}
     memo: dict = {}
-
-    def adopt(peer: _Peer, chain: Chain) -> bool:
-        """Switch peer to chain if it passes verification."""
-        if verify_chain(
-            chain, target=config.target, roster=roster, rules=rules, roles_of=roles_of, memo=memo
-        ) is not None:
-            return False  # invalid chains are dropped
-        peer.chain = memo[chain.tip_digest()]  # holds its admission index
-        return True
+    peers = {pid: _Peer(pid, config.target, roster, rules, roles_of, memo) for pid in peer_ids}
 
     def agreed() -> bool:
         return len({peers[pid].chain.tip_digest() for pid in peer_ids}) == 1
@@ -146,37 +173,10 @@ def run_network(
         for event in due.get(round_no, ()):
             inbox[peer_ids[rng.randrange(len(peer_ids))]].append(event)
         sent: list[tuple[str, object]] = []  # (sender, message), delivered next round
-        for pid in peer_ids:
-            peer = peers[pid]
-            messages = inbox[pid]
-            rng.shuffle(messages)
-            for message in messages:
-                if isinstance(message, Chain):
-                    # a tie keeps the peer's own chain, which it may be sent back
-                    if select_active_chain([peer.chain, message]) is peer.chain:
-                        continue
-                    if not adopt(peer, message):
-                        continue
-                    for event in message.events():
-                        peer.seen.setdefault(event.event_id, event)
-                elif message.event_id in peer.seen:
-                    continue
-                else:
-                    secret = roster.get(message.emitter)
-                    if secret is None or not verify_event_signature(message, secret):
-                        continue
-                    peer.seen[message.event_id] = message
-                sent.append((pid, message))
-
-            mineable = _admissible(peer.seen.values(), peer.chain.admission_index(rules), roles_of)
-            if mineable:
-                header = mine_block(
-                    tuple(mineable), peer.chain.tip.header, config.target, miner=pid
-                )
-                mined = peer.chain.extend(Block(header=header, events=tuple(mineable)))
-                if adopt(peer, mined):  # verifies the new block once, for every peer
-                    sent.append((pid, mined))
-
+        for pid, peer in peers.items():  # in id order
+            rng.shuffle(inbox[pid])
+            sent.extend((pid, message) for message in filter(peer.receive, inbox[pid]))
+            sent.extend((pid, message) for message in peer.turn())
         inbox = {pid: [m for sender, m in sent if sender != pid] for pid in peer_ids}
         round_no += 1
         if not any(inbox.values()):

@@ -125,6 +125,30 @@ def test_create_alternatives_must_bind_same_variables():
     assert "create-bindings-vary" in codes(diagnostics_for(body))
 
 
+@pytest.mark.parametrize("create", [
+    "(A(x) or B(x, tag: t)) and D(x)",  # an 'or' under an 'and': A-instances bind no t
+    "D(x) and (A(x) before (B(x, tag: t) or D(x)))",
+    "A(x) or (D(x) and (A(x) or B(x, tag: t)))",
+])
+def test_an_or_anywhere_in_create_must_bind_same_variables(create):
+    body = f"""
+  commitment K subject R: x object S: x {{
+    create on {create};
+    consequent D(x) within 5 blocks;
+  }}"""
+    assert "create-bindings-vary" in codes(diagnostics_for(body))
+
+
+def test_create_alternatives_are_compared_once_or_is_distributed():
+    # each alternative, (A(x) and B(x, t)) or (B(x, t) and B(x, t)), binds x and t
+    body = """
+  commitment K subject R: x object S: t {
+    create on (A(x) or B(x, tag: t)) and B(x, tag: t);
+    consequent D(x) within 5 blocks;
+  }"""
+    assert diagnostics_for(body) == []
+
+
 def test_undeclared_event_type_and_role():
     body = """
   commitment K subject Q: x object S: x {

@@ -77,6 +77,20 @@ def test_a_non_text_role_variable_stops_parse_and_run(tmp_path, capsys):
     assert "role R takes x, which fills int parameters" in capsys.readouterr().err
 
 
+def test_a_create_whose_alternatives_bind_different_names_stops_parse(tmp_path, capsys):
+    # an A-instance binds x alone, so its subject y would name no principal
+    # and its violation would reach no trust row
+    spec = tmp_path / "or.cpt"
+    spec.write_text(
+        "compact P context org { roles R; schema A(x: text key); schema B(x: text key, y: text key); "
+        "schema Go(x: text key); channel m members R carries A, B, Go; "
+        "commitment K subject R: y object R { create on (A(x) or B(x, y)) and Go(x); "
+        "consequent Go(x) within 3 blocks; } }"
+    )
+    assert run_cli("parse", str(spec)) == EXIT_WELL_FORMEDNESS
+    assert "create alternatives bind different variables" in capsys.readouterr().err
+
+
 def test_a_repeated_fact_attribute_stops_parse(tmp_path, capsys):
     spec = tmp_path / "dup.cpt"
     spec.write_text(

@@ -8,7 +8,7 @@ from compacts import fileformats, incremental
 from compacts.evaluator import NormState, _Run, evaluate
 from compacts.governance import Organization, ruleset_from_spec
 from compacts.incremental import NonContiguousBlock, apply_block, fold_chain, initial_state
-from compacts.lang import parse_compact
+from compacts.lang import check_well_formedness, parse_compact
 from compacts.ledger import GENESIS_BLOCK, Chain, Position
 from compacts.matching import bindings_sort_key
 from compacts.network import run_network
@@ -329,10 +329,11 @@ def test_the_fold_makes_batchs_transitions_in_order_on_random_cases(monkeypatch,
 
 
 def test_a_match_wakes_an_instance_that_binds_fewer_of_its_names(monkeypatch):
-    # K's create is an 'or' whose A-branch binds x and whose B-branch binds x
-    # and y. D(x, y) agrees with the A-instance on x, the one name both bind,
-    # so it satisfies that instance as it does the B-instance.
+    # K's instances bind x, created on A or on B. A consequent match binds x
+    # and y, so it agrees with an instance on x, the one name both bind, and
+    # must satisfy it.
     spec = parse_compact((FIXTURES / "or_create.cpt").read_text())
+    assert [d for d in check_well_formedness(spec) if d.severity == "error"] == []
     roster = {"r": "r-key"}
     org = Organization.make(spec.context, {"r": ["R"]})
 
@@ -340,16 +341,16 @@ def test_a_match_wakes_an_instance_that_binds_fewer_of_its_names(monkeypatch):
         return signed_event(f"e{i}", event_type, attributes, "r", roster)
 
     chain = build_chain([
-        [ev(0, "A", {"x": "a"}), ev(1, "B", {"x": "b", "y": "c"})],
+        [ev(0, "A", {"x": "a"}), ev(1, "B", {"x": "b"})],
         [ev(2, "Go", {"x": "a"}), ev(3, "Go", {"x": "b"})],
         [],
-        [ev(4, "D", {"x": "a", "y": "q"}), ev(5, "D", {"x": "b", "y": "c"})],
-        [], [], [], [],
+        [ev(4, "D", {"x": "a", "y": "q"}), ev(5, "E", {"y": "q"}), ev(6, "D", {"x": "b", "y": "c"})],
+        [ev(7, "E", {"y": "c"})], [], [], [],
     ])
     state = fold_chain(chain, spec, org)
     assert state == evaluate(chain, spec, org)
     by_key = {inst.key_bindings: inst for inst in state.instances.values()}
-    assert set(by_key) == {(("x", "a"),), (("x", "b"), ("y", "c"))}
+    assert set(by_key) == {(("x", "a"),), (("x", "b"),)}
     assert {inst.state for inst in by_key.values()} == {NormState.SATISFIED}
     assert same_transitions(chain, spec, org, monkeypatch)
 
