@@ -30,9 +30,9 @@ prefix with match_condition, and create_matches returns every create match
 (_spawn skips keys it has). The incremental engine in incremental.py
 subclasses _Run and answers them from cached semi-naive match sets: keyed
 lookups, and only the create matches that are new since the last pass. Its
-run is handed on from state to state; a superseded state replays its trace.
-The two matchers are a differential pair whose agreement is a tested
-property, so keep them independent of each other.
+run is handed on from state to state; a state it cannot continue re-folds
+its prefix. The two matchers are a differential pair whose agreement is a
+tested property, so keep them independent of each other.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Iterable, Optional
 from .governance import EMPTY_ORGANIZATION, Organization, counts_as_facts_for_event
 from .lang import ast
 from .lang.checks import check_well_formedness
-from .ledger import Block, Chain, Event, Position, Scalar, verify_chain
+from .ledger import Chain, Event, Position, Scalar, verify_chain
 from .matching import (
     Bindings,
     DerivedFact,
@@ -97,15 +97,15 @@ class NormInstance:
 
 @dataclass(frozen=True)
 class EvalState:
-    """Everything the evaluator concluded from a processed chain prefix."""
+    """What the evaluator concluded from a processed chain prefix. Its events
+    stay in the append-only trace of run, the run that froze the state."""
 
     spec: ast.CompactSpec
     org: Organization
     instances: dict[tuple[str, Bindings], NormInstance]
     facts: tuple[DerivedFact, ...]
     frontier: Position
-    trace: tuple[tuple[Position, Event], ...]
-    caches: object = field(default=None, compare=False, repr=False)  # the run that froze this state
+    run: object = field(default=None, compare=False, repr=False)
 
     def instances_in_order(self) -> list[NormInstance]:
         return sorted(
@@ -152,14 +152,13 @@ class _Run:
 
     # --- lifecycle -----------------------------------------------------
 
-    def process_block(self, block: Block) -> Position:
-        """Lapses at the block boundary, then each event in order; returns
-        the last position processed."""
-        height = block.header.index
+    def process_block(self, height: int, events: Iterable[Event]) -> Position:
+        """Lapses at the boundary of the block at height, then each of its
+        events in order; returns the last position processed."""
         frontier = Position(height, -1)
         self._lapse(frontier)
         self._fixpoint()
-        for offset, event in enumerate(block.events):
+        for offset, event in enumerate(events):
             frontier = Position(height, offset)
             self.process_event(frontier, event)
         return frontier
@@ -173,20 +172,20 @@ class _Run:
     def _lapse(self, now: Position) -> None:
         for key in self._lapse_keys(now):
             inst = self.instances[key]
-            norm = self.spec.norm(inst.norm_id)
-            if norm.kind != ast.COMMITMENT:
-                continue
-            if (
-                inst.state is NormState.ACTIVE
-                and norm.expiry_blocks is not None
-                and now.block_index > inst.created_at.block_index + norm.expiry_blocks
-            ):
-                self._transition(key, replace(inst, state=NormState.EXPIRED, closed_at=now), now)
-            elif (
-                inst.state is NormState.DETACHED
-                and now.block_index > inst.detached_at.block_index + norm.deadline_blocks
-            ):
-                self._transition(key, replace(inst, state=NormState.VIOLATED, closed_at=now), now)
+            due = self._lapse_height(inst)
+            if due is not None and now.block_index > due:
+                lapsed = NormState.VIOLATED if inst.state is NormState.DETACHED else NormState.EXPIRED
+                self._transition(key, replace(inst, state=lapsed, closed_at=now), now)
+
+    def _lapse_height(self, inst: NormInstance) -> Optional[int]:
+        """The height a live instance lapses past: a detached commitment's
+        deadline, an active one's expiry; None if it has neither."""
+        norm = self.spec.norm(inst.norm_id)
+        if inst.state is NormState.DETACHED:  # only a commitment detaches
+            return inst.detached_at.block_index + norm.deadline_blocks
+        if norm.kind == ast.COMMITMENT and norm.expiry_blocks is not None:
+            return inst.created_at.block_index + norm.expiry_blocks
+        return None
 
     def _lapse_keys(self, now: Position) -> Iterable[tuple[str, Bindings]]:
         """Keys _lapse checks at now, in creation order: here every live one."""
@@ -214,8 +213,12 @@ class _Run:
                     detached_at=match.witness if detach_on_create else None,
                 )
                 self.live[key] = None
+                self._spawned(key)
                 if detach_on_create:
                     self._emit(norm.id, match.bindings, NormState.DETACHED, match.witness)
+
+    def _spawned(self, key: tuple[str, Bindings]) -> None:
+        """Called once per instance, as it is created: here nothing."""
 
     def _transitions(self) -> None:
         for key in self._pass_keys():
@@ -315,8 +318,7 @@ class _Run:
             instances=dict(self.instances),
             facts=tuple(self.facts),
             frontier=frontier,
-            trace=tuple(self.trace),
-            caches=self,
+            run=self,
         )
 
 
@@ -338,7 +340,7 @@ def evaluate(
     ensure_spec_well_formed(spec)
     run = _Run(spec, org)
     for block in chain.blocks:
-        frontier = run.process_block(block)
+        frontier = run.process_block(block.header.index, block.events)
     return run.freeze(frontier)
 
 

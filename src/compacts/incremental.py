@@ -24,13 +24,14 @@ spawned, when a transition leaves it live, and when a clause of its norm
 gains a match that agrees with its key on the names both bind. It keeps
 batch's order: creation order; woken above the cursor, an instance steps in
 this pass, at or below it (the one stepping too) in the next. _lapse pops a
-heap of (due height, seq, key), pushed when a commitment with an expiry
-spawns and when one detaches; _Run's lapse conditions skip stale entries.
+heap of (due height, seq, key), pushed at _Run._lapse_height when an
+instance spawns or detaches; _Run's lapse conditions skip stale entries.
 
-The run is not copied from block to block: apply_block hands it on in the
-state it returns and continues it from that state. A state the run has moved
-past, or one batch evaluate made, replays its trace into a new run if it is
-ever applied again.
+A run is built one way only, empty and then block by block, and apply_block
+hands it on in the state it returns. A state it cannot continue (batch,
+superseded, or left part-way by an exception) is re-folded: a new run
+processes every height up to the state's frontier, empty ones too, from the
+old run's append-only trace cut there.
 
 Replay equivalence with the batch evaluator (evaluate(chain) equals folding
 apply_block over the blocks) is the correctness contract. The cached matcher
@@ -41,10 +42,10 @@ semantics: they are a differential pair, so keep them independent.
 from __future__ import annotations
 
 import heapq
-from itertools import islice
+from bisect import bisect_left
 from typing import Iterator, Mapping, Optional
 
-from .evaluator import EvalState, NormInstance, NormState, _Run, ensure_spec_well_formed
+from .evaluator import EvalState, NormInstance, _Run, ensure_spec_well_formed
 from .governance import EMPTY_ORGANIZATION, Organization, counts_as_facts_for_event
 from .lang import ast
 from .ledger import Block, Chain, Event, Position, Scalar
@@ -169,46 +170,31 @@ class _CondIndex(_Filed):
         )
 
 
-def initial_state(spec: ast.CompactSpec, org: Organization) -> EvalState:
-    """State after the genesis block: nothing seen, frontier at height 0."""
-    ensure_spec_well_formed(spec)
-    return _Run(spec, org).freeze(Position(0, -1))
-
-
 class _IncrementalRun(_Run):
     """The shared lifecycle over cached match sets, advanced block by block.
 
     Next to _Run's fields it keeps a condition index per (norm, clause), the
     create matches _spawn has not read yet, creation sequences, each norm's
-    live keys, the agenda and the lapse heap. A run is valid for the one
-    frontier it was frozen at: the state freeze returns holds it, and
-    apply_block continues it from that state. Any other state, batch or
-    superseded, replays its trace and facts into a new run.
+    live keys, the agenda and the lapse heap. A run starts empty and only
+    process_block advances it. It is valid for the one frontier it was frozen
+    at: the state freeze returns holds it, and apply_block continues it from
+    that state. Any other state is re-folded into a new run (_refold).
     """
 
-    def __init__(self, state: EvalState):
-        super().__init__(state.spec, state.org)
+    def __init__(self, spec: ast.CompactSpec, org: Organization):
+        super().__init__(spec, org)
         self.indexes: dict[tuple[str, str], _CondIndex] = {}
-        for norm in state.spec.norms:
+        for norm in spec.norms:
             for clause, cond in norm.clauses():
                 self.indexes[(norm.id, clause)] = _CondIndex(cond)
         self.unspawned: dict[str, list[Match]] = {}
         self.seq: dict[_Key, int] = {}
-        self.waiting = {norm.id: _Filed() for norm in state.spec.norms}
+        self.waiting = {norm.id: _Filed() for norm in spec.norms}
         self.agenda: list[tuple[int, int, _Key]] = []  # (pass, seq, key)
         self.passes = 0  # passes done: the number of the pass under way, or next
         self.cursor = -1  # seq of the instance being stepped, -1 between passes
         self.lapses: list[tuple[int, int, _Key]] = []
-        for pos, event in state.trace:
-            self.trace.append((pos, event))
-            self._advance(pos, event, None)
-        for fact in state.facts:
-            self.add_fact(fact)
-        self.instances = dict(state.instances)
-        self.live = {key: None for key, inst in state.instances.items() if not inst.is_terminal()}
-        for key in self.instances:
-            self._enlist(key)
-        self.frontier: Optional[Position] = state.frontier
+        self.frontier: Optional[Position] = None  # set by freeze
 
     def _advance(self, pos: Position, event: Optional[Event], fact: Optional[DerivedFact]) -> None:
         for (norm_id, clause), idx in self.indexes.items():
@@ -220,37 +206,29 @@ class _IncrementalRun(_Run):
                     for key in self.waiting[norm_id].compatible_with(dict(match.bindings)):
                         self._wake(key)
 
-    def _enlist(self, key: _Key) -> None:
-        """Number a new instance; a live one is woken, filed and scheduled."""
+    def _spawned(self, key: _Key) -> None:
+        """Number, wake, file and schedule a new instance (its own detached
+        fact may wake it again; _pass_keys skips the second entry)."""
         self.seq[key] = len(self.seq)
         inst = self.instances[key]
-        if not inst.is_terminal():
-            self._wake(key)
-            self.waiting[inst.norm_id].add(key, inst.key_bindings)
-            self._schedule(key, inst)
+        self._wake(key)
+        self.waiting[inst.norm_id].add(key, inst.key_bindings)
+        self._schedule(key, inst)
 
     def _wake(self, key: _Key) -> None:
         seq = self.seq[key]  # at or below the cursor it waits for the next pass
         heapq.heappush(self.agenda, (self.passes + (seq <= self.cursor), seq, key))
 
     def _schedule(self, key: _Key, inst: NormInstance) -> None:
-        norm, seq = self.spec.norm(inst.norm_id), self.seq[key]
-        if inst.state is NormState.DETACHED:
-            heapq.heappush(self.lapses, (inst.detached_at.block_index + norm.deadline_blocks, seq, key))
-        elif norm.expiry_blocks is not None:
-            heapq.heappush(self.lapses, (inst.created_at.block_index + norm.expiry_blocks, seq, key))
+        due = self._lapse_height(inst)
+        if due is not None:
+            heapq.heappush(self.lapses, (due, self.seq[key], key))
 
     def _lapse_keys(self, now: Position) -> list[_Key]:
         due = []
         while self.lapses and self.lapses[0][0] < now.block_index:
             due.append(heapq.heappop(self.lapses)[1:])
         return [key for _, key in sorted(set(due)) if key in self.live]
-
-    def _spawn(self) -> None:
-        super()._spawn()
-        spawned = list(islice(reversed(self.instances), len(self.instances) - len(self.seq)))
-        for key in reversed(spawned):
-            self._enlist(key)
 
     def _pass_keys(self) -> Iterator[_Key]:
         while self.agenda and self.agenda[0][0] == self.passes:
@@ -297,6 +275,25 @@ class _IncrementalRun(_Run):
         return super().freeze(frontier)
 
 
+def initial_state(spec: ast.CompactSpec, org: Organization) -> EvalState:
+    """State after the genesis block: nothing seen, frontier at height 0."""
+    ensure_spec_well_formed(spec)
+    return _IncrementalRun(spec, org).freeze(Position(0, -1))
+
+
+def _refold(state: EvalState) -> _IncrementalRun:
+    """A new run past every block up to the state's frontier, read from the
+    trace of the run that froze the state."""
+    height, trace = state.frontier.block_index, state.run.trace
+    events: dict[int, list[Event]] = {}
+    for pos, event in trace[: bisect_left(trace, (Position(height + 1, -1),))]:
+        events.setdefault(pos.block_index, []).append(event)
+    run = _IncrementalRun(state.spec, state.org)
+    for h in range(1, height + 1):
+        run.process_block(h, events.get(h, ()))
+    return run
+
+
 def apply_block(state: EvalState, block: Block) -> EvalState:
     """Advance a state by exactly the next block; equals batch evaluation of
     the extended prefix."""
@@ -304,11 +301,11 @@ def apply_block(state: EvalState, block: Block) -> EvalState:
         raise NonContiguousBlock(
             f"frontier at block {state.frontier.block_index}, got block {block.header.index}"
         )
-    run = state.caches
+    run = state.run
     if not isinstance(run, _IncrementalRun) or run.frontier != state.frontier:
-        run = _IncrementalRun(state)
+        run = _refold(state)
     run.frontier = None  # in use until freeze: a run left part-way is not continued
-    frontier = run.process_block(block)
+    frontier = run.process_block(block.header.index, block.events)
     return run.freeze(frontier)
 
 

@@ -208,13 +208,13 @@ GENESIS_BLOCK = Block(header=GENESIS_HEADER, events=())
 class Chain:
     """Sequence of hash-linked blocks starting at the shared genesis block.
 
-    A chain is the one holder of its admission index (validator.LedgerIndex),
-    kept in a private cell with the rules it is for and the block it covers:
-    the tip, or a block validate_block accepted on top of it. admission_index
-    builds it from the chain's events on first use. extend hands it to the
-    child only for the block it covers; otherwise the parent keeps it.
-    verify_chain's memo chains each hold their own copy. The cell takes no
-    part in equality, hashing or repr.
+    A chain is the one holder of its admission index (validator.LedgerIndex,
+    which holds the rules it is for), kept in a private cell with the block it
+    covers: the tip, or a block validate_block accepted on top of it.
+    admission_index builds it from the chain's events on first use. extend
+    hands it to the child only for the block it covers; otherwise the parent
+    keeps it. verify_chain's memo chains each hold their own copy. The cell
+    takes no part in equality, hashing or repr.
     """
 
     blocks: tuple[Block, ...] = field(default_factory=lambda: (GENESIS_BLOCK,))
@@ -233,11 +233,8 @@ class Chain:
 
     def extend(self, block: Block) -> "Chain":
         child = Chain(blocks=self.blocks + (block,))
-        if self._admission:
-            rules, index, covered = self._admission[-1]
-            if covered is block:
-                self._admission.pop()
-                child._admission.append((rules, index, block))
+        if self._admission and self._admission[-1][1] is block:
+            child._admission.append(self._admission.pop())
         return child
 
     def admission_index(self, rules) -> "validator.LedgerIndex":
@@ -245,12 +242,12 @@ class Chain:
         chain under the same rules object, else one built from its events,
         which the chain then holds."""
         if self._admission:
-            held_rules, index, covered = self._admission[-1]
-            if held_rules is rules and covered is self.tip:
+            index, covered = self._admission[-1]
+            if index.rules is rules and covered is self.tip:
                 return index
             self._admission.clear()
         index = validator.LedgerIndex(rules, self.events())
-        self._admission.append((rules, index, self.tip))
+        self._admission.append((index, self.tip))
         return index
 
     def events(self) -> Iterator[Event]:
@@ -351,7 +348,7 @@ def validate_block(
             if problems:
                 return Rejection("IntegrityViolation", str(problems[0]))
         index.add(event)
-    chain._admission.append((rules, index, block))
+    chain._admission.append((index, block))
     return None
 
 
@@ -400,7 +397,7 @@ def verify_chain(
         prefix = verified
         if memo is not None:  # the memo's chain keeps its index; validate on a copy
             prefix = Chain(blocks=verified.blocks)
-            prefix._admission.append((rules, verified.admission_index(rules).copy(), verified.tip))
+            prefix._admission.append((verified.admission_index(rules).copy(), verified.tip))
         rejection = validate_block(prefix, block, target, roster, rules, roles_of)
         if rejection is not None:
             return FirstBadBlock(block.header.index, rejection)

@@ -140,11 +140,11 @@ def run_network(
     inbox and takes its turn. The run stops once every peer has the same tip,
     nothing is in flight and no event is due later: a turn takes every event
     the peer can admit, so none is left waiting. An idle round skips to the
-    next one an event is due. Converged means one tip and every event's round
-    in 0..max_rounds-1. Every chain returned passed verify_chain under
-    config.target, the roster, rules and roles_of; a peer verifies a received
-    chain only to adopt it, and only past its newest verified block (see
-    verify_chain's memo).
+    next one an event is due. Converged means one tip, every event's round in
+    0..max_rounds-1, and no event off the tip that admission there lets in.
+    Every chain returned passed verify_chain under config.target, the roster,
+    rules and roles_of; a peer verifies a received chain only to adopt it,
+    and only past its newest verified block (see verify_chain's memo).
     """
     roster = config.roster
     roles_of = org.roles_of if org is not None else None
@@ -184,8 +184,12 @@ def run_network(
                 break
             round_no = stops[bisect_left(stops, round_no)]
 
+    converged = agreed() and all(0 <= r < config.max_rounds for r in due)
+    if converged:  # unless the agreed tip left out an event it would admit
+        submitted = [event for events in due.values() for event in events]
+        converged = not _admissible(submitted, peers[peer_ids[0]].chain.admission_index(rules), roles_of)
     return NetworkResult(
         chains=tuple((pid, peers[pid].chain) for pid in peer_ids),
-        converged=agreed() and all(0 <= r < config.max_rounds for r in due),
+        converged=converged,
         rounds_used=round_no,
     )

@@ -27,7 +27,7 @@ class _UntilNothingChanges(_Run):
 def reference_evaluate(chain, spec, org):
     run = _UntilNothingChanges(spec, org)
     for block in chain.blocks:
-        frontier = run.process_block(block)
+        frontier = run.process_block(block.header.index, block.events)
     return run.freeze(frontier)
 
 

@@ -10,7 +10,9 @@ hold:
   the run's target, roster, rules and roles;
 - honest peers end on one tip;
 - every event injected at an honest peer is on that chain, or admission
-  refuses it there, also after a reorg to a withheld chain.
+  refuses it there, also after a reorg to a withheld chain;
+- a run that reports converged holds every event on that chain, or
+  admission refuses it there, wherever it was injected.
 
 A peer that forwards forged copies of events tests the signature check on
 delivery. The tier-1 sweep is small. A long sweep sets the number of cases
@@ -108,12 +110,25 @@ def test_honest_peers_hold_against_one_hostile_peer(hospital_spec, kind, patient
     index = chain.admission_index(rules)
     at = injected_at(log)
     for _, submitted in scenario:
-        if at.get(submitted.event_id, bad) == bad or submitted.event_id in on_chain:
+        if submitted.event_id in on_chain:
             continue
         signed = submitted.with_signature(config.roster[submitted.emitter])
         refused = validate_event_schema(signed, rules, org.roles_of) or check_integrity(signed, index)
-        assert refused, f"{submitted.event_id} injected at an honest peer is missing"
+        if at.get(submitted.event_id, bad) != bad:
+            assert refused, f"{submitted.event_id} injected at an honest peer is missing"
+        assert refused or not result.converged, f"{submitted.event_id} is missing from a converged run"
     event(f"an honest peer reorganised onto the {kind} peer's chain: {bool(reorgs_onto(log, bad))}")
+
+
+def test_a_censored_event_that_no_honest_peer_holds_is_not_converged(hospital_spec):
+    # every event is injected at the censor, so the Share reaches no honest
+    # peer: all agree on a chain without it, which admission there would extend
+    config, rules, org = network_of(hospital_spec, 3, False, 0)
+    result, _, log = hostile_run(scenario_of([(True, 0)]), config, rules, org, {"peer-1": Censor})
+    assert set(injected_at(log).values()) == {"peer-1"}
+    assert len({chain.tip_digest() for _, chain in result.chains}) == 1
+    assert [e.event_type for e in result.active_chain.events()] == ["Admit", "Complaint", "InvestigationReport"]
+    assert not result.converged
 
 
 @pytest.mark.parametrize("easy, seed, k", [(True, 2, 3), (False, 10, 4)])

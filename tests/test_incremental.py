@@ -134,22 +134,42 @@ def test_a_superseded_state_can_be_applied_again(seed):
 
 
 def test_a_fold_builds_one_run(monkeypatch, hospital_spec, hospital_org):
-    # apply_block hands its run on in the state it returns; each block after
-    # the first continues that run instead of building a new one
+    # initial_state builds the run and apply_block hands it on in the state
+    # it returns; each block continues that run instead of building a new one
     built = []
     real_init = incremental._IncrementalRun.__init__
 
-    def counting(self, state):
-        built.append(state.frontier)
-        real_init(self, state)
+    def counting(self, spec, org):
+        built.append(spec)
+        real_init(self, spec, org)
 
     monkeypatch.setattr(incremental._IncrementalRun, "__init__", counting)
     violation, _ = hospital_events()
     chain = build_chain(violation + [[]])
     assert len(chain.blocks) > 3
     state = fold(hospital_spec, hospital_org, chain)
-    assert built == [Position(0, -1)]
+    assert built == [hospital_spec]
     assert state == evaluate(chain, hospital_spec, hospital_org)
+
+
+def test_a_refold_processes_the_empty_heights():
+    # a state the run has moved past is re-folded through every height up to
+    # its frontier: a lapse due at an empty block closes there, not at the
+    # boundary of the block applied next
+    spec = parse_compact((DEMOS / "peerreview.cpt").read_text())
+    blocks, config = bench_generators().peerreview_inputs(1, 80)
+    org = Organization.make(spec.context, config["roles"])
+    chain = Chain(blocks=(GENESIS_BLOCK,) + tuple(blocks))
+    closed = {i.closed_at for i in fold_chain(chain, spec, org).instances.values()}
+    lapsed = [h for h in range(1, len(blocks)) if not blocks[h - 1].events and Position(h, -1) in closed]
+    assert len(lapsed) >= 3
+    state = initial_state(spec, org)
+    for h, block in enumerate(chain.blocks[1 : lapsed[2] + 1], 1):  # batch is quadratic: the first three
+        state = apply_block(state, block)
+        if h in lapsed:
+            expected = evaluate(Chain(blocks=chain.blocks[: h + 2]), spec, org)
+            assert apply_block(state, chain.blocks[h + 1]) == expected  # continues the run
+            assert apply_block(state, chain.blocks[h + 1]) == expected  # re-folds it
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -82,7 +82,6 @@ def test_trust_report_tallies_per_subject_and_norm_and_ignores_expired():
         instances={(i.norm_id, i.key_bindings): i for i in instances},
         facts=(),
         frontier=Position(2, 0),
-        trace=(),
     )
     rows = trust_report(state)
     assert [(r.principal, r.norm_id, r.satisfied, r.violated) for r in rows] == [
