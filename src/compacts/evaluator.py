@@ -126,6 +126,7 @@ class _Run:
         self.org = org
         self.trace: list[tuple[Position, Event]] = []
         self.facts: list[DerivedFact] = []
+        self._fact_order: list[tuple] = []  # _report_order of each of facts
         self._fact_keys: set[tuple[str, Bindings]] = set()
         self.instances: dict[tuple[str, Bindings], NormInstance] = {}
         # keys of the non-terminal instances, in creation order
@@ -136,7 +137,10 @@ class _Run:
         if key in self._fact_keys:
             return False
         self._fact_keys.add(key)
-        bisect.insort(self.facts, fact, key=_report_order)
+        order = _report_order(fact)
+        at = bisect.bisect_right(self._fact_order, order)
+        self._fact_order.insert(at, order)
+        self.facts.insert(at, fact)
         return True
 
     def clause_matches(

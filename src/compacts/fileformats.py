@@ -156,7 +156,7 @@ def chain_from_json(data: dict) -> Chain:
 
 def write_chain(chain: Chain, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(chain_to_json(chain), handle, indent=2)
+        handle.write(json.dumps(chain_to_json(chain), indent=2))
         handle.write("\n")
 
 
@@ -296,7 +296,7 @@ def build_report(
 
 def write_report(report: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
+        handle.write(json.dumps(report, indent=2))
         handle.write("\n")
 
 

@@ -6,11 +6,12 @@ reference it is tested against.
 
 apply_block carries the instance table, fact set and per-condition match
 caches forward instead of replaying the chain. Caches hold the full match set
-of every norm clause and grow by semi-naive deltas: a new event (or fact)
-produces new leaf matches, which join against the other side's existing
-matches on the way up the condition tree. Both the joins and the lifecycle's
-clause queries look matches up by their bindings instead of scanning a
-cache. The lifecycle rules are the batch evaluator's own (evaluator._Run);
+of every norm clause and grow by semi-naive deltas. A new event or fact goes
+only to the leaves whose head (event type or fact name) names it, via a
+table built with the run: Rete's alpha network, one level deep. A leaf's new
+matches climb its tree, joining the other side's matches at each node. Joins
+and clause queries look matches up by bindings; the lifecycle rules are the
+batch evaluator's own (evaluator._Run);
 _IncrementalRun answers their match queries from the cached sets, hands
 _spawn just the create matches added since its last pass, and tells a pass
 and _lapse which instances to look at.
@@ -53,6 +54,7 @@ from .matching import (
     Bindings,
     DerivedFact,
     Match,
+    fact_name,
     freeze_bindings,
     match_event_pattern,
     match_fact_pattern,
@@ -119,18 +121,22 @@ def _slot(view: dict, names: tuple[str, ...], bindings: Bindings) -> dict:
 
 class _CondIndex(_Filed):
     """Cached match set of one condition, updated by deltas: the items are
-    its Match tuples."""
+    its Match tuples. A leaf is offered events and facts; a node, deltas."""
 
-    __slots__ = ("cond", "left", "right")
+    __slots__ = ("cond", "parent", "left", "right")
 
-    def __init__(self, cond: ast.Condition):
+    def __init__(self, cond: ast.Condition, parent: Optional[_CondIndex] = None):
         super().__init__()
         self.cond = cond
+        self.parent = parent
         self.left: Optional[_CondIndex] = None
         self.right: Optional[_CondIndex] = None
         if isinstance(cond, (ast.And, ast.Or, ast.Before)):
-            self.left = _CondIndex(cond.left)
-            self.right = _CondIndex(cond.right)
+            self.left = _CondIndex(cond.left, self)
+            self.right = _CondIndex(cond.right, self)
+
+    def leaves(self) -> list[_CondIndex]:
+        return [self] if self.left is None else self.left.leaves() + self.right.leaves()
 
     def _absorb(self, candidates: list[Match]) -> list[Match]:
         fresh = []
@@ -140,26 +146,27 @@ class _CondIndex(_Filed):
                 fresh.append(match)
         return fresh
 
-    def advance(self, pos: Position, event: Optional[Event], fact: Optional[DerivedFact]) -> list[Match]:
-        """Take in one new event or fact; return the matches it adds."""
-        cond = self.cond
-        if isinstance(cond, ast.PatternLike):
-            if isinstance(cond, ast.EventPattern):
-                extended = match_event_pattern(cond, event, {}) if event is not None else None
-            else:
-                extended = match_fact_pattern(cond, fact, {}) if fact is not None else None
-            if extended is None:
-                return []
-            return self._absorb([Match(freeze_bindings(extended), pos)])
+    def offer(self, pos: Position, item: Event | DerivedFact) -> list[Match]:
+        """Match an event or fact this leaf's head names; return what it adds at the root."""
+        match = match_event_pattern if isinstance(self.cond, ast.EventPattern) else match_fact_pattern
+        extended = match(self.cond, item, {})
+        if extended is None:
+            return []
+        node, fresh = self, self._absorb([Match(freeze_bindings(extended), pos)])
+        while fresh and node.parent is not None:
+            node, fresh = node.parent, node.parent.join(node, fresh)
+        return fresh
 
-        delta_left = self.left.advance(pos, event, fact)
-        delta_right = self.right.advance(pos, event, fact)
+    def join(self, child: _CondIndex, delta: list[Match]) -> list[Match]:
+        """Take in a child's new matches; return what they add here. A pair of
+        two new matches is made once, as the later of their two leaves climbs."""
+        cond = self.cond
         if isinstance(cond, ast.Or):
-            return self._absorb(delta_left + delta_right)
-        # new joins: the left delta against all rights, all lefts against the
-        # right delta (pairs of two deltas come twice; _absorb drops one)
-        pairs = [(lm, rm) for lm in delta_left for rm in self.right.compatible_with(dict(lm.bindings))]
-        pairs += [(lm, rm) for rm in delta_right for lm in self.left.compatible_with(dict(rm.bindings))]
+            return self._absorb(delta)
+        if child is self.left:
+            pairs = [(lm, rm) for lm in delta for rm in self.right.compatible_with(dict(lm.bindings))]
+        else:
+            pairs = [(lm, rm) for rm in delta for lm in self.left.compatible_with(dict(rm.bindings))]
         if isinstance(cond, ast.And):
             return self._absorb(
                 [Match(_merge(lm.bindings, rm.bindings), max(lm.witness, rm.witness)) for lm, rm in pairs]
@@ -184,9 +191,14 @@ class _IncrementalRun(_Run):
     def __init__(self, spec: ast.CompactSpec, org: Organization):
         super().__init__(spec, org)
         self.indexes: dict[tuple[str, str], _CondIndex] = {}
+        self.routes: dict[tuple[str, str], list[tuple[_CondIndex, str, str]]] = {}
         for norm in spec.norms:
             for clause, cond in norm.clauses():
-                self.indexes[(norm.id, clause)] = _CondIndex(cond)
+                root = self.indexes[(norm.id, clause)] = _CondIndex(cond)
+                for leaf in root.leaves():  # event types and fact names kept apart
+                    p = leaf.cond
+                    head = ("event", p.event_type) if isinstance(p, ast.EventPattern) else ("fact", fact_name(p))
+                    self.routes.setdefault(head, []).append((leaf, norm.id, clause))
         self.unspawned: dict[str, list[Match]] = {}
         self.seq: dict[_Key, int] = {}
         self.waiting = {norm.id: _Filed() for norm in spec.norms}
@@ -196,9 +208,9 @@ class _IncrementalRun(_Run):
         self.lapses: list[tuple[int, int, _Key]] = []
         self.frontier: Optional[Position] = None  # set by freeze
 
-    def _advance(self, pos: Position, event: Optional[Event], fact: Optional[DerivedFact]) -> None:
-        for (norm_id, clause), idx in self.indexes.items():
-            fresh = idx.advance(pos, event, fact)
+    def _advance(self, pos: Position, head: tuple[str, str], item: Event | DerivedFact) -> None:
+        for leaf, norm_id, clause in self.routes.get(head, ()):
+            fresh = leaf.offer(pos, item)
             if fresh and clause == "create":
                 self.unspawned.setdefault(norm_id, []).extend(fresh)
             elif fresh:
@@ -248,7 +260,7 @@ class _IncrementalRun(_Run):
 
     def process_event(self, pos: Position, event: Event) -> None:
         self.trace.append((pos, event))
-        self._advance(pos, event, None)
+        self._advance(pos, ("event", event.event_type), event)
         for fact in counts_as_facts_for_event(pos, event, self.spec.counts_as, self.org):
             self.add_fact(fact)
         self._fixpoint()
@@ -256,7 +268,7 @@ class _IncrementalRun(_Run):
     def add_fact(self, fact: DerivedFact) -> bool:
         if not super().add_fact(fact):
             return False
-        self._advance(fact.witness, None, fact)
+        self._advance(fact.witness, ("fact", fact.name), fact)
         return True
 
     def clause_matches(

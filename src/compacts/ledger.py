@@ -7,7 +7,8 @@ function of its arguments: the nonce search is a deterministic scan from 0,
 signatures are keyed digests (SHA-256 of secret followed by the canonical
 bytes), and serialization is bit-exact so digests agree across runs. Each
 byte is computed once: an event encodes its canonical bytes on first use and
-keeps them, and mining hashes a block's fixed header prefix once, then per
+keeps them, a header keeps its digest (mining fills it from the winning
+attempt), and mining hashes a block's fixed header prefix once, then per
 nonce copies that hash state and feeds only the 8 nonce bytes.
 
 Byte layout of the canonical serialization: fields in declared order, integers
@@ -151,6 +152,7 @@ class BlockHeader:
     events_digest: bytes
     miner: str
     nonce: int
+    _digest: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
 
 def sign_bytes(secret: str, payload: bytes) -> bytes:
@@ -178,7 +180,9 @@ def canonical_serialize(item: Union[Event, BlockHeader]) -> bytes:
 
 
 def hash_block_header(header: BlockHeader) -> bytes:
-    return hashlib.sha256(canonical_serialize(header)).digest()
+    if header._digest is None:
+        object.__setattr__(header, "_digest", hashlib.sha256(canonical_serialize(header)).digest())
+    return header._digest
 
 
 def events_digest(events: tuple[Event, ...]) -> bytes:
@@ -277,8 +281,11 @@ def mine_block(
     for nonce in range(MAX_NONCE + 1):
         attempt = midstate.copy()
         attempt.update(struct.pack(">Q", nonce))
-        if int.from_bytes(attempt.digest(), "big") < target:
-            return BlockHeader(prev.index + 1, prev_digest, digest, miner, nonce)
+        found = attempt.digest()
+        if int.from_bytes(found, "big") < target:
+            header = BlockHeader(prev.index + 1, prev_digest, digest, miner, nonce)
+            object.__setattr__(header, "_digest", found)
+            return header
     raise NonceExhausted(f"no nonce below target {target:#x}")
 
 

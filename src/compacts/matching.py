@@ -52,6 +52,13 @@ def norm_state_fact_name(state: str, norm_id: str) -> str:
     return f"{state}({norm_id})"
 
 
+def fact_name(pattern: Union[ast.FactPattern, ast.NormStateFactPattern]) -> str:
+    """The name of the facts a fact or norm-state pattern matches."""
+    if isinstance(pattern, ast.FactPattern):
+        return pattern.fact
+    return norm_state_fact_name(pattern.state, pattern.norm_id)
+
+
 class Match(NamedTuple):
     bindings: Bindings
     witness: Position
@@ -109,11 +116,7 @@ def match_fact_pattern(
     fact: DerivedFact,
     base: Mapping[str, Scalar],
 ) -> Optional[dict[str, Scalar]]:
-    if isinstance(pattern, ast.FactPattern):
-        wanted = pattern.fact
-    else:
-        wanted = norm_state_fact_name(pattern.state, pattern.norm_id)
-    if fact.name != wanted:
+    if fact.name != fact_name(pattern):
         return None
     return _extend(base, pattern.constraints, fact.binding_map)
 

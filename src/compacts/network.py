@@ -100,11 +100,15 @@ class _Peer:
     def receive(self, message) -> bool:
         """Take one event or chain; returns whether to forward it."""
         if isinstance(message, Chain):
+            old = self.chain.blocks
             # a tie keeps the peer's own chain, which it may be sent back
             if select_active_chain([self.chain, message]) is self.chain or not self.adopt(message):
                 return False
-            for event in message.events():
-                self.seen.setdefault(event.event_id, event)
+            # exact: an honest peer has seen every event on its chain, so add those past the fork
+            fork = next(h for h in range(len(old) - 1, -1, -1) if message.blocks[h].header == old[h].header)
+            for block in message.blocks[fork + 1:]:
+                for event in block.events:
+                    self.seen.setdefault(event.event_id, event)
             return True
         if message.event_id in self.seen:
             return False

@@ -39,7 +39,7 @@ class Censor(Honest):
         if isinstance(message, Chain) and super().receive(message):
             for event in events:
                 if event.event_type == self.censored:
-                    del self.seen[event.event_id]
+                    self.seen.pop(event.event_id, None)
         return False
 
 

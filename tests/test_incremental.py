@@ -1,6 +1,8 @@
 """apply_block against the batch oracle: replay equivalence and stability."""
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -8,7 +10,7 @@ from compacts import fileformats, incremental
 from compacts.evaluator import NormState, _Run, evaluate
 from compacts.governance import Organization, ruleset_from_spec
 from compacts.incremental import NonContiguousBlock, apply_block, fold_chain, initial_state
-from compacts.lang import check_well_formedness, parse_compact
+from compacts.lang import ast, check_well_formedness, parse_compact
 from compacts.ledger import GENESIS_BLOCK, Chain, Position
 from compacts.matching import bindings_sort_key
 from compacts.network import run_network
@@ -450,3 +452,98 @@ def test_an_empty_block_with_no_lapse_due_reads_no_match(monkeypatch):
     assert len(quiet) >= 50 and lapsed
     assert quiet == [0] * len(quiet)
     assert 0 < 2 * steps["fold"] <= steps["batch"], steps
+
+
+# --- alpha routing -------------------------------------------------------------
+#
+# An event or fact is offered only to the leaves whose head names it, and a
+# leaf's new matches climb its tree. shared_heads.cpt puts one event type and
+# one fact name on both sides of an and, an or and a before, so one event or
+# fact completes leaves on both sides of a node in one step.
+
+
+def _shared_heads():
+    spec = parse_compact((FIXTURES / "shared_heads.cpt").read_text())
+    assert [d for d in check_well_formedness(spec) if d.severity == "error"] == []
+    roster = {"r": "r-key"}
+    return spec, Organization.make(spec.context, {"r": ["R"]}), roster
+
+
+def test_a_node_with_one_head_on_both_sides_matches_as_batch_does(monkeypatch):
+    spec, org, roster = _shared_heads()
+    events = iter(range(100))
+
+    def ev(event_type, x, tag=None):
+        attributes = {"x": x} if tag is None else {"x": x, "tag": tag}
+        return signed_event(f"e{next(events)}", event_type, attributes, "r", roster)
+
+    chain = build_chain([
+        [ev("Ping", "p", "a"), ev("Ping", "t", "z"), ev("Mark", "u", "z")],  # p: one Ping, both sides of the and
+        [ev("Ping", "q", "z"), ev("Mark", "s", "a"), ev("Ping", "w", "b")],  # s: one Seen, both sides of the and
+        [ev("Ping", "q", "b"), ev("Mark", "r", "z"), ev("Go", "p")],  # q: Ping before Ping
+        [ev("Mark", "r", "b"), ev("Go", "s"), ev("Ping", "p", "c")],  # r: Seen before Seen
+        [ev("Go", "q")], [], [], [], [],
+    ])
+    state = fold_chain(chain, spec, org)
+    assert state == evaluate(chain, spec, org)
+    created = {inst.norm_id + dict(inst.key_bindings)["x"] for inst in state.instances.values()}
+    assert {"Kp", "Kq", "Kr", "Ks", "Lp", "Lq", "Lr", "Ls"} == created
+    assert same_transitions(chain, spec, org, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_node_with_one_head_on_both_sides_matches_as_batch_does_on_random_chains(monkeypatch, seed):
+    spec, org, roster = _shared_heads()
+    rng = random.Random(seed)
+    groups, n = [], 0
+    for _ in range(rng.randint(6, 14)):
+        group = []
+        for _ in range(rng.choice((0, 1, 2, 3, 4))):
+            event_type = rng.choice(("Ping", "Ping", "Mark", "Mark", "Go"))
+            attributes = {"x": rng.choice("pqr")}
+            if event_type != "Go":
+                attributes["tag"] = rng.choice("abcz")
+            group.append(signed_event(f"e{n}", event_type, attributes, "r", roster))
+            n += 1
+        groups.append(group)
+    chain = build_chain(groups)
+    assert fold_chain(chain, spec, org) == evaluate(chain, spec, org)
+    same_transitions(chain, spec, org, monkeypatch)
+
+
+def _head(pattern) -> tuple[str, str]:
+    if isinstance(pattern, ast.EventPattern):
+        return ("event", pattern.event_type)
+    if isinstance(pattern, ast.FactPattern):
+        return ("fact", pattern.fact)
+    return ("fact", f"{pattern.state}({pattern.norm_id})")
+
+
+@pytest.mark.parametrize("workload, size", [("datatrust", 60), ("peerreview", 80)])
+def test_each_event_and_fact_is_offered_only_to_the_leaves_that_name_it(monkeypatch, workload, size):
+    # at seed 1: 330 offers on datatrust-60 and 376 on peerreview-80, where
+    # offering every event and fact to every clause's whole tree made 4,455
+    # and 3,264 calls
+    blocks, config = getattr(bench_generators(), f"{workload}_inputs")(1, size)
+    spec = parse_compact((DEMOS / f"{workload}.cpt").read_text())
+    org = Organization.make(spec.context, config["roles"])
+    offered = Counter()
+    real_offer = incremental._CondIndex.offer
+
+    def counting(self, pos, item):
+        offered[item] += 1
+        return real_offer(self, pos, item)
+
+    monkeypatch.setattr(incremental._CondIndex, "offer", counting)
+    state = fold_chain(Chain(blocks=(GENESIS_BLOCK,) + tuple(blocks)), spec, org)
+    leaves = Counter(
+        _head(pattern) for norm in spec.norms for _, cond in norm.clauses() for pattern in ast.patterns_of(cond)
+    )
+    expected = Counter()
+    for block in blocks:
+        for event in block.events:
+            expected[event] = leaves[("event", event.event_type)]
+    for fact in state.facts:
+        expected[fact] = leaves[("fact", fact.name)]
+    assert +offered == +expected
+    assert any(offered[fact] for fact in state.facts)  # datatrust's include violated(NoExport)

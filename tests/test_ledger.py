@@ -1,5 +1,6 @@
 """Mining, block validation, chain verification, fork choice."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -24,6 +25,7 @@ from compacts.ledger import (
     verify_chain,
 )
 
+from compacts.fileformats import chain_to_json
 from compacts.governance import Organization, ruleset_from_spec
 from compacts.lang import parse_compact
 from compacts.validator import LedgerIndex
@@ -97,6 +99,36 @@ def test_mine_block_matches_the_reference_scan(miner, bits):
     assert header == reference_mine(events, prev, 1 << bits, miner)
     prefix = _header_prefix(header.index, header.prev_hash, header.events_digest, header.miner)
     assert canonical_serialize(header) == prefix + header.nonce.to_bytes(8, "big")
+    # the header keeps the winning attempt's digest, which is its bytes' digest
+    assert vars(header)["_digest"] == hashlib.sha256(canonical_serialize(header)).digest()
+
+
+def test_a_replaced_header_is_hashed_afresh():
+    header = mine_block(some_events(), GENESIS_HEADER, 1 << 252, "ann")
+    assert header.nonce > 0
+    for change in (
+        {"index": 2},
+        {"prev_hash": bytes(32)},
+        {"events_digest": bytes(32)},
+        {"miner": "ben"},
+        {"nonce": header.nonce - 1},
+    ):
+        copy = dataclasses.replace(header, **change)
+        assert copy._digest is None
+        assert hash_block_header(copy) == hashlib.sha256(canonical_serialize(copy)).digest()
+        assert hash_block_header(copy) != hash_block_header(header)
+
+
+def test_a_kept_digest_takes_no_part_in_equality_hash_repr_or_the_snapshot():
+    events = some_events()
+    mined = mine_block(events, GENESIS_HEADER, 1 << 252, "ann")
+    fresh = BlockHeader(mined.index, mined.prev_hash, mined.events_digest, mined.miner, mined.nonce)
+    assert vars(mined) != vars(fresh)  # only the mined one holds its digest
+    assert mined == fresh
+    assert hash(mined) == hash(fresh)
+    assert repr(mined) == repr(fresh)
+    kept, bare = (genesis_chain().extend(Block(header=h, events=events)) for h in (mined, fresh))
+    assert chain_to_json(kept) == chain_to_json(bare)
 
 
 def test_nonce_exhaustion_raises(monkeypatch):
