@@ -43,7 +43,7 @@ def main():
             bindings = ", ".join(f"{k}={v}" for k, v in inst.key_bindings)
             extra = f" (violating event {inst.violating_event})" if inst.violating_event else ""
             print(f"  {inst.norm_id}[{bindings}] -> {inst.state.value}{extra}")
-        for fact in state.facts:
+        for fact in state.facts_in_order():
             bindings = ", ".join(f"{k}={v}" for k, v in fact.bindings)
             print(f"  fact {fact.name}[{bindings}] at block {fact.witness.block_index}")
         for row in trust_report(state):

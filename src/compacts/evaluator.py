@@ -97,8 +97,9 @@ class NormInstance:
 
 @dataclass(frozen=True)
 class EvalState:
-    """What the evaluator concluded from a processed chain prefix. Its events
-    stay in the append-only trace of run, the run that froze the state."""
+    """What the evaluator concluded from a processed chain prefix, its facts
+    in derivation order. Its events stay in the append-only trace of run, the
+    run that froze the state."""
 
     spec: ast.CompactSpec
     org: Organization
@@ -113,34 +114,32 @@ class EvalState:
             key=lambda i: (i.norm_id, bindings_sort_key(i.key_bindings)),
         )
 
-
-def _report_order(fact: DerivedFact) -> tuple:
-    return (fact.witness, fact.name, bindings_sort_key(fact.bindings))
+    def facts_in_order(self) -> list[DerivedFact]:
+        return sorted(self.facts, key=lambda f: (f.witness, f.name, bindings_sort_key(f.bindings)))
 
 
 class _Run:
-    """Mutable working state of one evaluation; the one copy of the lifecycle."""
+    """Mutable working state of one evaluation; the one copy of the lifecycle.
+    Its trace and facts are append-only; frontier is the last position
+    processed, None while a block is under way."""
 
     def __init__(self, spec: ast.CompactSpec, org: Organization):
         self.spec = spec
         self.org = org
         self.trace: list[tuple[Position, Event]] = []
         self.facts: list[DerivedFact] = []
-        self._fact_order: list[tuple] = []  # _report_order of each of facts
         self._fact_keys: set[tuple[str, Bindings]] = set()
         self.instances: dict[tuple[str, Bindings], NormInstance] = {}
-        # keys of the non-terminal instances, in creation order
-        self.live: dict[tuple[str, Bindings], None] = {}
+        # each non-terminal instance's key, mapped to its creation seq
+        self.live: dict[tuple[str, Bindings], int] = {}
+        self.frontier: Optional[Position] = Position(0, -1)
 
     def add_fact(self, fact: DerivedFact) -> bool:
         key = (fact.name, fact.bindings)
         if key in self._fact_keys:
             return False
         self._fact_keys.add(key)
-        order = _report_order(fact)
-        at = bisect.bisect_right(self._fact_order, order)
-        self._fact_order.insert(at, order)
-        self.facts.insert(at, fact)
+        self.facts.append(fact)
         return True
 
     def clause_matches(
@@ -156,16 +155,16 @@ class _Run:
 
     # --- lifecycle -----------------------------------------------------
 
-    def process_block(self, height: int, events: Iterable[Event]) -> Position:
+    def process_block(self, height: int, events: Iterable[Event]) -> None:
         """Lapses at the boundary of the block at height, then each of its
-        events in order; returns the last position processed."""
-        frontier = Position(height, -1)
-        self._lapse(frontier)
+        events in order; frontier is then the last position processed."""
+        self.frontier, last = None, Position(height, -1)
+        self._lapse(last)
         self._fixpoint()
         for offset, event in enumerate(events):
-            frontier = Position(height, offset)
-            self.process_event(frontier, event)
-        return frontier
+            last = Position(height, offset)
+            self.process_event(last, event)
+        self.frontier = last
 
     def process_event(self, pos: Position, event: Event) -> None:
         self.trace.append((pos, event))
@@ -209,6 +208,7 @@ class _Run:
                 if key in self.instances:
                     continue
                 detach_on_create = norm.kind == ast.COMMITMENT and norm.antecedent is None
+                self.live[key] = len(self.instances)
                 self.instances[key] = NormInstance(
                     norm_id=norm.id,
                     key_bindings=match.bindings,
@@ -216,7 +216,6 @@ class _Run:
                     created_at=match.witness,
                     detached_at=match.witness if detach_on_create else None,
                 )
-                self.live[key] = None
                 self._spawned(key)
                 if detach_on_create:
                     self._emit(norm.id, match.bindings, NormState.DETACHED, match.witness)
@@ -314,14 +313,14 @@ class _Run:
     def _emit(self, norm_id: str, bindings: Bindings, state: NormState, at: Position) -> None:
         self.add_fact(DerivedFact(norm_state_fact_name(state.value, norm_id), bindings, at))
 
-    def freeze(self, frontier: Position) -> EvalState:
+    def freeze(self) -> EvalState:
         # the run may go on to mutate its instance table; each state keeps a copy
         return EvalState(
             spec=self.spec,
             org=self.org,
             instances=dict(self.instances),
             facts=tuple(self.facts),
-            frontier=frontier,
+            frontier=self.frontier,
             run=self,
         )
 
@@ -344,8 +343,8 @@ def evaluate(
     ensure_spec_well_formed(spec)
     run = _Run(spec, org)
     for block in chain.blocks:
-        frontier = run.process_block(block.header.index, block.events)
-    return run.freeze(frontier)
+        run.process_block(block.header.index, block.events)
+    return run.freeze()
 
 
 def resolve_party(

@@ -283,7 +283,7 @@ def build_report(
         "compact": state.spec.name,
         "chain_tip": chain.tip_digest().hex(),
         "instances": [instance_to_json(i) for i in state.instances_in_order()],
-        "facts": [fact_to_json(f) for f in state.facts],
+        "facts": [fact_to_json(f) for f in state.facts_in_order()],
         "trust": [trust_to_json(t) for t in trust_rows],
     }
     if network is not None:

@@ -23,16 +23,18 @@ whose clauses gained no compatible match since its last step would step to
 no transition again. A pass steps an agenda: an instance joins it when
 spawned, when a transition leaves it live, and when a clause of its norm
 gains a match that agrees with its key on the names both bind. It keeps
-batch's order: creation order; woken above the cursor, an instance steps in
-this pass, at or below it (the one stepping too) in the next. _lapse pops a
-heap of (due height, seq, key), pushed at _Run._lapse_height when an
-instance spawns or detaches; _Run's lapse conditions skip stale entries.
+batch's order: creation order, the seq _Run.live maps a key to; woken above
+the cursor, an instance steps in this pass, at or below it (the one stepping
+too) in the next. _lapse pops a heap of (due height, seq, key), pushed at
+_Run._lapse_height when an instance spawns or detaches; _Run's lapse
+conditions skip stale entries.
 
 A run is built one way only, empty and then block by block, and apply_block
-hands it on in the state it returns. A state it cannot continue (batch,
-superseded, or left part-way by an exception) is re-folded: a new run
-processes every height up to the state's frontier, empty ones too, from the
-old run's append-only trace cut there.
+hands it on in the state it returns. It continues the run of a state whose
+frontier is the run's own. A state it cannot continue (batch, superseded, or
+left part-way by an exception, which leaves the run's frontier None) is
+re-folded: a new run processes every height up to the state's frontier,
+empty ones too, from the old run's append-only trace cut there.
 
 Replay equivalence with the batch evaluator (evaluate(chain) equals folding
 apply_block over the blocks) is the correctness contract. The cached matcher
@@ -181,11 +183,10 @@ class _IncrementalRun(_Run):
     """The shared lifecycle over cached match sets, advanced block by block.
 
     Next to _Run's fields it keeps a condition index per (norm, clause), the
-    create matches _spawn has not read yet, creation sequences, each norm's
-    live keys, the agenda and the lapse heap. A run starts empty and only
-    process_block advances it. It is valid for the one frontier it was frozen
-    at: the state freeze returns holds it, and apply_block continues it from
-    that state. Any other state is re-folded into a new run (_refold).
+    create matches _spawn has not read yet, each norm's live keys, the agenda
+    and the lapse heap. A run starts empty and only process_block advances
+    it. apply_block continues it from a state whose frontier is the run's
+    own; any other state is re-folded into a new run (_refold).
     """
 
     def __init__(self, spec: ast.CompactSpec, org: Organization):
@@ -200,13 +201,11 @@ class _IncrementalRun(_Run):
                     head = ("event", p.event_type) if isinstance(p, ast.EventPattern) else ("fact", fact_name(p))
                     self.routes.setdefault(head, []).append((leaf, norm.id, clause))
         self.unspawned: dict[str, list[Match]] = {}
-        self.seq: dict[_Key, int] = {}
         self.waiting = {norm.id: _Filed() for norm in spec.norms}
         self.agenda: list[tuple[int, int, _Key]] = []  # (pass, seq, key)
         self.passes = 0  # passes done: the number of the pass under way, or next
         self.cursor = -1  # seq of the instance being stepped, -1 between passes
         self.lapses: list[tuple[int, int, _Key]] = []
-        self.frontier: Optional[Position] = None  # set by freeze
 
     def _advance(self, pos: Position, head: tuple[str, str], item: Event | DerivedFact) -> None:
         for leaf, norm_id, clause in self.routes.get(head, ()):
@@ -219,22 +218,21 @@ class _IncrementalRun(_Run):
                         self._wake(key)
 
     def _spawned(self, key: _Key) -> None:
-        """Number, wake, file and schedule a new instance (its own detached
-        fact may wake it again; _pass_keys skips the second entry)."""
-        self.seq[key] = len(self.seq)
+        """Wake, file and schedule a new instance (its own detached fact may
+        wake it again; _pass_keys skips the second entry)."""
         inst = self.instances[key]
         self._wake(key)
         self.waiting[inst.norm_id].add(key, inst.key_bindings)
         self._schedule(key, inst)
 
     def _wake(self, key: _Key) -> None:
-        seq = self.seq[key]  # at or below the cursor it waits for the next pass
+        seq = self.live[key]  # at or below the cursor it waits for the next pass
         heapq.heappush(self.agenda, (self.passes + (seq <= self.cursor), seq, key))
 
     def _schedule(self, key: _Key, inst: NormInstance) -> None:
         due = self._lapse_height(inst)
         if due is not None:
-            heapq.heappush(self.lapses, (due, self.seq[key], key))
+            heapq.heappush(self.lapses, (due, self.live[key], key))
 
     def _lapse_keys(self, now: Position) -> list[_Key]:
         due = []
@@ -282,15 +280,11 @@ class _IncrementalRun(_Run):
     def create_matches(self, norm: ast.NormDecl) -> list[Match]:
         return sorted(self.unspawned.pop(norm.id, ()), key=match_sort_key)
 
-    def freeze(self, frontier: Position) -> EvalState:
-        self.frontier = frontier
-        return super().freeze(frontier)
-
 
 def initial_state(spec: ast.CompactSpec, org: Organization) -> EvalState:
     """State after the genesis block: nothing seen, frontier at height 0."""
     ensure_spec_well_formed(spec)
-    return _IncrementalRun(spec, org).freeze(Position(0, -1))
+    return _IncrementalRun(spec, org).freeze()
 
 
 def _refold(state: EvalState) -> _IncrementalRun:
@@ -316,9 +310,8 @@ def apply_block(state: EvalState, block: Block) -> EvalState:
     run = state.run
     if not isinstance(run, _IncrementalRun) or run.frontier != state.frontier:
         run = _refold(state)
-    run.frontier = None  # in use until freeze: a run left part-way is not continued
-    frontier = run.process_block(block.header.index, block.events)
-    return run.freeze(frontier)
+    run.process_block(block.header.index, block.events)
+    return run.freeze()
 
 
 def fold_chain(

@@ -55,16 +55,17 @@ def format_pattern(pattern: ast.Condition) -> str:
     raise TypeError(f"not a pattern: {type(pattern).__name__}")
 
 
-def format_condition(condition: ast.Condition, parent_level: int = 0) -> str:
+def format_condition(condition: ast.Condition, parent_level: int = 0, bare_before: bool = True) -> str:
+    """bare_before=False, for an exemption, whose own 'before' keyword would
+    close it, parenthesizes each 'before' not already in parentheses."""
     if isinstance(condition, ast.PatternLike):
         return format_pattern(condition)
     word, level, left_level, right_level = _OPERATORS[type(condition)]
-    left = format_condition(condition.left, left_level)
-    right = format_condition(condition.right, right_level)
+    wrap = level < parent_level or (not bare_before and isinstance(condition, ast.Before))
+    left = format_condition(condition.left, left_level, bare_before or wrap)
+    right = format_condition(condition.right, right_level, bare_before or wrap)
     text = f"{left} {word} {right}"
-    if level < parent_level:
-        return f"({text})"
-    return text
+    return f"({text})" if wrap else text
 
 
 def _schema_line(schema: SchemaDecl) -> str:
@@ -108,10 +109,7 @@ def _norm_lines(norm: ast.NormDecl) -> list[str]:
     if norm.kind == ast.PROHIBITION:
         lines.append(f"    forbids {format_pattern(norm.forbids)};")
         if norm.exemption is not None:
-            exemption = format_condition(norm.exemption)
-            if isinstance(norm.exemption, ast.Before):
-                # would swallow the clause's own 'before' keyword
-                exemption = f"({exemption})"
+            exemption = format_condition(norm.exemption, bare_before=False)
             lines.append(
                 f"    unless {exemption} before {format_pattern(norm.exemption_guard)};"
             )

@@ -10,6 +10,7 @@ from compacts.fileformats import (
     DataFormatError,
     build_report,
     chain_to_json,
+    fact_to_json,
     read_chain,
     read_network_config,
     read_report,
@@ -18,10 +19,15 @@ from compacts.fileformats import (
     write_chain,
     write_report,
 )
-from compacts.ledger import verify_chain
+from compacts.governance import Organization
+from compacts.incremental import fold_chain
+from compacts.lang import parse_compact
+from compacts.ledger import GENESIS_BLOCK, Chain, verify_chain
+from compacts.matching import bindings_sort_key
 from compacts.trust import TrustScore, trust_report
 
-from conftest import DEMOS, FIXTURES, build_chain, hospital_events
+from conftest import DEMOS, FIXTURES, bench_generators, build_chain, hospital_events
+from scenario_gen import random_case
 
 
 def test_chain_snapshot_round_trip(tmp_path):
@@ -120,12 +126,29 @@ def test_report_validates_against_shipped_schema(hospital_spec, hospital_org):
         jsonschema.validate(dict(report, trust=[row]), schema)
 
 
-def test_report_arrays_are_in_stable_order(hospital_spec, hospital_org):
+def _report_cases(hospital_spec, hospital_org):
+    """(chain, spec, org) per case: the narrative, three random cases and
+    peerreview-80. In all but the narrative, derivation order is not report
+    order."""
     violation, _ = hospital_events()
-    chain = build_chain(violation)
-    state = evaluate(chain, hospital_spec, hospital_org)
-    report = build_report(state, chain, trust_report(state))
-    ids = [(i["norm_id"], tuple(sorted(i["bindings"].items()))) for i in report["instances"]]
-    assert ids == sorted(ids)
-    trust_keys = [(t["principal"], t["norm_id"]) for t in report["trust"]]
-    assert trust_keys == sorted(trust_keys)
+    yield build_chain(violation), hospital_spec, hospital_org
+    for seed in (3, 12, 20):
+        spec, org, chain, _ = random_case(seed)
+        yield chain, spec, org
+    spec = parse_compact((DEMOS / "peerreview.cpt").read_text())
+    blocks, config = bench_generators().peerreview_inputs(1, 80)
+    yield Chain(blocks=(GENESIS_BLOCK, *blocks)), spec, Organization.make(spec.context, config["roles"])
+
+
+def test_report_arrays_are_in_stable_order(hospital_spec, hospital_org):
+    for chain, spec, org in _report_cases(hospital_spec, hospital_org):
+        state = fold_chain(chain, spec, org)
+        report = build_report(state, chain, trust_report(state))
+        ids = [(i["norm_id"], tuple(sorted(i["bindings"].items()))) for i in report["instances"]]
+        assert ids == sorted(ids), spec.name
+        # a state holds its facts in derivation order, which a back-dated
+        # fact leaves out of report order: the report sorts them
+        by_report = sorted(state.facts, key=lambda f: (f.witness, f.name, bindings_sort_key(f.bindings)))
+        assert report["facts"] == [fact_to_json(f) for f in by_report], spec.name
+        trust_keys = [(t["principal"], t["norm_id"]) for t in report["trust"]]
+        assert trust_keys == sorted(trust_keys), spec.name

@@ -27,8 +27,8 @@ class _UntilNothingChanges(_Run):
 def reference_evaluate(chain, spec, org):
     run = _UntilNothingChanges(spec, org)
     for block in chain.blocks:
-        frontier = run.process_block(block.header.index, block.events)
-    return run.freeze(frontier)
+        run.process_block(block.header.index, block.events)
+    return run.freeze()
 
 
 @pytest.mark.parametrize("seed", range(200))

@@ -11,12 +11,14 @@ import pytest
 from compacts.lang import (
     And,
     Before,
+    Constraint,
     EventPattern,
     FactPattern,
     Literal,
     NormStateFactPattern,
     Or,
     ParseError,
+    Variable,
     parse_compact,
     pretty_print,
 )
@@ -123,6 +125,52 @@ def test_parenthesized_conditions_round_trip(hospital_spec):
         nested = replace(p1, create=operator(c, operator(c, c)))
         spec = replace(hospital_spec, norms=(nested, c1))
         assert parse_compact(pretty_print(spec)) == spec
+
+
+_CLAUSE_SPEC = """compact T context c {
+  roles R;
+  schema A(x: text key);
+  schema B(x: text key);
+  schema C(x: text key);
+  channel m members R carries A, B, C;
+  counts-as F(x) from A(x) by R;
+  prohibition P subject R: x object R {
+    create on A(x);
+    forbids B(x);
+    unless C(x) before B(x);
+    until C(x);
+  }
+  commitment K subject R: x object R {
+    create on A(x);
+    antecedent B(x);
+    consequent C(x) within 2 blocks;
+  }
+}"""
+
+
+def _random_condition(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        x = (Constraint("x", Variable("x")),)
+        return rng.choice(
+            [EventPattern(t, x) for t in "ABC"] + [FactPattern("F", x), NormStateFactPattern("violated", "P", x)]
+        )
+    operator = rng.choice([And, Or, Before])
+    return operator(_random_condition(rng, depth - 1), _random_condition(rng, depth - 1))
+
+
+@pytest.mark.parametrize(
+    "norm, clause", [(0, "create"), (0, "exemption"), (0, "until"), (1, "create"), (1, "antecedent"), (1, "consequent")]
+)
+def test_generated_conditions_round_trip_in_every_clause(norm, clause):
+    # an exemption's own 'before' closes it, so a 'before' under its 'and'
+    # or 'or' must print in parentheses
+    base = parse_compact(_CLAUSE_SPEC)
+    rng = random.Random(f"{norm}-{clause}")
+    for _ in range(200):
+        norms = list(base.norms)
+        norms[norm] = replace(norms[norm], **{clause: _random_condition(rng, 4)})
+        spec = replace(base, norms=tuple(norms))
+        assert parse_compact(pretty_print(spec)) == spec, pretty_print(spec)
 
 
 def test_literals_parse_with_kinds():
