@@ -21,8 +21,8 @@ from a new fact; each transition emits a new fact (an instance enters each
 state at most once); and a spawned instance is stepped in the pass that
 spawned it. Nothing seen lies past the current position, so matching needs
 no time cutoff. Here a pass steps, and _lapse checks, every live instance;
-the incremental run narrows both through two hooks, _pass_keys and
-_lapse_keys, to an agenda and a lapse heap (incremental.py says why).
+the incremental run narrows both, through _pass_keys and _lapse_keys, to
+an agenda and a lapse heap that _enlist fills (incremental.py says why).
 
 Every lifecycle rule is written once, in _Run, which reads condition matches
 only through clause_matches and create_matches. Here both rescan the full
@@ -216,12 +216,12 @@ class _Run:
                     created_at=match.witness,
                     detached_at=match.witness if detach_on_create else None,
                 )
-                self._spawned(key)
+                self._enlist(key)
                 if detach_on_create:
                     self._emit(norm.id, match.bindings, NormState.DETACHED, match.witness)
 
-    def _spawned(self, key: tuple[str, Bindings]) -> None:
-        """Called once per instance, as it is created: here nothing."""
+    def _enlist(self, key: tuple[str, Bindings]) -> None:
+        """Called as an instance is created or a transition leaves it live: here nothing."""
 
     def _transitions(self) -> None:
         for key in self._pass_keys():
@@ -308,6 +308,8 @@ class _Run:
         self.instances[key] = updated
         if updated.is_terminal():
             del self.live[key]
+        else:
+            self._enlist(key)
         self._emit(updated.norm_id, updated.key_bindings, updated.state, at)
 
     def _emit(self, norm_id: str, bindings: Bindings, state: NormState, at: Position) -> None:

@@ -20,14 +20,15 @@ A block steps only what it touched. A step reads only the instance and the
 clause matches compatible with its key (_first_unexempted's merged bindings
 select a subset of those), so an instance whose state has not changed and
 whose clauses gained no compatible match since its last step would step to
-no transition again. A pass steps an agenda: an instance joins it when
-spawned, when a transition leaves it live, and when a clause of its norm
-gains a match that agrees with its key on the names both bind. It keeps
-batch's order: creation order, the seq _Run.live maps a key to; woken above
-the cursor, an instance steps in this pass, at or below it (the one stepping
+no transition again. A pass steps an agenda: _Run._enlist adds an instance
+as it is created and as a transition leaves it live, and a clause of its
+norm adds it on gaining a match that agrees with its key on the names both
+bind. Those keys are read from the norm's create index, since each key is a
+create match's bindings; the live ones are woken. The agenda keeps batch's
+order: creation order, the seq _Run.live maps a key to; woken above the
+cursor, an instance steps in this pass, at or below it (the one stepping
 too) in the next. _lapse pops a heap of (due height, seq, key), pushed at
-_Run._lapse_height when an instance spawns or detaches; _Run's lapse
-conditions skip stale entries.
+_Run._lapse_height by _enlist; _Run's lapse conditions skip stale entries.
 
 A run is built one way only, empty and then block by block, and apply_block
 hands it on in the state it returns. It continues the run of a state whose
@@ -48,7 +49,7 @@ import heapq
 from bisect import bisect_left
 from typing import Iterator, Mapping, Optional
 
-from .evaluator import EvalState, NormInstance, _Run, ensure_spec_well_formed
+from .evaluator import EvalState, _Run, ensure_spec_well_formed
 from .governance import EMPTY_ORGANIZATION, Organization, counts_as_facts_for_event
 from .lang import ast
 from .ledger import Block, Chain, Event, Position, Scalar
@@ -77,58 +78,25 @@ def _merge(a: Bindings, b: Bindings) -> Bindings:
     return freeze_bindings(merged)
 
 
-class _Filed:
-    """Items (matches, or live instance keys) mapped to their bindings and
-    found by lookup. There is one view per set of base variable names, built
-    on its first query. It files each item under its bindings projected onto
-    those names, grouped by which of the names the item binds: the two sides
-    of an ``or`` may bind different ones."""
-
-    __slots__ = ("items", "views")
-
-    def __init__(self):
-        self.items: dict = {}
-        # base names -> names an item binds among them -> projection -> items
-        self.views: dict[tuple[str, ...], dict[tuple[str, ...], dict[Bindings, dict]]] = {}
-
-    def compatible_with(self, base: Mapping[str, Scalar]) -> list:
-        """The items that agree with base on every variable both bind."""
-        names = tuple(sorted(base))
-        view = self.views.get(names)
-        if view is None:
-            view = self.views[names] = {}
-            for item, bindings in self.items.items():
-                _slot(view, names, bindings)[item] = None
-        found: list = []
-        for group, table in view.items():
-            found.extend(table.get(tuple([(name, base[name]) for name in group]), ()))
-        return found
-
-    def add(self, item, bindings: Bindings) -> None:
-        self.items[item] = bindings
-        for names, view in self.views.items():
-            _slot(view, names, bindings)[item] = None
-
-    def discard(self, item) -> None:
-        bindings = self.items.pop(item)
-        for names, view in self.views.items():
-            del _slot(view, names, bindings)[item]
-
-
 def _slot(view: dict, names: tuple[str, ...], bindings: Bindings) -> dict:
     projection = tuple([(name, value) for name, value in bindings if name in names])
     group = tuple([name for name, _ in projection])
     return view.setdefault(group, {}).setdefault(projection, {})
 
 
-class _CondIndex(_Filed):
-    """Cached match set of one condition, updated by deltas: the items are
-    its Match tuples. A leaf is offered events and facts; a node, deltas."""
+class _CondIndex:
+    """Cached match set of one condition, updated by deltas: a leaf is
+    offered events and facts; a node, deltas. Matches are only ever added.
 
-    __slots__ = ("cond", "parent", "left", "right")
+    Lookups go through one view per set of base variable names, built on its
+    first query. It files each match under its bindings projected onto those
+    names, grouped by which of the names the match binds: the two sides of an
+    ``or`` may bind different ones. A create index also finds the instances a
+    clause match wakes: each instance key is one of its matches' bindings."""
+
+    __slots__ = ("cond", "parent", "left", "right", "matches", "views")
 
     def __init__(self, cond: ast.Condition, parent: Optional[_CondIndex] = None):
-        super().__init__()
         self.cond = cond
         self.parent = parent
         self.left: Optional[_CondIndex] = None
@@ -136,6 +104,22 @@ class _CondIndex(_Filed):
         if isinstance(cond, (ast.And, ast.Or, ast.Before)):
             self.left = _CondIndex(cond.left, self)
             self.right = _CondIndex(cond.right, self)
+        self.matches: dict[Match, None] = {}  # not a set: views are built in the order added
+        # base names -> names a match binds among them -> projection -> matches
+        self.views: dict[tuple[str, ...], dict[tuple[str, ...], dict[Bindings, dict]]] = {}
+
+    def compatible_with(self, base: Mapping[str, Scalar]) -> list[Match]:
+        """The matches that agree with base on every variable both bind."""
+        names = tuple(sorted(base))
+        view = self.views.get(names)
+        if view is None:
+            view = self.views[names] = {}
+            for match in self.matches:
+                _slot(view, names, match.bindings)[match] = None
+        found: list[Match] = []
+        for group, table in view.items():
+            found.extend(table.get(tuple([(name, base[name]) for name in group]), ()))
+        return found
 
     def leaves(self) -> list[_CondIndex]:
         return [self] if self.left is None else self.left.leaves() + self.right.leaves()
@@ -143,8 +127,10 @@ class _CondIndex(_Filed):
     def _absorb(self, candidates: list[Match]) -> list[Match]:
         fresh = []
         for match in candidates:
-            if match not in self.items:
-                self.add(match, match.bindings)
+            if match not in self.matches:
+                self.matches[match] = None
+                for names, view in self.views.items():
+                    _slot(view, names, match.bindings)[match] = None
                 fresh.append(match)
         return fresh
 
@@ -183,10 +169,10 @@ class _IncrementalRun(_Run):
     """The shared lifecycle over cached match sets, advanced block by block.
 
     Next to _Run's fields it keeps a condition index per (norm, clause), the
-    create matches _spawn has not read yet, each norm's live keys, the agenda
-    and the lapse heap. A run starts empty and only process_block advances
-    it. apply_block continues it from a state whose frontier is the run's
-    own; any other state is re-folded into a new run (_refold).
+    create matches _spawn has not read yet, the agenda and the lapse heap. A
+    run starts empty and only process_block advances it. apply_block
+    continues it from a state whose frontier is the run's own; any other
+    state is re-folded into a new run (_refold).
     """
 
     def __init__(self, spec: ast.CompactSpec, org: Organization):
@@ -201,7 +187,6 @@ class _IncrementalRun(_Run):
                     head = ("event", p.event_type) if isinstance(p, ast.EventPattern) else ("fact", fact_name(p))
                     self.routes.setdefault(head, []).append((leaf, norm.id, clause))
         self.unspawned: dict[str, list[Match]] = {}
-        self.waiting = {norm.id: _Filed() for norm in spec.norms}
         self.agenda: list[tuple[int, int, _Key]] = []  # (pass, seq, key)
         self.passes = 0  # passes done: the number of the pass under way, or next
         self.cursor = -1  # seq of the instance being stepped, -1 between passes
@@ -213,26 +198,25 @@ class _IncrementalRun(_Run):
             if fresh and clause == "create":
                 self.unspawned.setdefault(norm_id, []).extend(fresh)
             elif fresh:
+                create = self.indexes[(norm_id, "create")]
                 for match in fresh:
-                    for key in self.waiting[norm_id].compatible_with(dict(match.bindings)):
-                        self._wake(key)
+                    for created in create.compatible_with(dict(match.bindings)):
+                        key = (norm_id, created.bindings)
+                        if key in self.live:
+                            self._wake(key)
 
-    def _spawned(self, key: _Key) -> None:
-        """Wake, file and schedule a new instance (its own detached fact may
-        wake it again; _pass_keys skips the second entry)."""
-        inst = self.instances[key]
+    def _enlist(self, key: _Key) -> None:
+        """Wake a new or still-live instance and schedule its lapse. Its own
+        detached fact, or a clause match that agrees with several of its
+        create matches, may wake it again: _pass_keys skips the repeat."""
         self._wake(key)
-        self.waiting[inst.norm_id].add(key, inst.key_bindings)
-        self._schedule(key, inst)
+        due = self._lapse_height(self.instances[key])
+        if due is not None:
+            heapq.heappush(self.lapses, (due, self.live[key], key))
 
     def _wake(self, key: _Key) -> None:
         seq = self.live[key]  # at or below the cursor it waits for the next pass
         heapq.heappush(self.agenda, (self.passes + (seq <= self.cursor), seq, key))
-
-    def _schedule(self, key: _Key, inst: NormInstance) -> None:
-        due = self._lapse_height(inst)
-        if due is not None:
-            heapq.heappush(self.lapses, (due, self.live[key], key))
 
     def _lapse_keys(self, now: Position) -> list[_Key]:
         due = []
@@ -247,14 +231,6 @@ class _IncrementalRun(_Run):
                 self.cursor = seq
                 yield key
         self.passes, self.cursor = self.passes + 1, -1
-
-    def _transition(self, key, updated: NormInstance, at: Position) -> None:
-        super()._transition(key, updated, at)
-        if updated.is_terminal():
-            self.waiting[updated.norm_id].discard(key)
-        else:  # detached: stepped again next pass, and lapses at its deadline
-            self._wake(key)
-            self._schedule(key, updated)
 
     def process_event(self, pos: Position, event: Event) -> None:
         self.trace.append((pos, event))

@@ -27,10 +27,10 @@ KEYWORDS = {
 
 _PUNCT = "{}(),:;"
 
-# The deepest condition the parser accepts. Depth counts each parenthesis and
-# each 'and', 'or' and 'before' on one path from the condition's root. The
-# parser, checker, evaluator and printer all recurse on conditions, so the
-# bound keeps them well inside Python's recursion limit.
+# The deepest condition the parser accepts: at most this many 'and', 'or' and
+# 'before' on one path from its root, and, counted apart, this many open
+# parentheses. The parser recurses on parentheses and every other reader on
+# operators, so both stay well inside Python's recursion limit.
 MAX_CONDITION_DEPTH = 64
 
 _T = TypeVar("_T")
@@ -129,7 +129,7 @@ class _Parser:
         self.tokens = tokens
         self.cur = next(tokens)
         self.parens = 0  # parentheses open around the condition being parsed
-        self.height = 0  # depth of the condition parsed last
+        self.height = 0  # operator depth of the condition parsed last
 
     def _fail(self, expected: str) -> ParseError:
         tok = self.cur
@@ -350,7 +350,7 @@ class _Parser:
     # --- conditions -----------------------------------------------------
     #
     # Each rule leaves in self.height the depth of the condition it parsed:
-    # the most parentheses and operators on one path from its root.
+    # the most operators on one path from its root. Parentheses do not count.
 
     def condition(self, before: bool = True) -> ast.Condition:
         """With before=False, a condition with no top-level 'before'."""
@@ -385,19 +385,18 @@ class _Parser:
         self._bound_depth(tok, self.height)
         return make(left, right)
 
-    def _bound_depth(self, tok: Token, height: int) -> None:
-        if self.parens + height > MAX_CONDITION_DEPTH:
+    def _bound_depth(self, tok: Token, depth: int) -> None:
+        if depth > MAX_CONDITION_DEPTH:
             raise ParseError(
                 tok.line, tok.col, f"condition nested deeper than {MAX_CONDITION_DEPTH} levels", tok.value
             )
 
     def primary(self) -> ast.Condition:
         if self.cur.kind == "(":
-            self._bound_depth(self.advance(), 1)
+            self._bound_depth(self.advance(), self.parens + 1)
             self.parens += 1
             node = self.condition()
             self.parens -= 1
-            self.height += 1
             self.expect(")")
             return node
         self.height = 0

@@ -463,6 +463,71 @@ def test_an_empty_block_with_no_lapse_due_reads_no_match(monkeypatch):
     assert 0 < 2 * steps["fold"] <= steps["batch"], steps
 
 
+@pytest.mark.parametrize("workload, size", [("datatrust", 60), ("peerreview", 80)])
+def test_a_clause_match_wakes_exactly_the_live_instances_that_agree_with_it(monkeypatch, workload, size):
+    # a wake-up that missed an agreeing instance could leave a transition
+    # unmade; one that woke every live instance of the norm would step
+    # instances no new match can move. The set is recomputed by scanning live.
+    blocks, config = getattr(bench_generators(), f"{workload}_inputs")(1, size)
+    spec = parse_compact((DEMOS / f"{workload}.cpt").read_text())
+    org = Organization.make(spec.context, config["roles"])
+    offers, woken, totals = [], [], Counter()
+    real_offer = incremental._CondIndex.offer
+    real_wake = incremental._IncrementalRun._wake
+    real_advance = incremental._IncrementalRun._advance
+
+    def offering(self, pos, item):
+        fresh = real_offer(self, pos, item)
+        offers.append((self, fresh))
+        return fresh
+
+    def waking(self, key):
+        woken.append(key)
+        real_wake(self, key)
+
+    def advancing(self, pos, head, item):
+        offers.clear()
+        woken.clear()
+        real_advance(self, pos, head, item)
+        clause_of = {leaf: (norm_id, clause) for leaf, norm_id, clause in self.routes.get(head, ())}
+        expected, of_the_norms = set(), set()
+        for leaf, fresh in offers:
+            norm_id, clause = clause_of[leaf]
+            if clause == "create" or not fresh:
+                continue
+            of_the_norms |= {key for key in self.live if key[0] == norm_id}
+            for match in fresh:
+                bound = dict(match.bindings)
+                expected |= {
+                    key for key in self.live
+                    if key[0] == norm_id and all(bound.get(name, value) == value for name, value in key[1])
+                }
+        assert set(woken) == expected
+        totals["woken"] += len(expected)
+        totals["spared"] += len(of_the_norms - expected)
+
+    monkeypatch.setattr(incremental._CondIndex, "offer", offering)
+    monkeypatch.setattr(incremental._IncrementalRun, "_wake", waking)
+    monkeypatch.setattr(incremental._IncrementalRun, "_advance", advancing)
+    fold_chain(Chain(blocks=(GENESIS_BLOCK,) + tuple(blocks)), spec, org)
+    assert totals["woken"] > 0 and totals["spared"] > 0, totals
+
+
+def test_the_incremental_run_overrides_no_lifecycle_rule():
+    # the lifecycle is written once, in _Run. The fold answers its match
+    # queries, narrows its passes and lapse checks, files what _enlist hands
+    # it, and routes events and facts to leaves. process_event stays because
+    # ('compacts.incremental', 'counts_as_facts_for_event') is a bench hook.
+    overridden = {
+        name for name, value in vars(incremental._IncrementalRun).items()
+        if callable(value) and hasattr(_Run, name)
+    }
+    assert overridden == {
+        "__init__", "clause_matches", "create_matches", "_pass_keys", "_lapse_keys", "_enlist",
+        "add_fact", "process_event",
+    }
+
+
 # --- alpha routing -------------------------------------------------------------
 #
 # An event or fact is offered only to the leaves whose head names it, and a

@@ -22,7 +22,7 @@ from compacts.lang import (
     parse_compact,
     pretty_print,
 )
-from compacts.lang.parser import KEYWORDS, tokenize
+from compacts.lang.parser import KEYWORDS, MAX_CONDITION_DEPTH, tokenize
 
 from conftest import DEMOS, REPO
 
@@ -118,13 +118,20 @@ def test_parenthesized_conditions_round_trip(hospital_spec):
     assert parse_compact(pretty_print(spec)) == spec
 
     # 'and' and 'or' group to the left: a right operand of the same operator
-    # prints in parentheses
+    # prints in parentheses, which do not count toward the operator depth
     p1, c1 = hospital_spec.norms
     c = p1.create
     for operator in (And, Or):
-        nested = replace(p1, create=operator(c, operator(c, c)))
-        spec = replace(hospital_spec, norms=(nested, c1))
-        assert parse_compact(pretty_print(spec)) == spec
+        for depth in (2, 33, MAX_CONDITION_DEPTH, MAX_CONDITION_DEPTH + 1):
+            nested = c
+            for _ in range(depth):
+                nested = operator(c, nested)
+            spec = replace(hospital_spec, norms=(replace(p1, create=nested), c1))
+            if depth <= MAX_CONDITION_DEPTH:
+                assert parse_compact(pretty_print(spec)) == spec
+            else:
+                with pytest.raises(ParseError, match=f"nested deeper than {MAX_CONDITION_DEPTH} levels"):
+                    parse_compact(pretty_print(spec))
 
 
 _CLAUSE_SPEC = """compact T context c {
