@@ -6,13 +6,18 @@ adornment: ``key`` parameters identify the occurrence, ``out`` parameters are
 values the event introduces, ``in`` parameters must refer to values some
 earlier event already introduced (as a key or out binding of the same
 parameter name).
+
+At its first admission a rule set compiles each declared event type into a
+plan it keeps: the (name, kind) pairs of its parameters, all and by adornment,
+and the principals and roles of the channels that carry it. A passing event
+costs a few set lookups; only a failing one walks its parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .ledger import Event, Scalar
@@ -67,8 +72,36 @@ class IntegrityRuleSet:
             by_type.setdefault(schema.event_type, schema)  # the first declaration wins
         return by_type
 
-    def channels_carrying(self, event_type: str) -> tuple[Channel, ...]:
-        return tuple(c for c in self.channels if event_type in c.carries)
+    @cached_property
+    def _plans(self) -> dict[str, _Plan]:
+        """Admission's plan of each declared event type, built on first use."""
+        return {t: _Plan.of(schema, self.channels) for t, schema in self._schema_by_type.items()}
+
+
+class _Plan(NamedTuple):
+    """What admission reads of one declared event type."""
+
+    params: tuple[tuple[str, str], ...]  # (name, kind), in declared order
+    shape: Optional[tuple[tuple[str, str], ...]]  # params in Event.make order; None if a name repeats
+    declared: frozenset[str]
+    keys: tuple[str, ...]
+    outs: tuple[str, ...]
+    binds: tuple[tuple[str, str], ...]  # (name, kind) of every parameter not adorned in
+    ins: tuple[tuple[str, str], ...]
+    members: frozenset[str]  # principals and roles of the channels that carry the type
+
+    @staticmethod
+    def of(schema: SchemaDecl, channels: tuple[Channel, ...]) -> "_Plan":
+        params = tuple((p.name, p.kind) for p in schema.parameters)
+        declared = frozenset(schema.names())
+        return _Plan(
+            params, tuple(sorted(params)) if len(declared) == len(params) else None, declared,
+            tuple(p.name for p in schema.by_adornment("key")),
+            tuple(p.name for p in schema.by_adornment("out")),
+            tuple((p.name, p.kind) for p in schema.parameters if p.adornment != "in"),
+            tuple((p.name, p.kind) for p in schema.by_adornment("in")),
+            frozenset(m for c in channels if schema.event_type in c.carries for m in c.members),
+        )
 
 
 @dataclass(frozen=True)
@@ -88,13 +121,6 @@ def kind_of(value: Scalar) -> Optional[str]:
     return _KINDS.get(type(value))
 
 
-def _on_channel(principal: str, channel: Channel, roles_of) -> bool:
-    if principal in channel.members:
-        return True
-    held = roles_of(principal) if roles_of is not None else ()
-    return any(role in channel.members for role in held)
-
-
 def validate_event_schema(
     event: Event,
     rules: IntegrityRuleSet,
@@ -105,22 +131,23 @@ def validate_event_schema(
     Empty list means ok. ``roles_of`` maps a principal id to the roles it
     holds, so channels may name roles instead of principals.
     """
-    schema = rules.schema_for(event.event_type)
-    if schema is None:
+    plan = rules._plans.get(event.event_type)
+    if plan is None:
         return [AdmissionError("UnknownEventType", event.event_type)]
+    on_channel = event.emitter in plan.members or (
+        roles_of is not None and not plan.members.isdisjoint(roles_of(event.emitter))
+    )
+    if on_channel and plan.shape == tuple([(n, _KINDS.get(type(v))) for n, v in event.attributes]):
+        return []
     errors: list[AdmissionError] = []
     supplied = event.attribute_map
-    for param in schema.parameters:
-        if param.name not in supplied:
-            errors.append(AdmissionError("MissingAttribute", param.name))
-        elif kind_of(supplied[param.name]) != param.kind:
-            errors.append(AdmissionError("KindMismatch", param.name))
-    declared = set(schema.names())
-    for name in supplied:
-        if name not in declared:
-            errors.append(AdmissionError("ExtraAttribute", name))
-    carrying = rules.channels_carrying(event.event_type)
-    if not any(_on_channel(event.emitter, c, roles_of) for c in carrying):
+    for name, kind in plan.params:
+        if name not in supplied:
+            errors.append(AdmissionError("MissingAttribute", name))
+        elif kind_of(supplied[name]) != kind:
+            errors.append(AdmissionError("KindMismatch", name))
+    errors += [AdmissionError("ExtraAttribute", name) for name in supplied if name not in plan.declared]
+    if not on_channel:
         errors.append(AdmissionError("EmitterNotOnChannel", event.emitter))
     return errors
 
@@ -159,21 +186,15 @@ class LedgerIndex:
 
     def add(self, event: Event) -> None:
         self.event_ids.add(event.event_id)
-        schema = self.rules.schema_for(event.event_type) if self.rules is not None else None
-        if schema is None:
+        plan = self.rules._plans.get(event.event_type) if self.rules is not None else None
+        if plan is None:
             return
         attrs = event.attribute_map
-        for param in schema.parameters:
-            if param.adornment != "in" and param.name in attrs:
-                self.bound.add((param.name, param.kind, attrs[param.name]))
-        key, outs = _key_and_outs(event.event_type, schema, attrs)
-        self.outs[key] = self.outs.get(key, frozenset()) | {outs}
-
-
-def _key_and_outs(event_type: str, schema: SchemaDecl, attrs: dict) -> tuple[tuple, tuple]:
-    """(event type, key values) and the out values of one event."""
-    keys = tuple(attrs.get(p.name) for p in schema.by_adornment("key"))
-    return (event_type, keys), tuple(attrs.get(p.name) for p in schema.by_adornment("out"))
+        for name, kind in plan.binds:
+            if name in attrs:
+                self.bound.add((name, kind, attrs[name]))
+        key = (event.event_type, tuple(map(attrs.get, plan.keys)))
+        self.outs[key] = self.outs.get(key, frozenset()) | {tuple(map(attrs.get, plan.outs))}
 
 
 def check_integrity(event: Event, index: LedgerIndex) -> list[AdmissionError]:
@@ -185,22 +206,20 @@ def check_integrity(event: Event, index: LedgerIndex) -> list[AdmissionError]:
     of some earlier event. Assumes validate_event_schema passed. The ledger
     so far is given as its LedgerIndex, whose rules are the ones checked.
     """
-    schema = index.rules.schema_for(event.event_type)
-    if schema is None:
+    plan = index.rules._plans.get(event.event_type)
+    if plan is None:
         return [AdmissionError("UnknownEventType", event.event_type)]
     violations: list[AdmissionError] = []
     attrs = event.attribute_map
 
-    key, outs = _key_and_outs(event.event_type, schema, attrs)
-    earlier = index.outs.get(key)
-    if earlier and (len(earlier) > 1 or outs not in earlier):
-        key_repr = ", ".join(f"{k.name}={attrs.get(k.name)!r}" for k in schema.by_adornment("key"))
+    keys = tuple(map(attrs.get, plan.keys))
+    earlier = index.outs.get((event.event_type, keys))
+    if earlier and (len(earlier) > 1 or tuple(map(attrs.get, plan.outs)) not in earlier):
+        key_repr = ", ".join(f"{name}={value!r}" for name, value in zip(plan.keys, keys))
         violations.append(AdmissionError("KeyConflict", f"{event.event_type}[{key_repr}]"))
 
-    for param in schema.by_adornment("in"):
-        value = attrs.get(param.name)
-        if (param.name, param.kind, value) not in index.bound:
-            violations.append(
-                AdmissionError("UnboundInParameter", f"{param.name}={value!r}")
-            )
+    for name, kind in plan.ins:
+        value = attrs.get(name)
+        if (name, kind, value) not in index.bound:
+            violations.append(AdmissionError("UnboundInParameter", f"{name}={value!r}"))
     return violations

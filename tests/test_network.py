@@ -122,7 +122,10 @@ def test_an_event_admission_refuses_costs_no_index_copy(monkeypatch, hospital_sp
     # event refused round after round copies nothing; each mined block costs
     # one copy in admission and one in verify_chain. The chain is the one
     # holder of its index, so nothing builds one from a chain's events, and
-    # the index each peer's chain carries equals such a rebuild.
+    # the index each peer's chain carries equals such a rebuild. A refused
+    # event is still checked again on each turn of each peer that holds it:
+    # 29 checks of the report over the run, where each admitted event costs
+    # one (ROADMAP item 5, "Refusals remembered").
     config, roles = read_network_config(str(DEMOS / "hospital_net.json"))
     org = Organization.make(hospital_spec.context, roles)
     rules = ruleset_from_spec(hospital_spec)
@@ -131,15 +134,20 @@ def test_an_event_admission_refuses_costs_no_index_copy(monkeypatch, hospital_sp
         "evt-00004", "InvestigationReport",
         {"report": "inv-002", "patient": "nobody", "nurse": "bob", "verdict": "upheld"}, "hospital",
     ))
-    copies, built = [], count_index_builds(monkeypatch)
-    real_copy = LedgerIndex.copy
+    copies, checked, built = [], [], count_index_builds(monkeypatch)
+    real_copy, real_check = LedgerIndex.copy, network.check_integrity
     monkeypatch.setattr(LedgerIndex, "copy", lambda index: copies.append(index) or real_copy(index))
-    for submissions in (scenario, scenario + [unbound]):
+    monkeypatch.setattr(
+        network, "check_integrity", lambda event, index: checked.append(event.event_id) or real_check(event, index)
+    )
+    for submissions, rechecks in ((scenario, 0), (scenario + [unbound], 29)):
         copies.clear()
+        checked.clear()
         result = run_network(submissions, config, rules=rules, org=org)
         events = [e for e in result.active_chain.events()]
         assert result.converged and len(events) == len(scenario)
         assert len(copies) == 2 * result.active_chain.height == 8
+        assert Counter(checked) == Counter([e.event_id for e in events] + ["evt-00004"] * rechecks)
         carried = [chain.admission_index(rules) for _, chain in result.chains]
         assert built == []
         for (_, chain), index in zip(result.chains, carried):
