@@ -7,12 +7,15 @@ Network config: JSON with the NetworkConfig fields (target as hex) plus an
 optional "roles" map for the organizational context. Evaluation report: one
 JSON document with chain tip, instance table, derived facts and trust rows in
 stable order; docs/report-schema.json is the schema it validates against.
+Snapshots and reports are written byte for byte as json.dumps(value,
+indent=2) plus "\n": two-space indents, every non-ASCII character escaped.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import struct
 from typing import Optional
 
 from .evaluator import EvalState, NormInstance
@@ -36,6 +39,7 @@ def _is_u64(value) -> bool:
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
+_encode_text = json.encoder.encode_basestring_ascii
 
 
 def _is_text(value) -> bool:
@@ -47,20 +51,17 @@ def _is_text_list(value) -> bool:
     return isinstance(value, list) and all(map(_is_text, value))
 
 
-def _check_encodable(event: Event, where: str) -> None:
-    """Reject an event the canonical serialization cannot encode: the text
-    fields must be UTF-8 strings, logical_ts an unsigned and an integer
-    attribute a signed 64-bit integer."""
-    texts = (event.event_id, event.event_type, event.emitter)
-    _require(all(map(_is_text, texts)), f"{where}: {texts!r} must all be text")
-    ts = event.logical_ts
-    _require(_is_u64(ts), f"{where}: logical_ts {ts!r} is not in [0, 2**64)")
-    for name, value in event.attributes:
-        encodable = _is_text(value) or (isinstance(value, int) and -(2**63) <= value < 2**63)
-        _require(
-            _is_text(name) and encodable,
-            f"{where}: attribute {name!r}={value!r} is not text, boolean or i64",
-        )
+_NOT_ENCODABLE = "event {!r} is not encodable: text must be UTF-8, logical_ts u64, attributes text, bool or i64"
+
+
+def _encodable(event: Event) -> bool:
+    """Whether the canonical serialization, which the event then keeps,
+    encodes it; struct packs a boolean logical_ts as 1, so that is refused apart."""
+    try:
+        event.signing_bytes()
+    except (AttributeError, TypeError, ValueError, struct.error):
+        return False
+    return type(event.logical_ts) is not bool
 
 
 def _read_utf8(path: str, what: str) -> str:
@@ -76,6 +77,45 @@ def _load_json(path: str, what: str):
         return json.loads(_read_utf8(path, what))
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, or too many digits
         raise DataFormatError(f"{what} is not valid JSON: {exc}") from exc
+
+
+_SCALARS = {str: _encode_text, int: int.__repr__, float: json.dumps,  # repr, NaN or ±Infinity
+            bool: {True: "true", False: "false"}.__getitem__, type(None): {None: "null"}.__getitem__}
+
+
+def _indented(value, out: list, newline: str = "\n") -> None:
+    """Append to out the text of json.dumps(value, indent=2) for a dict or list whose dicts have
+    text keys and whose leaves have _SCALARS types, each leaf written in its container's loop.
+    With indent set, json itself drops its C encoder for a generator per level."""
+    inner = newline + "  "
+    comma = "," + inner
+    if isinstance(value, dict):
+        separator = "{" + inner
+        for key, item in value.items():
+            head, scalar = separator + _encode_text(key) + ": ", _SCALARS.get(type(item))
+            out.append(head if scalar is None else head + scalar(item))
+            if scalar is None:
+                _indented(item, out, inner)
+            separator = comma
+        out.append(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        separator = "[" + inner
+        for item in value:
+            scalar = _SCALARS.get(type(item))
+            out.append(separator if scalar is None else separator + scalar(item))
+            if scalar is None:
+                _indented(item, out, inner)
+            separator = comma
+        out.append(newline + "]" if value else "[]")
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _write_indented(value, path: str) -> None:
+    out: list[str] = []
+    _indented(value, out)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("".join(out) + "\n")
 
 
 # --- chain snapshots ------------------------------------------------------
@@ -104,7 +144,8 @@ def event_from_json(data: dict) -> Event:
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataFormatError(f"bad event record: {exc}") from exc
-    _check_encodable(event, "bad event record")
+    if not _encodable(event):
+        raise DataFormatError("bad event record: " + _NOT_ENCODABLE.format(event.event_id))
     return event
 
 
@@ -149,15 +190,16 @@ def chain_from_json(data: dict) -> Chain:
             "bad block header: index and nonce must be integers in [0, 2**64), miner text",
         )
         _require(isinstance(events, list), "bad block: events must be an array")
-        blocks.append(Block(header=header, events=tuple(map(event_from_json, events))))
+        try:
+            blocks.append(Block(header=header, events=tuple(map(event_from_json, events))))
+        except DataFormatError as exc:
+            raise DataFormatError(f"block {len(blocks)}: {exc}") from exc
     _require(bool(blocks), "chain snapshot has no blocks")
     return Chain(blocks=tuple(blocks))
 
 
 def write_chain(chain: Chain, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(chain_to_json(chain), indent=2))
-        handle.write("\n")
+    _write_indented(chain_to_json(chain), path)
 
 
 def read_chain(path: str) -> Chain:
@@ -176,12 +218,8 @@ def read_scenario(path: str) -> list[tuple[int, Event]]:
         line = line.strip()
         if not line:
             continue
-        where = f"{path}:{lineno}"
         try:
             data = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise DataFormatError(f"{where}: not valid JSON: {exc}") from exc
-        try:
             round_no = data["round"]
             event = Event.make(
                 event_id=f"evt-{len(scenario):05d}",
@@ -190,11 +228,12 @@ def read_scenario(path: str) -> list[tuple[int, Event]]:
                 emitter=data["emitter"],
                 logical_ts=data.get("logical_ts", round_no),
             )
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise DataFormatError(f"{where}: bad scenario event: {exc}") from exc
-        round_ok = type(round_no) is int and round_no >= 0
-        _require(round_ok, f"{where}: round must be a non-negative integer")
-        _check_encodable(event, where)
+        except (ValueError, RecursionError, KeyError, TypeError, AttributeError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: not a scenario event: {exc}") from exc
+        if type(round_no) is not int or round_no < 0:
+            raise DataFormatError(f"{path}:{lineno}: round must be a non-negative integer")
+        if not _encodable(event):
+            raise DataFormatError(f"{path}:{lineno}: " + _NOT_ENCODABLE.format(event.event_id))
         scenario.append((round_no, event))
     return scenario
 
@@ -295,9 +334,7 @@ def build_report(
 
 
 def write_report(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(report, indent=2))
-        handle.write("\n")
+    _write_indented(report, path)
 
 
 def _is_trust_row(row) -> bool:

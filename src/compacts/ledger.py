@@ -32,6 +32,7 @@ Scalar = Union[str, int, bool]
 DIGEST_SIZE = 32
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
 MAX_NONCE = 2**64 - 1
+_NONCE = struct.Struct(">Q")
 
 
 class LedgerError(Exception):
@@ -278,11 +279,13 @@ def mine_block(
     digest = events_digest(tuple(events))
     prev_digest = hash_block_header(prev)
     midstate = hashlib.sha256(_header_prefix(prev.index + 1, prev_digest, digest, miner))
+    # As bytes, a digest sorts below this bound exactly when, as an integer, it is below target.
+    bound = (min(target, 1 << 256) - 1).to_bytes(DIGEST_SIZE, "big") + b"\x00"
     for nonce in range(MAX_NONCE + 1):
         attempt = midstate.copy()
-        attempt.update(struct.pack(">Q", nonce))
+        attempt.update(_NONCE.pack(nonce))
         found = attempt.digest()
-        if int.from_bytes(found, "big") < target:
+        if found < bound:
             header = BlockHeader(prev.index + 1, prev_digest, digest, miner, nonce)
             object.__setattr__(header, "_digest", found)
             return header

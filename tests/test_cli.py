@@ -231,8 +231,14 @@ ADMIT = {"round": 0, "event_type": "Admit", "attributes": {"patient": "charlie",
         dict(ADMIT, attributes={"patient": 2**63, "nurse": "bob"}),
         dict(ADMIT, attributes={"patient": -(2**63) - 1, "nurse": "bob"}),
         dict(ADMIT, attributes={"patient": 1.5, "nurse": "bob"}),
+        dict(ADMIT, logical_ts=True),
+        dict(ADMIT, attributes={"patient": None, "nurse": "bob"}),
+        dict(ADMIT, attributes={"patient": ["charlie"], "nurse": "bob"}),
+        dict(ADMIT, attributes={"patient": "\ud800", "nurse": "bob"}),
+        dict(ADMIT, emitter="hosp\udfffital"),
     ],
-    ids=["negative-ts", "ts-over-u64", "attribute-over-i64", "attribute-under-i64", "float-attribute"],
+    ids=["negative-ts", "ts-over-u64", "attribute-over-i64", "attribute-under-i64", "float-attribute",
+         "bool-ts", "null-attribute", "list-attribute", "surrogate-attribute", "surrogate-emitter"],
 )
 def test_run_out_of_range_integer_exit_65(tmp_path, capsys, line):
     scenario = tmp_path / "scenario.jsonl"
@@ -270,6 +276,29 @@ def test_verify_chain_out_of_range_integer_exit_65(tmp_path, path, value):
     snapshot = tmp_path / "chain.json"
     snapshot.write_bytes(_golden(path, value))
     assert run_cli("verify-chain", str(snapshot)) == EXIT_DATA
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("logical_ts", -1),
+        ("logical_ts", True),
+        ("logical_ts", 2**64),
+        ("event_id", "e\ud800"),
+        ("event_type", 5),
+        ("emitter", None),
+        ("attributes", {"value": 2**63}),
+        ("attributes", {"value": 1.5}),
+        ("attributes", {"value": None}),
+        ("attributes", {"\udc00": 1}),
+    ],
+)
+def test_eval_unencodable_event_exit_65_at_its_block(tmp_path, capsys, field, value):
+    snapshot = tmp_path / "chain.json"
+    snapshot.write_bytes(_golden(("events", 0, field), value))
+    argv = ["--chain", str(snapshot), "--spec", str(DEMOS / "hospital.cpt"), "--out", str(tmp_path / "r.json")]
+    assert run_cli("eval", *argv) == EXIT_DATA
+    assert "error: block 4: bad event record: event " in capsys.readouterr().err
 
 
 def _scenario(**changes) -> bytes:

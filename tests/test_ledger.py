@@ -25,7 +25,7 @@ from compacts.ledger import (
     verify_chain,
 )
 
-from compacts.fileformats import chain_to_json
+from compacts.fileformats import MIN_TARGET, chain_to_json
 from compacts.governance import Organization, ruleset_from_spec
 from compacts.lang import parse_compact
 from compacts.validator import LedgerIndex
@@ -101,6 +101,29 @@ def test_mine_block_matches_the_reference_scan(miner, bits):
     assert canonical_serialize(header) == prefix + header.nonce.to_bytes(8, "big")
     # the header keeps the winning attempt's digest, which is its bytes' digest
     assert vars(header)["_digest"] == hashlib.sha256(canonical_serialize(header)).digest()
+
+
+def test_mine_block_finds_the_least_nonce_at_every_target(monkeypatch):
+    """Mining compares digests with a byte bound; the nonce it finds is the
+    least whose digest is below the target as an integer. At a target equal
+    to that digest, every nonce up to it fails: the earlier ones are above
+    the digest, and the digest is not below itself."""
+    import compacts.ledger as ledger_module
+    from compacts.ledger import NonceExhausted
+
+    rng = random.Random(7)
+    targets = [EASY_TARGET, 1 << 257, MIN_TARGET, bench_generators().DEMO_TARGET, 1 << 255]
+    targets += [rng.randrange(1 << 247, 1 << rng.randrange(248, 258)) for _ in range(12)]
+    events = some_events()
+    for target in targets:
+        header = mine_block(events, GENESIS_HEADER, target, "ann")
+        assert header == reference_mine(events, GENESIS_HEADER, target, "ann"), hex(target)
+        digest = int.from_bytes(hash_block_header(header), "big")
+        assert mine_block(events, GENESIS_HEADER, digest + 1, "ann").nonce == header.nonce
+        with monkeypatch.context() as patch:
+            patch.setattr(ledger_module, "MAX_NONCE", header.nonce)
+            with pytest.raises(NonceExhausted):
+                mine_block(events, GENESIS_HEADER, digest, "ann")
 
 
 def test_a_replaced_header_is_hashed_afresh():
