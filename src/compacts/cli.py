@@ -19,6 +19,7 @@ only enters through --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -154,6 +155,7 @@ def cmd_trust(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process, however often main runs
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="compacts",

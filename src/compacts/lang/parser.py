@@ -10,8 +10,9 @@ error).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, TypeVar
+import re
+from dataclasses import replace
+from typing import Callable, Iterator, NamedTuple, Optional, TypeVar
 
 from ..validator import ADORNMENTS, Channel, Parameter, SchemaDecl
 from . import ast
@@ -25,8 +26,6 @@ KEYWORDS = {
     "text", "int", "bool", "key", "out", "in", "true", "false",
 }
 
-_PUNCT = "{}(),:;"
-
 # The deepest condition the parser accepts: at most this many 'and', 'or' and
 # 'before' on one path from its root, and, counted apart, this many open
 # parentheses. The parser recurses on parentheses and every other reader on
@@ -36,8 +35,7 @@ MAX_CONDITION_DEPTH = 64
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME | KEYWORD | INT | STRING | punctuation | EOF
     value: str
     line: int
@@ -55,73 +53,49 @@ class ParseError(Exception):
         self.token = token
 
 
+# The lexical rules of docs/grammar.ebnf, one alternative each, tried in order.
+# In a str pattern \w is str.isalnum() or "_" and \d is str.isdecimal(): a
+# word would take the "counts" of "counts-as" and the digits of an INT, so
+# both come before it, and a word that starts with neither a letter nor "_"
+# is refused. A string whose closing quote is missing stopped at a bad
+# escape, a line end or the end of input.
+_LEXEME = re.compile(
+    r'[ \t\r]+|(?P<comment>#[^\n]*)|(?P<newline>\n)|(?P<KEYWORD>counts-as)|(?P<INT>-?\d+)|(?P<word>\w+)'
+    r'|(?P<punct>[{}(),:;])|"(?P<STRING>(?:[^"\\\n]|\\[nt"\\])*)(?P<closed>"?)|(?P<other>.)'
+)
+_ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
 def tokenize(text: str) -> Iterator[Token]:
     """Tokens of text, ending in EOF, made as they are pulled: a lexer error
     is raised only when the parser reaches it."""
-    line, line_start = 1, 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            line_start = i + 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "#":
-            end = text.find("\n", i)
-            if end < 0:
-                break  # the input ends in this comment: EOF points at its '#'
-            i = end
+    line, line_start, end = 1, 0, len(text)
+    for m in _LEXEME.finditer(text):
+        kind, value, i = m.lastgroup, m[0], m.start()
+        if kind is None:
             continue
         col = i - line_start + 1
-        if ch == '"':
-            j = i + 1
-            buf: list[str] = []
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError(line, col, "unterminated string")
-                if text[j] == "\\":
-                    if j + 1 >= n or text[j + 1] not in _ESCAPES:
-                        raise ParseError(line, j - line_start + 1, "bad escape")
-                    buf.append(_ESCAPES[text[j + 1]])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
+        if kind == "word" and (value[0].isalpha() or value[0] == "_"):
+            yield Token("KEYWORD" if value in KEYWORDS else "NAME", value, line, col)
+        elif kind == "punct":
+            yield Token(value, value, line, col)
+        elif kind == "newline":
+            line, line_start = line + 1, i + 1
+        elif kind == "INT" or kind == "KEYWORD":
+            yield Token(kind, value, line, col)
+        elif kind == "closed":  # a string, whose last group is its closing quote
+            if not m["closed"]:
+                if text.startswith("\\", m.end()):
+                    raise ParseError(line, m.end() - line_start + 1, "bad escape")
                 raise ParseError(line, col, "unterminated string")
-            yield Token("STRING", "".join(buf), line, col)
-            i = j + 1
-            continue
-        if text.startswith("counts-as", i):
-            kind = "KEYWORD"
-            j = i + len("counts-as")
-        elif ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            kind = "KEYWORD" if text[i:j] in KEYWORDS else "NAME"
-        elif ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
-            # isdecimal, not isdigit: int() rejects digits such as '²'
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            kind = "INT"
-        elif ch in _PUNCT:
-            kind = ch
-            j = i + 1
-        else:
-            raise ParseError(line, col, f"unexpected character {ch!r}", ch)
-        yield Token(kind, text[i:j], line, col)
-        i = j
-    yield Token("EOF", "", line, i - line_start + 1)
+            yield Token("STRING", _ESCAPE.sub(lambda e: _ESCAPES[e[1]], m["STRING"]), line, col)
+        elif kind == "comment":
+            if m.end() == end:
+                end = i  # the input ends in this comment: EOF points at its '#'
+        else:  # any other character, or a word that starts with neither a letter nor "_"
+            raise ParseError(line, col, f"unexpected character {value[0]!r}", value[0])
+    yield Token("EOF", "", line, end - line_start + 1)
 
 
 class _Parser:
@@ -154,11 +128,6 @@ class _Parser:
             raise self._fail(what or f"'{kind}'")
         return self.advance()
 
-    def expect_name(self, what: str = "a name") -> Token:
-        if self.cur.kind != "NAME":
-            raise self._fail(what)
-        return self.advance()
-
     def expect_int(self, what: str = "an integer") -> int:
         tok = self.expect("INT", what)
         sign, digits = ("-", tok.value[1:]) if tok.value.startswith("-") else ("", tok.value)
@@ -181,9 +150,9 @@ class _Parser:
 
     def compact(self) -> ast.CompactSpec:
         head = self.expect_keyword("compact")
-        name = self.expect_name("compact name").value
+        name = self.expect("NAME", "compact name").value
         self.expect_keyword("context")
-        context = self.expect_name("context principal").value
+        context = self.expect("NAME", "context principal").value
         self.expect("{")
         roles: list[str] = []
         schemas: list[SchemaDecl] = []
@@ -223,19 +192,19 @@ class _Parser:
         self.expect_keyword("roles")
         names: list[str] = []
         if self.cur.kind == "NAME":
-            names = self.comma_list(lambda: self.expect_name("role name").value)
+            names = self.comma_list(lambda: self.expect("NAME", "role name").value)
         self.expect(";")
         return names
 
     def schema_decl(self) -> SchemaDecl:
         head = self.expect_keyword("schema")
-        name = self.expect_name("event type").value
+        name = self.expect("NAME", "event type").value
         params = self.parenthesized(self.param)
         self.expect(";")
         return SchemaDecl(event_type=name, parameters=params, pos=(head.line, head.col))
 
     def param(self) -> Parameter:
-        name = self.expect_name("parameter name").value
+        name = self.expect("NAME", "parameter name").value
         self.expect(":")
         if not self.at_keyword("text", "int", "bool"):
             raise self._fail("'text', 'int' or 'bool'")
@@ -247,22 +216,22 @@ class _Parser:
 
     def channel_decl(self) -> Channel:
         head = self.expect_keyword("channel")
-        name = self.expect_name("channel name").value
+        name = self.expect("NAME", "channel name").value
         self.expect_keyword("members")
-        members = self.comma_list(lambda: self.expect_name("member name").value)
+        members = self.comma_list(lambda: self.expect("NAME", "member name").value)
         self.expect_keyword("carries")
-        carries = self.comma_list(lambda: self.expect_name("event type").value)
+        carries = self.comma_list(lambda: self.expect("NAME", "event type").value)
         self.expect(";")
         return Channel(name, tuple(members), tuple(carries), pos=(head.line, head.col))
 
     def counts_as_decl(self) -> ast.CountsAsRule:
         head = self.expect_keyword("counts-as")
-        fact = self.expect_name("fact name").value
+        fact = self.expect("NAME", "fact name").value
         projection = self.parenthesized(self.projection_binding)
         self.expect_keyword("from")
         source = self.event_pattern()
         self.expect_keyword("by")
-        role = self.expect_name("role name").value
+        role = self.expect("NAME", "role name").value
         self.expect(";")
         return ast.CountsAsRule(
             fact=fact,
@@ -273,22 +242,22 @@ class _Parser:
         )
 
     def projection_binding(self) -> tuple[str, str]:
-        attr = self.expect_name("fact attribute").value
+        attr = self.expect("NAME", "fact attribute").value
         if self.cur.kind == ":":
             self.advance()
-            return attr, self.expect_name("source variable").value
+            return attr, self.expect("NAME", "source variable").value
         return attr, attr
 
     def role_clause(self) -> ast.RoleClause:
-        role = self.expect_name("role name").value
+        role = self.expect("NAME", "role name").value
         if self.cur.kind == ":":
             self.advance()
-            return ast.RoleClause(role=role, variable=self.expect_name("variable").value)
+            return ast.RoleClause(role=role, variable=self.expect("NAME", "variable").value)
         return ast.RoleClause(role=role)
 
     def norm_decl(self) -> ast.NormDecl:
         head = self.advance()  # 'prohibition' or 'commitment'
-        norm_id = self.expect_name("norm id").value
+        norm_id = self.expect("NAME", "norm id").value
         self.expect_keyword("subject")
         subject = self.role_clause()
         self.expect_keyword("object")
@@ -296,7 +265,7 @@ class _Parser:
         context = None
         if self.at_keyword("context"):
             self.advance()
-            context = self.expect_name("context name").value
+            context = self.expect("NAME", "context name").value
         self.expect("{")
         self.expect_keyword("create")
         self.expect_keyword("on")
@@ -402,7 +371,7 @@ class _Parser:
         self.height = 0
         if self.at_keyword(*ast.NORM_STATES):
             state = self.advance()
-            norm_id = self.expect_name("norm id").value
+            norm_id = self.expect("NAME", "norm id").value
             constraints = self.parenthesized(self.constraint)
             return ast.NormStateFactPattern(
                 state=state.value,
@@ -412,7 +381,7 @@ class _Parser:
             )
         if self.at_keyword("fact"):
             head = self.advance()
-            name = self.expect_name("fact name").value
+            name = self.expect("NAME", "fact name").value
             constraints = self.parenthesized(self.constraint)
             return ast.FactPattern(
                 fact=name, constraints=constraints, pos=(head.line, head.col)
@@ -420,7 +389,7 @@ class _Parser:
         return self.event_pattern()
 
     def event_pattern(self) -> ast.EventPattern:
-        head = self.expect_name("an event pattern")
+        head = self.expect("NAME", "an event pattern")
         constraints = self.parenthesized(self.constraint)
         return ast.EventPattern(
             event_type=head.value, constraints=constraints, pos=(head.line, head.col)
@@ -434,7 +403,7 @@ class _Parser:
         return tuple(items)
 
     def constraint(self) -> ast.Constraint:
-        attr = self.expect_name("attribute name").value
+        attr = self.expect("NAME", "attribute name").value
         if self.cur.kind == ":":
             self.advance()
             return ast.Constraint(attribute=attr, term=self.term())

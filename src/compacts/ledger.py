@@ -32,7 +32,9 @@ Scalar = Union[str, int, bool]
 DIGEST_SIZE = 32
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
 MAX_NONCE = 2**64 - 1
-_NONCE = struct.Struct(">Q")
+_U32 = struct.Struct(">I").pack
+_U64 = struct.Struct(">Q").pack
+_I64 = struct.Struct(">q").pack
 
 
 class LedgerError(Exception):
@@ -49,11 +51,11 @@ class EmptyCandidateSet(LedgerError):
 
 def _text_bytes(value: str) -> bytes:
     raw = value.encode("utf-8")
-    return struct.pack(">I", len(raw)) + raw
+    return _U32(len(raw)) + raw
 
 
 def _blob_bytes(value: bytes) -> bytes:
-    return struct.pack(">I", len(value)) + value
+    return _U32(len(value)) + value
 
 
 def _scalar_bytes(value: Scalar) -> bytes:
@@ -61,14 +63,14 @@ def _scalar_bytes(value: Scalar) -> bytes:
     if isinstance(value, bool):
         return b"b" + (b"\x01" if value else b"\x00")
     if isinstance(value, int):
-        return b"i" + struct.pack(">q", value)
+        return b"i" + _I64(value)
     if isinstance(value, str):
         return b"s" + _text_bytes(value)
     raise TypeError(f"unsupported attribute value type: {type(value).__name__}")
 
 
 def _attributes_bytes(attributes: Mapping[str, Scalar]) -> bytes:
-    parts = [struct.pack(">I", len(attributes))]
+    parts = [_U32(len(attributes))]
     for key in sorted(attributes):
         parts.append(_text_bytes(key))
         parts.append(_scalar_bytes(attributes[key]))
@@ -93,8 +95,9 @@ class Event:
     """An emitter-signed occurrence; the unit of shared truth on the ledger.
 
     logical_ts is client-supplied and advisory only; Position on the chain is
-    the authoritative order. signing_bytes keeps the bytes it encodes in a
-    private cell, which takes no part in equality, hashing or repr.
+    the authoritative order. attribute_map keeps the dict it builds, which
+    no caller changes, and signing_bytes the bytes it encodes, each in a
+    private cell that takes no part in equality, hashing or repr.
     """
 
     event_id: str
@@ -103,6 +106,7 @@ class Event:
     emitter: str
     logical_ts: int
     signature: bytes = b""
+    _map: Optional[dict[str, Scalar]] = field(default=None, init=False, compare=False, repr=False)
     _encoded: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
@@ -125,7 +129,9 @@ class Event:
 
     @property
     def attribute_map(self) -> dict[str, Scalar]:
-        return dict(self.attributes)
+        if self._map is None:
+            object.__setattr__(self, "_map", dict(self.attributes))
+        return self._map
 
     def signing_bytes(self) -> bytes:
         """Canonical bytes of every field except the signature."""
@@ -133,15 +139,16 @@ class Event:
             object.__setattr__(self, "_encoded", (
                 _text_bytes(self.event_id)
                 + _text_bytes(self.event_type)
-                + _attributes_bytes(dict(self.attributes))
+                + _attributes_bytes(self.attribute_map)
                 + _text_bytes(self.emitter)
-                + struct.pack(">Q", self.logical_ts)
+                + _U64(self.logical_ts)
             ))
         return self._encoded
 
     def with_signature(self, secret: str) -> "Event":
         signed = replace(self, signature=sign_bytes(secret, self.signing_bytes()))
         # the signature is not among the bytes it signs: the copy keeps them
+        object.__setattr__(signed, "_map", self._map)
         object.__setattr__(signed, "_encoded", self._encoded)
         return signed
 
@@ -167,7 +174,7 @@ def verify_event_signature(event: Event, secret: str) -> bool:
 
 def _header_prefix(index: int, prev_hash: bytes, events_digest: bytes, miner: str) -> bytes:
     """A header's canonical bytes up to the nonce, which is the last field."""
-    return struct.pack(">Q", index) + _blob_bytes(prev_hash) + _blob_bytes(events_digest) + _text_bytes(miner)
+    return _U64(index) + _blob_bytes(prev_hash) + _blob_bytes(events_digest) + _text_bytes(miner)
 
 
 def canonical_serialize(item: Union[Event, BlockHeader]) -> bytes:
@@ -176,7 +183,7 @@ def canonical_serialize(item: Union[Event, BlockHeader]) -> bytes:
         return item.signing_bytes() + _blob_bytes(item.signature)
     if isinstance(item, BlockHeader):
         prefix = _header_prefix(item.index, item.prev_hash, item.events_digest, item.miner)
-        return prefix + struct.pack(">Q", item.nonce)
+        return prefix + _U64(item.nonce)
     raise TypeError(f"cannot serialize {type(item).__name__}")
 
 
@@ -283,7 +290,7 @@ def mine_block(
     bound = (min(target, 1 << 256) - 1).to_bytes(DIGEST_SIZE, "big") + b"\x00"
     for nonce in range(MAX_NONCE + 1):
         attempt = midstate.copy()
-        attempt.update(_NONCE.pack(nonce))
+        attempt.update(_U64(nonce))
         found = attempt.digest()
         if found < bound:
             header = BlockHeader(prev.index + 1, prev_digest, digest, miner, nonce)

@@ -42,11 +42,7 @@ class SchemaDecl:
         return tuple(p.name for p in self.parameters)
 
     def by_adornment(self, adornment: str) -> tuple[Parameter, ...]:
-        return self._adorned.get(adornment, ())
-
-    @cached_property
-    def _adorned(self) -> dict[str, tuple[Parameter, ...]]:
-        return {a: tuple(p for p in self.parameters if p.adornment == a) for a in ADORNMENTS}
+        return tuple(p for p in self.parameters if p.adornment == adornment)
 
 
 @dataclass(frozen=True)

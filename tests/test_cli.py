@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -107,6 +108,17 @@ def test_parse_missing_file_exit_usage(capsys):
 
 def test_unknown_subcommand_exit_usage(capsys):
     assert run_cli("frobnicate") == EXIT_USAGE
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # an in-process caller such as the benchmark runs main once per pass
+    run_cli("parse", str(DEMOS / "minimal.cpt"))
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(init(self, *a, **k)))
+    assert run_cli("parse", str(DEMOS / "minimal.cpt")) == EXIT_OK
+    assert run_cli("frobnicate") == EXIT_USAGE
+    assert built == []
 
 
 def test_run_writes_report_and_chain(tmp_path, capsys):

@@ -1,12 +1,16 @@
 """Parser, pretty printer, round-trips, error locality."""
 
 import glob
+import os
 import random
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from compacts.lang import (
     And,
@@ -22,9 +26,10 @@ from compacts.lang import (
     parse_compact,
     pretty_print,
 )
-from compacts.lang.parser import KEYWORDS, MAX_CONDITION_DEPTH, tokenize
+from compacts.lang.parser import KEYWORDS, MAX_CONDITION_DEPTH, _Parser, tokenize
 
-from conftest import DEMOS, REPO
+from conftest import DEMOS, FIXTURES, REPO
+from scan_lexer import scan_tokenize
 
 CORPUS = sorted(glob.glob(str(DEMOS / "*.cpt")))
 
@@ -341,3 +346,67 @@ def test_comments_and_whitespace_are_ignored():
         "compact T context c { roles R; schema A(x: text key); channel m members R carries A; }"
     )
     assert spec_a == spec_b
+
+
+# Each inserted piece stresses one lexical rule: a digit, a decimal and a
+# number that are not letters, a letter that is numeric, a decimal outside the
+# BMP, a lone surrogate, quotes and escapes, a comment, CR and TAB, the one
+# keyword with a hyphen and an integer one past the i64 range.
+LEXER_INSERTS = (
+    "\u00b2", "\u0663", "\u00bd", "\u4e94", "\U0001d7d8", "\ud800", '"', "\\", "\\q", "#", "\r", "\t",
+    "counts-as", "9223372036854775808",
+)
+LEXER_SOURCES = [Path(p).read_text(encoding="utf-8") for p in CORPUS + sorted(glob.glob(str(FIXTURES / "*.cpt")))]
+LEXER_SOURCES.append(TRICKY_SOURCE)
+
+
+def _lexed(lex, text):
+    """The (kind, value, line, col) tokens lex yields, then the error it raises."""
+    tokens = []
+    try:
+        for tok in lex(text):
+            tokens.append((tok.kind, tok.value, tok.line, tok.col))
+    except ParseError as err:
+        tokens.append((err.line, err.col, err.message, err.token))
+    return tokens
+
+
+def _parsed(lex, text):
+    try:
+        return _Parser(lex(text)).compact()
+    except ParseError as err:
+        return (err.line, err.col, err.message, err.token)
+
+
+@settings(
+    max_examples=int(os.environ.get("COMPACTS_FUZZ_EXAMPLES", 200)), derandomize=True, deadline=None, database=None
+)
+@given(st.data())
+def test_the_lexer_equals_the_reference(data):
+    """Tokens, errors and parse outcomes equal the character loop's on
+    bundled compacts with pieces inserted, spans deleted or the end cut off."""
+    text = data.draw(st.sampled_from(LEXER_SOURCES))
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(text)))
+        edit = data.draw(st.sampled_from(("insert", "insert", "delete", "truncate")))
+        if edit == "insert":
+            text = text[:at] + data.draw(st.sampled_from(LEXER_INSERTS)) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[data.draw(st.integers(at, min(len(text), at + 40))):]
+        else:
+            text = text[:at]
+    assert _lexed(tokenize, text) == _lexed(scan_tokenize, text)
+    outcome = _parsed(tokenize, text)
+    event("refused" if isinstance(outcome, tuple) else "parsed")
+    assert outcome == _parsed(scan_tokenize, text)
+
+
+def test_every_code_point_lexes_as_the_reference():
+    """Each code point alone, before and after a name, in a string and after
+    a minus sign. The full sweep takes about a minute, so by default only
+    the first 2,048 code points are swept; COMPACTS_FUZZ_EXAMPLES sweeps all."""
+    last = sys.maxunicode if "COMPACTS_FUZZ_EXAMPLES" in os.environ else 0x7FF
+    for code in range(last + 1):
+        c = chr(code)
+        for text in (c, "a" + c, c + "a", '"' + c + '"', "-" + c):
+            assert _lexed(tokenize, text) == _lexed(scan_tokenize, text), (hex(code), text)

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compacts.governance import ruleset_from_spec
+from compacts.incremental import fold_chain
 from compacts.lang import parse_compact
-from compacts.ledger import Event
+from compacts.ledger import Event, verify_chain
 from compacts.validator import (
     AdmissionError,
     Channel,
@@ -24,7 +25,7 @@ from compacts.validator import (
     validate_event_schema,
 )
 
-from conftest import DEMOS
+from conftest import DEMOS, HOSPITAL_ROSTER, build_chain, hospital_events
 from scan_integrity import scan_check_integrity, scan_validate_event_schema
 
 RULES = IntegrityRuleSet(
@@ -387,3 +388,22 @@ def test_plan_verdicts_equal_the_reference(case):
         event, rules, roles_of
     )
     assert check_integrity(event, LedgerIndex(rules, earlier)) == scan_check_integrity(event, earlier, rules)
+
+
+def test_admission_and_the_fold_read_one_map_per_event(monkeypatch, hospital_spec, hospital_org):
+    chain = build_chain(hospital_events()[0])
+    maps: dict[Event, list] = {}
+    read = Event.attribute_map.fget
+
+    def recorded(event):
+        maps.setdefault(event, []).append(read(event))
+        return maps[event][-1]
+
+    monkeypatch.setattr(Event, "attribute_map", property(recorded))
+    rules = ruleset_from_spec(hospital_spec)
+    assert verify_chain(chain, roster=HOSPITAL_ROSTER, rules=rules, roles_of=hospital_org.roles_of) is None
+    fold_chain(chain, hospital_spec, hospital_org)
+    assert set(maps) == set(chain.events())
+    for event, read_maps in maps.items():
+        assert len(read_maps) >= 3  # integrity, the index and the fold's match
+        assert all(m is read_maps[0] for m in read_maps), event
