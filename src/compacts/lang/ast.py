@@ -200,6 +200,7 @@ class CompactSpec:
     counts_as: tuple[CountsAsRule, ...]
     norms: tuple[NormDecl, ...]
     pos: Pos = field(default=(0, 0), compare=False, repr=False)
+    _diagnostics: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def norm(self, norm_id: str) -> Optional[NormDecl]:
         for norm in self.norms:

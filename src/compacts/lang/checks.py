@@ -41,6 +41,13 @@ def _err(pos: ast.Pos, code: str, message: str) -> Diagnostic:
 
 
 def check_well_formedness(spec: ast.CompactSpec) -> list[Diagnostic]:
+    """The spec's diagnostics, computed on its first check and kept in its cell."""
+    if spec._diagnostics is None:
+        object.__setattr__(spec, "_diagnostics", tuple(_diagnose(spec)))
+    return list(spec._diagnostics)
+
+
+def _diagnose(spec: ast.CompactSpec) -> list[Diagnostic]:
     from ..governance import ruleset_from_spec  # governance imports lang
 
     rules = ruleset_from_spec(spec)  # admission's event types: the declared, then the built-ins

@@ -317,6 +317,7 @@ def validate_block(
     roster: Optional[Mapping[str, str]] = None,
     rules=None,
     roles_of=None,
+    admitted=None,
 ) -> Optional[Rejection]:
     """Check a proposed next block against a chain; None means accepted.
 
@@ -330,6 +331,8 @@ def validate_block(
     added as they pass. An accepted block, an empty one too, leaves it on
     the chain, covering that block, for extend to hand on; a block rejected
     at the id or admission checks drops it, and the next call rebuilds it.
+    admitted, passed only by verify_chain, is a miner's admission of these
+    events on a copy of the chain's index; it replaces the admission loop.
     """
     prev = chain.tip.header
     if block.header.prev_hash != hash_block_header(prev):
@@ -355,8 +358,10 @@ def validate_block(
         if event.event_id in index.event_ids or event.event_id in in_block:
             return Rejection("DuplicateEventId", event.event_id)
         in_block.add(event.event_id)
-    # Admission per the validator module: each event is checked against the
-    # chain prefix plus the earlier events of this block.
+    if admitted is not None:
+        chain._admission.append((admitted, block))
+        return None
+    # Admission: each event is checked against the chain prefix and this block's earlier events.
     for event in block.events:
         if rules is not None:
             problems = validator.validate_event_schema(event, rules, roles_of)
@@ -389,13 +394,15 @@ def verify_chain(
     failing index otherwise.
 
     memo maps the header digest of each block verified so far to the
-    verified Chain that ends at it. With it, verification starts after the
-    newest block whose memo chain holds exactly this chain's blocks up to
-    that block, each block past it is validated on a chain that holds a copy
-    of its parent's index, and every block that passes is stored, so every
-    memo chain keeps its own index. A memo is only valid for one target,
-    roster, rules and roles_of. Without it every block is verified from
-    genesis, each on the chain its parent's validation extended.
+    verified Chain that ends at it, and a mined block's (prev_hash,
+    events_digest) to its miner's admission index (network._Peer.turn).
+    With it, verification starts after the newest block whose memo chain
+    holds exactly this chain's blocks up to that block, each block past it
+    is validated on a copy of its parent's index or with the admission held
+    for it, and every block that passes is stored, so every memo chain
+    keeps its own index. A memo is only valid for one target, roster, rules
+    and roles_of. Without it every block is verified from genesis, each on
+    the chain its parent's validation extended.
     """
     if not chain.blocks:
         return FirstBadBlock(0, Rejection("BadGenesis", "empty chain"))
@@ -411,11 +418,13 @@ def verify_chain(
                 start, verified = height + 1, known
                 break
     for block in blocks[start:]:
-        prefix = verified
-        if memo is not None:  # the memo's chain keeps its index; validate on a copy
+        prefix, admitted = verified, None
+        if memo is not None:  # the memo's chain keeps its index; validate on a copy, unless admitted
+            admitted = memo.pop((block.header.prev_hash, block.header.events_digest), None)
+            index = verified.admission_index(rules)
             prefix = Chain(blocks=verified.blocks)
-            prefix._admission.append((verified.admission_index(rules).copy(), verified.tip))
-        rejection = validate_block(prefix, block, target, roster, rules, roles_of)
+            prefix._admission.append((index if admitted is not None else index.copy(), verified.tip))
+        rejection = validate_block(prefix, block, target, roster, rules, roles_of, admitted=admitted)
         if rejection is not None:
             return FirstBadBlock(block.header.index, rejection)
         verified = prefix.extend(block)

@@ -4,10 +4,11 @@ A peer (_Peer) holds its chain and the events it has seen. receive(message)
 takes an event, recorded if its signature checks, or a chain, adopted if it
 beats the peer's own (longest, ties to the smallest tip digest) and
 verifies, and says whether to forward it. turn() mines one block of every
-seen event admission lets in and returns what to send. Each round every
-peer, in id order, receives its inbox (in an order drawn from the seeded
-generator) and takes its turn; what it forwards and sends reaches every
-other peer next round. Identical inputs give bit-identical results.
+seen event admission lets in and returns what to send; its admission is the
+block's (see turn). Each round every peer, in id order, receives its inbox
+(in an order drawn from the seeded generator) and takes its turn; what it
+forwards and sends reaches every other peer next round. Identical inputs
+give bit-identical results.
 """
 
 from __future__ import annotations
@@ -55,28 +56,25 @@ class NetworkResult:
         return select_active_chain([chain for _, chain in self.chains])
 
 
-def _admissible(seen: Iterable[Event], index: LedgerIndex, roles_of) -> list[Event]:
-    """The seen events that may extend the chain whose index is given, under
-    the index's rules: of those not on the chain, passes over the ones not
-    yet chosen take, in order, those admission lets in, until one takes none."""
-    events = [e for e in seen if e.event_id not in index.event_ids]
+def _admissible(events: Iterable[Event], index: LedgerIndex, roles_of) -> tuple[tuple[Event, ...], LedgerIndex]:
+    """Of events not on the chain whose index is given, those admission lets in:
+    passes over the ones not yet chosen take, in order, those it admits, until
+    one takes none. Returns them and the index holding them, a copy if any."""
     rules = index.rules
-    if rules is None:
-        return events
     chosen: list[Event] = []
-    rest = [e for e in events if not validate_event_schema(e, rules, roles_of)]
+    rest = [e for e in events if rules is None or not validate_event_schema(e, rules, roles_of)]
     while rest:
         refused = []
         for event in rest:
-            if check_integrity(event, index):
+            if rules is not None and check_integrity(event, index):
                 refused.append(event)
                 continue
             if not chosen:
-                index = index.copy()  # the caller's index stays the chain's
+                index = index.copy()
             chosen.append(event)
             index.add(event)
         rest = refused if len(refused) < len(rest) else []
-    return chosen
+    return tuple(chosen), index
 
 
 class _Peer:
@@ -88,6 +86,7 @@ class _Peer:
         self.rules, self.roles_of, self.memo = rules, roles_of, memo
         self.chain = genesis_chain()  # after an adoption, the memo's verified chain
         self.seen: dict[str, Event] = {}  # event_id -> event, arrival order
+        self.refused = None  # (tip digest, pending ids) of the last turn that admitted nothing
 
     def adopt(self, chain: Chain) -> bool:
         """Switch to chain if it passes verification."""
@@ -119,12 +118,19 @@ class _Peer:
         return True
 
     def turn(self) -> list:
-        """Mine one block of every seen event admission lets in; returns what to send."""
-        chain = self.chain
-        mineable = tuple(_admissible(self.seen.values(), chain.admission_index(self.rules), self.roles_of))
+        """Mine one block of every seen event admission lets in; returns what to
+        send. A turn with the tip and pending ids of the last one that admitted
+        nothing skips admission, which reads only those. The miner's admission is
+        the block's: the memo holds its index under (prev_hash, events_digest)."""
+        chain, index = self.chain, self.chain.admission_index(self.rules)
+        pending = [e for e in self.seen.values() if e.event_id not in index.event_ids]
+        refusal = (chain.tip_digest(), frozenset(e.event_id for e in pending))
+        mineable, index = _admissible(pending, index, self.roles_of) if refusal != self.refused else ((), None)
         if not mineable:
+            self.refused = refusal
             return []
         header = mine_block(mineable, chain.tip.header, self.target, miner=self.pid)
+        self.memo[header.prev_hash, header.events_digest] = index
         mined = chain.extend(Block(header=header, events=mineable))
         return [mined] if self.adopt(mined) else []  # verifies the new block once, for every peer
 
@@ -148,7 +154,8 @@ def run_network(
     0..max_rounds-1, and no event off the tip that admission there lets in.
     Every chain returned passed verify_chain under config.target, the roster,
     rules and roles_of; a peer verifies a received chain only to adopt it,
-    and only past its newest verified block (see verify_chain's memo).
+    and only past its newest verified block, taking a mined block's
+    admission from its miner (see verify_chain's memo, which peers share).
     """
     roster = config.roster
     roles_of = org.roles_of if org is not None else None
@@ -190,8 +197,9 @@ def run_network(
 
     converged = agreed() and all(0 <= r < config.max_rounds for r in due)
     if converged:  # unless the agreed tip left out an event it would admit
-        submitted = [event for events in due.values() for event in events]
-        converged = not _admissible(submitted, peers[peer_ids[0]].chain.admission_index(rules), roles_of)
+        index = peers[peer_ids[0]].chain.admission_index(rules)
+        off_tip = [e for events in due.values() for e in events if e.event_id not in index.event_ids]
+        converged = not _admissible(off_tip, index, roles_of)[0]
     return NetworkResult(
         chains=tuple((pid, peers[pid].chain) for pid in peer_ids),
         converged=converged,

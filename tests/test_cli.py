@@ -17,6 +17,7 @@ from compacts.cli import (
     EXIT_WELL_FORMEDNESS,
     main,
 )
+from compacts.lang import checks
 from compacts.lang.parser import MAX_CONDITION_DEPTH
 
 from conftest import DEMOS, FIXTURES, REPO, cli_argv
@@ -119,6 +120,22 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     assert run_cli("parse", str(DEMOS / "minimal.cpt")) == EXIT_OK
     assert run_cli("frobnicate") == EXIT_USAGE
     assert built == []
+
+
+def test_run_and_eval_compute_their_compact_s_diagnostics_once(monkeypatch, tmp_path):
+    # the CLI checks the compact and the engine checks it again: the spec
+    # keeps its diagnostics, so each command computes them once
+    computed = []
+    diagnose = checks._diagnose
+    monkeypatch.setattr(checks, "_diagnose", lambda spec: computed.append(spec.name) or diagnose(spec))
+    spec, report, chain = str(DEMOS / "hospital.cpt"), tmp_path / "report.json", tmp_path / "chain.json"
+    assert run_cli(
+        "run", "--spec", spec, "--scenario", str(DEMOS / "hospital_violation.jsonl"),
+        "--net", str(DEMOS / "hospital_net.json"), "--out", str(report), "--chain-out", str(chain),
+    ) == EXIT_OK
+    assert computed == ["HospitalCare"]
+    assert run_cli("eval", "--chain", str(chain), "--spec", spec, "--out", str(report)) == EXIT_OK
+    assert computed == ["HospitalCare"] * 2
 
 
 def test_run_writes_report_and_chain(tmp_path, capsys):

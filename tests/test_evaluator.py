@@ -15,8 +15,8 @@ from compacts.evaluator import (
 )
 from compacts.fileformats import build_report
 from compacts.governance import Organization
-from compacts.incremental import apply_block, initial_state
-from compacts.lang import parse_compact
+from compacts.incremental import apply_block, fold_chain, initial_state
+from compacts.lang import check_well_formedness, parse_compact
 from compacts.lang.ast import And, Before, EventPattern, Constraint, Variable, Literal
 from compacts.ledger import Block, Chain, Event, Position
 from compacts.matching import match_condition
@@ -332,6 +332,22 @@ def test_ill_formed_spec_is_refused(org):
     )
     with pytest.raises(SpecIllFormed):
         evaluate(build_chain([]), bad, org)
+
+
+def test_a_checked_ill_formed_spec_is_still_refused(org):
+    # the spec keeps the diagnostics of its first check; both engines read them
+    bad = parse_compact(
+        "compact T context org { roles R; schema A(x: text key); "
+        "channel m members R carries A; "
+        "commitment K subject R: x object R: x { create on A(x); "
+        "consequent A(x) within 0 blocks; } }"
+    )
+    first = check_well_formedness(bad)
+    assert [d.code for d in first if d.severity == "error"] and check_well_formedness(bad) == first
+    with pytest.raises(SpecIllFormed):
+        evaluate(build_chain([]), bad, org)
+    with pytest.raises(SpecIllFormed):
+        fold_chain(build_chain([]), bad, org)
 
 
 def test_early_consent_soundness_multiple_forbidden_matches():

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from compacts import ledger, network
+from compacts import ledger, network, validator
 from compacts.fileformats import read_network_config, read_scenario
 from compacts.governance import Organization, UnrosteredEmitter, ruleset_from_spec
 from compacts.ledger import Block, Event, mine_block, verify_chain
@@ -14,6 +14,7 @@ from compacts.network import NetworkConfig, run_network
 from compacts.validator import LedgerIndex, check_integrity
 
 from conftest import DEMOS, bench_generators, load_fixture
+from hostile_peers import forged
 
 ROSTER = tuple((f"client-{i}", f"key-{i}") for i in range(4))
 
@@ -120,11 +121,12 @@ def test_a_submission_past_max_rounds_means_no_convergence(hospital_spec, share_
 def test_an_event_admission_refuses_costs_no_index_copy(monkeypatch, hospital_spec):
     # admission copies a peer's index only once it admits an event, so an
     # event refused round after round copies nothing; each mined block costs
-    # one copy in admission and one in verify_chain. The chain is the one
-    # holder of its index, so nothing builds one from a chain's events, and
-    # the index each peer's chain carries equals such a rebuild. A refused
-    # event is still checked again on each turn of each peer that holds it:
-    # 29 checks of the report over the run, where each admitted event costs
+    # one copy, in admission, which verify_chain then takes as the block's.
+    # The chain is the one holder of its index, so nothing builds one from a
+    # chain's events, and the index each peer's chain carries equals such a
+    # rebuild. A refused event is checked again only on a turn whose tip or
+    # pending events differ from the peer's last turn that admitted nothing:
+    # 20 checks of the report over the run, where each admitted event costs
     # one (ROADMAP item 5, "Refusals remembered").
     config, roles = read_network_config(str(DEMOS / "hospital_net.json"))
     org = Organization.make(hospital_spec.context, roles)
@@ -140,13 +142,13 @@ def test_an_event_admission_refuses_costs_no_index_copy(monkeypatch, hospital_sp
     monkeypatch.setattr(
         network, "check_integrity", lambda event, index: checked.append(event.event_id) or real_check(event, index)
     )
-    for submissions, rechecks in ((scenario, 0), (scenario + [unbound], 29)):
+    for submissions, rechecks in ((scenario, 0), (scenario + [unbound], 20)):
         copies.clear()
         checked.clear()
         result = run_network(submissions, config, rules=rules, org=org)
         events = [e for e in result.active_chain.events()]
         assert result.converged and len(events) == len(scenario)
-        assert len(copies) == 2 * result.active_chain.height == 8
+        assert len(copies) == result.active_chain.height == 4
         assert Counter(checked) == Counter([e.event_id for e in events] + ["evt-00004"] * rechecks)
         carried = [chain.admission_index(rules) for _, chain in result.chains]
         assert built == []
@@ -435,3 +437,80 @@ def test_each_block_is_validated_at_most_once_per_run(monkeypatch, hospital_spec
     result = run_network(submissions, config, rules=rules, org=org)
     assert result.converged and len(validated) >= result.active_chain.height
     assert max(validated.values()) == 1
+
+
+def test_a_mined_block_is_admitted_once_by_its_miner(monkeypatch, hospital_spec, tmp_path):
+    # every block a run validates is one its miner has just admitted (ROADMAP
+    # item 5, "What a run verifies"): validate_block still checks each one,
+    # but takes the miner's admission in place of its own schema and
+    # integrity checks, so ledger makes none of them
+    scenario, config, roles = _postcondition_inputs("bench-1-40", tmp_path)
+    rules, org = ruleset_from_spec(hospital_spec), Organization.make(hospital_spec.context, roles)
+    calls = Counter()
+
+    def counted(real, name):
+        return lambda *args, **kwargs: calls.update([name]) or real(*args, **kwargs)
+
+    for module, name in ((validator, "validate_event_schema"), (validator, "check_integrity"),
+                         (ledger, "validate_block"), (network, "mine_block")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name), name))
+    result = run_network(scenario, config, rules=rules, org=org)
+    assert result.converged and result.active_chain.tip_digest().hex().startswith("02585d813c1a")
+    assert calls == Counter(validate_block=80, mine_block=80)
+
+
+def _variants(block, parent, target):
+    """Blocks on the parent whose events are the block's reordered, with one
+    dropped or with one forged (not re-signed), each mined afresh, and the
+    forged one also under the block's own header."""
+    events = block.events
+    forged_events = (forged(events[0]),) + events[1:]
+
+    def mined(variant):
+        return Block(mine_block(variant, parent.tip.header, target, miner="peer-9"), variant)
+
+    variants = {"dropped-first": mined(events[1:]), "forged": mined(forged_events),
+                "forged-under-its-header": Block(block.header, forged_events)}
+    if len(events) > 1:
+        variants.update({"reordered": mined(events[::-1]), "dropped-last": mined(events[:-1])})
+    return variants
+
+
+@pytest.mark.parametrize("rounds", ["as-submitted", "all-at-round-0"])
+def test_a_block_unlike_its_miner_s_is_admitted_in_full(monkeypatch, hospital_spec, rounds):
+    # the memo holds a miner's admission under its block's (prev_hash,
+    # events_digest): a block on the same parent whose events differ must
+    # miss it, and one whose header claims the miner's events must fail the
+    # events digest before it is read. Each variant is checked on the run's
+    # memo just before the miner's own block, and must get from-genesis's
+    # verdict; an accepted one must carry the index a rebuild gives.
+    submissions, config, rules, org = hospital_run(hospital_spec, 7)
+    if rounds == "all-at-round-0":  # dependent events meet in one block
+        submissions = [(0, event) for _, event in submissions]
+    verdicts = Counter()
+    real_verify = network.verify_chain
+
+    def checking(chain, memo, **context):
+        key = (chain.tip.header.prev_hash, chain.tip.header.events_digest)
+        if key in memo:
+            held, parent = memo[key], ledger.Chain(blocks=chain.blocks[:-1])
+            for kind, block in _variants(chain.tip, parent, context["target"]).items():
+                variant = parent.extend(block)
+                verdict = verify_chain(variant, memo=memo, **context)
+                assert verdict == verify_chain(variant, **context), kind
+                verdicts[kind, verdict and verdict.rejection.reason] += 1
+                if verdict is None:
+                    index = memo[variant.tip_digest()].admission_index(rules)
+                    rebuilt = LedgerIndex(rules, variant.events())
+                    assert (index.event_ids, index.bound, index.outs) == (
+                        rebuilt.event_ids, rebuilt.bound, rebuilt.outs
+                    )
+                memo[key] = held
+        return real_verify(chain, memo=memo, **context)
+
+    monkeypatch.setattr(network, "verify_chain", checking)
+    assert run_network(submissions, config, rules=rules, org=org).converged
+    found = set(verdicts)
+    assert {("forged", "BadSignature"), ("forged-under-its-header", "BadEventsDigest")} <= found
+    assert ("dropped-last", None) in found
+    assert (("reordered", "IntegrityViolation") in found) is (rounds == "all-at-round-0")
