@@ -24,6 +24,17 @@ no time cutoff. Here a pass steps, and _lapse checks, every live instance;
 the incremental run narrows both, through _pass_keys and _lapse_keys, to
 an agenda and a lapse heap that _enlist fills (incremental.py says why).
 
+A pass runs at each event, and at a block boundary only if _lapse closed an
+instance there. A boundary adds no event, so where nothing lapsed no fact is
+new since the last pass ended, and a pass would add none (the incremental
+run also skips an event's pass when it has nothing to spawn or step).
+
+freeze hands each state the run's own instance table and facts tuple, with
+no copy. The table is then shared: _put, the one write to it, first copies
+a shared table, and the facts tuple is rebuilt only once a fact is added.
+So a state never changes as its run goes on, and one from a block that
+changed nothing holds its parent state's table and tuple.
+
 Every lifecycle rule is written once, in _Run, which reads condition matches
 only through clause_matches and create_matches. Here both rescan the full
 prefix with match_condition, and create_matches returns every create match
@@ -38,7 +49,7 @@ tested property, so keep them independent of each other.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -75,7 +86,7 @@ class NormState(Enum):
 TERMINAL_STATES = frozenset({NormState.SATISFIED, NormState.VIOLATED, NormState.EXPIRED})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormInstance:
     """One binding of a norm's variables with its lifecycle state."""
 
@@ -99,7 +110,8 @@ class NormInstance:
 class EvalState:
     """What the evaluator concluded from a processed chain prefix, its facts
     in derivation order. Its events stay in the append-only trace of run, the
-    run that froze the state."""
+    run that froze the state. Its instance table may be that run's, shared
+    with later states: read it, copy it to change it."""
 
     spec: ast.CompactSpec
     org: Organization
@@ -121,15 +133,19 @@ class EvalState:
 class _Run:
     """Mutable working state of one evaluation; the one copy of the lifecycle.
     Its trace and facts are append-only; frontier is the last position
-    processed, None while a block is under way."""
+    processed, None while a block is under way. Its instance table is
+    shared with the states freeze returned until _put next writes it."""
 
     def __init__(self, spec: ast.CompactSpec, org: Organization):
         self.spec = spec
         self.org = org
+        self._norms = {norm.id: norm for norm in spec.norms}
         self.trace: list[tuple[Position, Event]] = []
         self.facts: list[DerivedFact] = []
         self._fact_keys: set[tuple[str, Bindings]] = set()
         self.instances: dict[tuple[str, Bindings], NormInstance] = {}
+        self._shared = False  # whether a frozen state holds self.instances
+        self._frozen_facts: tuple[DerivedFact, ...] = ()
         # each non-terminal instance's key, mapped to its creation seq
         self.live: dict[tuple[str, Bindings], int] = {}
         self.frontier: Optional[Position] = Position(0, -1)
@@ -159,8 +175,8 @@ class _Run:
         """Lapses at the boundary of the block at height, then each of its
         events in order; frontier is then the last position processed."""
         self.frontier, last = None, Position(height, -1)
-        self._lapse(last)
-        self._fixpoint()
+        if self._lapse(last):  # else no fact is new since the last pass: a pass adds none
+            self._fixpoint()
         for offset, event in enumerate(events):
             last = Position(height, offset)
             self.process_event(last, event)
@@ -172,18 +188,26 @@ class _Run:
             self.add_fact(fact)
         self._fixpoint()
 
-    def _lapse(self, now: Position) -> None:
+    def _lapse(self, now: Position) -> bool:
+        """Close every live instance due before now; returns whether any was."""
+        lapsed = False
         for key in self._lapse_keys(now):
             inst = self.instances[key]
             due = self._lapse_height(inst)
             if due is not None and now.block_index > due:
-                lapsed = NormState.VIOLATED if inst.state is NormState.DETACHED else NormState.EXPIRED
-                self._transition(key, replace(inst, state=lapsed, closed_at=now), now)
+                state = NormState.VIOLATED if inst.state is NormState.DETACHED else NormState.EXPIRED
+                self._transition(
+                    key,
+                    NormInstance(inst.norm_id, inst.key_bindings, state, inst.created_at, inst.detached_at, now),
+                    now,
+                )
+                lapsed = True
+        return lapsed
 
     def _lapse_height(self, inst: NormInstance) -> Optional[int]:
         """The height a live instance lapses past: a detached commitment's
         deadline, an active one's expiry; None if it has neither."""
-        norm = self.spec.norm(inst.norm_id)
+        norm = self._norms[inst.norm_id]
         if inst.state is NormState.DETACHED:  # only a commitment detaches
             return inst.detached_at.block_index + norm.deadline_blocks
         if norm.kind == ast.COMMITMENT and norm.expiry_blocks is not None:
@@ -209,13 +233,13 @@ class _Run:
                     continue
                 detach_on_create = norm.kind == ast.COMMITMENT and norm.antecedent is None
                 self.live[key] = len(self.instances)
-                self.instances[key] = NormInstance(
+                self._put(key, NormInstance(
                     norm_id=norm.id,
                     key_bindings=match.bindings,
                     state=NormState.DETACHED if detach_on_create else NormState.ACTIVE,
                     created_at=match.witness,
                     detached_at=match.witness if detach_on_create else None,
-                )
+                ))
                 self._enlist(key)
                 if detach_on_create:
                     self._emit(norm.id, match.bindings, NormState.DETACHED, match.witness)
@@ -226,7 +250,7 @@ class _Run:
     def _transitions(self) -> None:
         for key in self._pass_keys():
             inst = self.instances[key]
-            norm = self.spec.norm(inst.norm_id)
+            norm = self._norms[inst.norm_id]
             if norm.kind == ast.COMMITMENT:
                 self._step_commitment(key, inst, norm)
             else:
@@ -242,20 +266,21 @@ class _Run:
             matches = self.clause_matches(norm, "antecedent", base)
             if matches:
                 at = max(inst.created_at, matches[0].witness)
-                self._transition(key, replace(inst, state=NormState.DETACHED, detached_at=at), at)
+                self._transition(
+                    key, NormInstance(inst.norm_id, inst.key_bindings, NormState.DETACHED, inst.created_at, at), at
+                )
                 return
         matches = self.clause_matches(norm, "consequent", base)
         if matches:
             at = max(inst.created_at, matches[0].witness)
-            updated = replace(
-                inst,
-                state=NormState.SATISFIED,
-                closed_at=at,
-                # early performance discharges straight from Active; the
-                # commitment is consummated at its discharge point
-                detached_at=inst.detached_at if inst.detached_at is not None else at,
+            # early performance discharges straight from Active; the
+            # commitment is consummated at its discharge point
+            detached_at = inst.detached_at if inst.detached_at is not None else at
+            self._transition(
+                key,
+                NormInstance(inst.norm_id, inst.key_bindings, NormState.SATISFIED, inst.created_at, detached_at, at),
+                at,
             )
-            self._transition(key, updated, at)
 
     def _step_prohibition(self, key, inst: NormInstance, norm: ast.NormDecl) -> None:
         base = inst.binding_map
@@ -269,20 +294,16 @@ class _Run:
         if violation is not None and (closure is None or not closure.witness < violation.witness):
             # forbids is an event pattern, so its witness is a trace position
             _, event = self.trace[bisect.bisect_left(self.trace, (violation.witness,))]
-            self._transition(
-                key,
-                replace(
-                    inst,
-                    state=NormState.VIOLATED,
-                    closed_at=violation.witness,
-                    violating_event=event.event_id,
-                ),
-                violation.witness,
-            )
+            at, state, violating = violation.witness, NormState.VIOLATED, event.event_id
         elif closure is not None:
-            self._transition(
-                key, replace(inst, state=NormState.SATISFIED, closed_at=closure.witness), closure.witness
-            )
+            at, state, violating = closure.witness, NormState.SATISFIED, None
+        else:
+            return
+        self._transition(
+            key,
+            NormInstance(inst.norm_id, inst.key_bindings, state, inst.created_at, inst.detached_at, at, violating),
+            at,
+        )
 
     def _first_unexempted(self, inst: NormInstance, norm: ast.NormDecl) -> Optional[Match]:
         """Earliest forbidden match in force and not covered by an exemption
@@ -305,7 +326,7 @@ class _Run:
         return None
 
     def _transition(self, key, updated: NormInstance, at: Position) -> None:
-        self.instances[key] = updated
+        self._put(key, updated)
         if updated.is_terminal():
             del self.live[key]
         else:
@@ -315,13 +336,23 @@ class _Run:
     def _emit(self, norm_id: str, bindings: Bindings, state: NormState, at: Position) -> None:
         self.add_fact(DerivedFact(norm_state_fact_name(state.value, norm_id), bindings, at))
 
+    def _put(self, key, inst: NormInstance) -> None:
+        """The one write to the instance table: a table a state holds is
+        copied first, so no state ever sees the run go on."""
+        if self._shared:
+            self.instances, self._shared = dict(self.instances), False
+        self.instances[key] = inst
+
     def freeze(self) -> EvalState:
-        # the run may go on to mutate its instance table; each state keeps a copy
+        # facts are append-only, so an equal length means no fact is new
+        if len(self._frozen_facts) != len(self.facts):
+            self._frozen_facts = tuple(self.facts)
+        self._shared = True
         return EvalState(
             spec=self.spec,
             org=self.org,
-            instances=dict(self.instances),
-            facts=tuple(self.facts),
+            instances=self.instances,
+            facts=self._frozen_facts,
             frontier=self.frontier,
             run=self,
         )

@@ -30,6 +30,13 @@ cursor, an instance steps in this pass, at or below it (the one stepping
 too) in the next. _lapse pops a heap of (due height, seq, key), pushed at
 _Run._lapse_height by _enlist; _Run's lapse conditions skip stale entries.
 
+An event runs the fixpoint only if, once its counts-as facts are in, the
+agenda or the unspawned create matches are non-empty: a pass spawns only
+unspawned matches and steps only agenda keys, so otherwise it would do
+nothing. A boundary runs it only if _lapse closed an instance (_Run). The
+state a block returns shares the run's instance table and facts tuple
+until the run next writes them (_Run.freeze).
+
 A run is built one way only, empty and then block by block, and apply_block
 hands it on in the state it returns. It continues the run of a state whose
 frontier is the run's own. A state it cannot continue (batch, superseded, or
@@ -237,7 +244,8 @@ class _IncrementalRun(_Run):
         self._advance(pos, ("event", event.event_type), event)
         for fact in counts_as_facts_for_event(pos, event, self.spec.counts_as, self.org):
             self.add_fact(fact)
-        self._fixpoint()
+        if self.agenda or self.unspawned:  # else a pass would spawn and step nothing
+            self._fixpoint()
 
     def add_fact(self, fact: DerivedFact) -> bool:
         if not super().add_fact(fact):

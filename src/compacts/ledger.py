@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 from . import validator
@@ -146,7 +146,8 @@ class Event:
         return self._encoded
 
     def with_signature(self, secret: str) -> "Event":
-        signed = replace(self, signature=sign_bytes(secret, self.signing_bytes()))
+        signature = sign_bytes(secret, self.signing_bytes())
+        signed = Event(self.event_id, self.event_type, self.attributes, self.emitter, self.logical_ts, signature)
         # the signature is not among the bytes it signs: the copy keeps them
         object.__setattr__(signed, "_map", self._map)
         object.__setattr__(signed, "_encoded", self._encoded)
@@ -331,8 +332,12 @@ def validate_block(
     added as they pass. An accepted block, an empty one too, leaves it on
     the chain, covering that block, for extend to hand on; a block rejected
     at the id or admission checks drops it, and the next call rebuilds it.
-    admitted, passed only by verify_chain, is a miner's admission of these
-    events on a copy of the chain's index; it replaces the admission loop.
+    admitted, passed only by verify_chain, is a miner's (events, index):
+    the events tuple it mined and its admission of them on a copy of the
+    chain's index. The index replaces the admission loop. When block.events
+    is that very tuple, the events digest (mine_block computed the one the
+    header carries) and the signatures (the miner's receive checked them)
+    are not checked again; an equal tuple is checked in full.
     """
     prev = chain.tip.header
     if block.header.prev_hash != hash_block_header(prev):
@@ -344,9 +349,10 @@ def validate_block(
         return Rejection(
             "BadIndex", f"expected {prev.index + 1}, got {block.header.index}"
         )
-    if block.header.events_digest != events_digest(block.events):
+    mined = admitted is not None and block.events is admitted[0]
+    if not mined and block.header.events_digest != events_digest(block.events):
         return Rejection("BadEventsDigest", f"block {block.header.index}")
-    if roster is not None:
+    if roster is not None and not mined:
         for event in block.events:
             secret = roster.get(event.emitter)
             if secret is None or not verify_event_signature(event, secret):
@@ -359,7 +365,7 @@ def validate_block(
             return Rejection("DuplicateEventId", event.event_id)
         in_block.add(event.event_id)
     if admitted is not None:
-        chain._admission.append((admitted, block))
+        chain._admission.append((admitted[1], block))
         return None
     # Admission: each event is checked against the chain prefix and this block's earlier events.
     for event in block.events:
@@ -395,7 +401,8 @@ def verify_chain(
 
     memo maps the header digest of each block verified so far to the
     verified Chain that ends at it, and a mined block's (prev_hash,
-    events_digest) to its miner's admission index (network._Peer.turn).
+    events_digest) to its miner's events and admission index
+    (network._Peer.turn).
     With it, verification starts after the newest block whose memo chain
     holds exactly this chain's blocks up to that block, each block past it
     is validated on a copy of its parent's index or with the admission held

@@ -8,9 +8,11 @@ constraints; ``and`` joins compatible matches (witness = the later one);
 earlier than the right and completes at the right witness. Derived-fact
 patterns match the fact store the same way events match the trace.
 
-Match is a named tuple (bindings, witness) and Position is one too, so
-witnesses order with ``<`` and ``max`` and matches deduplicate by hashing
-themselves. Bindings are tuples of (name, value) pairs sorted by name.
+Match is a named tuple (bindings, witness), Position is one too, and so is
+DerivedFact (name, bindings, witness), so witnesses order with ``<`` and
+``max``, matches deduplicate by hashing themselves, and a fact is built
+with no per-field setattr. Bindings are tuples of (name, value) pairs
+sorted by name.
 
 match_condition is the batch evaluator's matcher: it rescans the trace on
 every query. The incremental engine keeps cached match sets built on the same
@@ -21,7 +23,6 @@ compare, so keep them independent; the norm lifecycle above them is shared
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .lang import ast
@@ -31,8 +32,7 @@ from .validator import kind_of
 Bindings = tuple[tuple[str, Scalar], ...]  # sorted by variable name
 
 
-@dataclass(frozen=True)
-class DerivedFact:
+class DerivedFact(NamedTuple):
     """A deterministic conclusion recomputed from the chain, never stored on it.
 
     Counts-as facts carry their declared name; norm lifecycle facts are named

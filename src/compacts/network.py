@@ -121,7 +121,8 @@ class _Peer:
         """Mine one block of every seen event admission lets in; returns what to
         send. A turn with the tip and pending ids of the last one that admitted
         nothing skips admission, which reads only those. The miner's admission is
-        the block's: the memo holds its index under (prev_hash, events_digest)."""
+        the block's: the memo holds the events mined and its index under
+        (prev_hash, events_digest)."""
         chain, index = self.chain, self.chain.admission_index(self.rules)
         pending = [e for e in self.seen.values() if e.event_id not in index.event_ids]
         refusal = (chain.tip_digest(), frozenset(e.event_id for e in pending))
@@ -130,7 +131,7 @@ class _Peer:
             self.refused = refusal
             return []
         header = mine_block(mineable, chain.tip.header, self.target, miner=self.pid)
-        self.memo[header.prev_hash, header.events_digest] = index
+        self.memo[header.prev_hash, header.events_digest] = (mineable, index)
         mined = chain.extend(Block(header=header, events=mineable))
         return [mined] if self.adopt(mined) else []  # verifies the new block once, for every peer
 
