@@ -62,6 +62,7 @@ from .matching import (
     DerivedFact,
     Match,
     bindings_sort_key,
+    freeze_bindings,
     match_condition,
     norm_state_fact_name,
 )
@@ -158,16 +159,14 @@ class _Run:
         self.facts.append(fact)
         return True
 
-    def clause_matches(
-        self, norm: ast.NormDecl, clause: str, base: dict[str, Scalar]
-    ) -> list[Match]:
+    def clause_matches(self, norm: ast.NormDecl, clause: str, base: Bindings) -> list[Match]:
         """Matches of one clause of a norm compatible with base, earliest first."""
-        return match_condition(getattr(norm, clause), self.trace, self.facts, base)
+        return match_condition(getattr(norm, clause), self.trace, self.facts, dict(base))
 
     def create_matches(self, norm: ast.NormDecl) -> list[Match]:
         """Create matches _spawn has not read yet, earliest first. Here that
         is every match: _spawn skips the keys it already has."""
-        return self.clause_matches(norm, "create", {})
+        return self.clause_matches(norm, "create", ())
 
     # --- lifecycle -----------------------------------------------------
 
@@ -261,7 +260,7 @@ class _Run:
         return list(self.live)
 
     def _step_commitment(self, key, inst: NormInstance, norm: ast.NormDecl) -> None:
-        base = inst.binding_map
+        base = inst.key_bindings
         if inst.state is NormState.ACTIVE and norm.antecedent is not None:
             matches = self.clause_matches(norm, "antecedent", base)
             if matches:
@@ -283,7 +282,7 @@ class _Run:
             )
 
     def _step_prohibition(self, key, inst: NormInstance, norm: ast.NormDecl) -> None:
-        base = inst.binding_map
+        base = inst.key_bindings
         violation = self._first_unexempted(inst, norm)
         closure: Optional[Match] = None
         if norm.until is not None:
@@ -309,13 +308,13 @@ class _Run:
         """Earliest forbidden match in force and not covered by an exemption
         at a strictly earlier position. Exemptions may predate creation;
         forbidden acts before creation are out of scope."""
-        base = inst.binding_map
+        base = inst.key_bindings
         for match in self.clause_matches(norm, "forbids", base):
             if match.witness < inst.created_at:
                 continue
             if norm.exemption is not None:
                 # a cached match need not carry the instance's own bindings
-                merged = {**base, **dict(match.bindings)}
+                merged = freeze_bindings({**dict(base), **dict(match.bindings)})
                 covers = any(
                     m.witness < match.witness
                     for m in self.clause_matches(norm, "exemption", merged)

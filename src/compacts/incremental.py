@@ -8,10 +8,17 @@ apply_block carries the instance table, fact set and per-condition match
 caches forward instead of replaying the chain. Caches hold the full match set
 of every norm clause and grow by semi-naive deltas. A new event or fact goes
 only to the leaves whose head (event type or fact name) names it, via a
-table built with the run: Rete's alpha network, one level deep. A leaf's new
-matches climb its tree, joining the other side's matches at each node. Joins
-and clause queries look matches up by bindings; the lifecycle rules are the
-batch evaluator's own (evaluator._Run);
+table built with the run: Rete's alpha network, one level deep. Each leaf
+compiles its pattern once to a plan (literal tests, repeated-variable tests,
+binds in variable order) that builds a match's bindings straight from the
+event's attribute map or the fact's bindings, with matching._extend's
+semantics; a property test holds the two equal. A leaf's new matches climb
+its tree, joining the other side's matches at each node. Joins and clause
+queries probe a condition's matches by a bindings tuple sorted by name, the
+order Bindings promises and the probes rely on: a view is keyed by the
+tuple's names, as Rete/UL hashes its memories by join-variable values
+(Doorenbos, 1995). The lifecycle rules are the batch evaluator's own
+(evaluator._Run);
 _IncrementalRun answers their match queries from the cached sets, hands
 _spawn just the create matches added since its last pass, and tells a pass
 and _lapse which instances to look at.
@@ -46,28 +53,28 @@ empty ones too, from the old run's append-only trace cut there.
 
 Replay equivalence with the batch evaluator (evaluate(chain) equals folding
 apply_block over the blocks) is the correctness contract. The cached matcher
-here and the rescanning match_condition share only the leaf pattern
-semantics: they are a differential pair, so keep them independent.
+here and the rescanning match_condition share no code, only the leaf
+pattern semantics: they are a differential pair, so keep them independent.
 """
 
 from __future__ import annotations
 
 import heapq
+import weakref
 from bisect import bisect_left
-from typing import Iterator, Mapping, Optional
+from operator import itemgetter
+from typing import Iterator, Optional
 
 from .evaluator import EvalState, _Run, ensure_spec_well_formed
 from .governance import EMPTY_ORGANIZATION, Organization, counts_as_facts_for_event
 from .lang import ast
-from .ledger import Block, Chain, Event, Position, Scalar
+from .ledger import Block, Chain, Event, Position
 from .matching import (
     Bindings,
     DerivedFact,
     Match,
     fact_name,
     freeze_bindings,
-    match_event_pattern,
-    match_fact_pattern,
     match_sort_key,
 )
 
@@ -79,53 +86,89 @@ class NonContiguousBlock(Exception):
     """The block does not directly extend the state's frontier."""
 
 
+_ABSENT = object()  # unequal to every attribute value: a missing attribute fails
+_name = itemgetter(0)  # of a (name, value) pair
+
+
 def _merge(a: Bindings, b: Bindings) -> Bindings:
     merged = dict(a)
     merged.update(b)
     return freeze_bindings(merged)
 
 
+def _compile(pattern: ast.Condition) -> tuple[tuple, tuple, tuple]:
+    """A leaf pattern's plan, matching._extend's semantics from no bindings:
+    its literal tests (attribute, value), its repeated-variable tests
+    (attribute, the variable's first attribute) and its binds (variable,
+    first attribute) in variable order, so a match's bindings come out
+    sorted. A variable takes its first occurrence's value."""
+    literals, repeats, first = [], [], {}
+    for constraint in pattern.constraints:
+        term, attribute = constraint.term, constraint.attribute
+        if isinstance(term, ast.Literal):
+            literals.append((attribute, term.value))
+        elif term.name in first:
+            repeats.append((attribute, first[term.name]))
+        else:
+            first[term.name] = attribute
+    return tuple(literals), tuple(repeats), tuple(sorted(first.items()))
+
+
 def _slot(view: dict, names: tuple[str, ...], bindings: Bindings) -> dict:
-    projection = tuple([(name, value) for name, value in bindings if name in names])
-    group = tuple([name for name, _ in projection])
-    return view.setdefault(group, {}).setdefault(projection, {})
+    projection = tuple([pair for pair in bindings if pair[0] in names])
+    group = tuple(map(_name, projection))
+    entry = view.get(group)
+    if entry is None:  # probes project onto the group through these positions
+        positions = None if group == names else tuple([names.index(name) for name in group])
+        entry = view[group] = (positions, {})
+    return entry[1].setdefault(projection, {})
 
 
 class _CondIndex:
     """Cached match set of one condition, updated by deltas: a leaf is
     offered events and facts; a node, deltas. Matches are only ever added.
 
-    Lookups go through one view per set of base variable names, built on its
+    A leaf compiles its pattern once (_compile). Lookups take sorted
+    bindings and go through one view per tuple of their names, built on its
     first query. It files each match under its bindings projected onto those
     names, grouped by which of the names the match binds: the two sides of an
-    ``or`` may bind different ones. A create index also finds the instances a
-    clause match wakes: each instance key is one of its matches' bindings."""
+    ``or`` may bind different ones. A probe looks a group equal to its names
+    up by its own bindings, and any other group by their projection through
+    the positions the view keeps. A create index also finds the instances a
+    clause match wakes: each instance key is one of its matches' bindings.
 
-    __slots__ = ("cond", "parent", "left", "right", "matches", "views")
+    A child reaches its parent by a weak reference, so a tree is freed as
+    soon as its run is, with no reference cycle for the collector."""
+
+    __slots__ = ("cond", "parent", "left", "right", "matches", "views", "plan", "__weakref__")
 
     def __init__(self, cond: ast.Condition, parent: Optional[_CondIndex] = None):
         self.cond = cond
-        self.parent = parent
+        self.parent = None if parent is None else weakref.ref(parent)
         self.left: Optional[_CondIndex] = None
         self.right: Optional[_CondIndex] = None
+        self.plan = None
         if isinstance(cond, (ast.And, ast.Or, ast.Before)):
             self.left = _CondIndex(cond.left, self)
             self.right = _CondIndex(cond.right, self)
+        else:
+            self.plan = (isinstance(cond, ast.EventPattern),) + _compile(cond)
         self.matches: dict[Match, None] = {}  # not a set: views are built in the order added
-        # base names -> names a match binds among them -> projection -> matches
-        self.views: dict[tuple[str, ...], dict[tuple[str, ...], dict[Bindings, dict]]] = {}
+        # names probed -> names a match binds among them -> (positions, projection -> matches)
+        self.views: dict[tuple[str, ...], dict[tuple[str, ...], tuple]] = {}
 
-    def compatible_with(self, base: Mapping[str, Scalar]) -> list[Match]:
-        """The matches that agree with base on every variable both bind."""
-        names = tuple(sorted(base))
+    def compatible_with(self, bindings: Bindings) -> list[Match]:
+        """The matches that agree with bindings on every name both bind."""
+        names = tuple(map(_name, bindings))
         view = self.views.get(names)
         if view is None:
             view = self.views[names] = {}
             for match in self.matches:
                 _slot(view, names, match.bindings)[match] = None
         found: list[Match] = []
-        for group, table in view.items():
-            found.extend(table.get(tuple([(name, base[name]) for name in group]), ()))
+        for positions, table in view.values():
+            key = bindings if positions is None else tuple([bindings[i] for i in positions])
+            found.extend(table.get(key, ()))
         return found
 
     def leaves(self) -> list[_CondIndex]:
@@ -143,13 +186,24 @@ class _CondIndex:
 
     def offer(self, pos: Position, item: Event | DerivedFact) -> list[Match]:
         """Match an event or fact this leaf's head names; return what it adds at the root."""
-        match = match_event_pattern if isinstance(self.cond, ast.EventPattern) else match_fact_pattern
-        extended = match(self.cond, item, {})
-        if extended is None:
-            return []
-        node, fresh = self, self._absorb([Match(freeze_bindings(extended), pos)])
+        on_events, literals, repeats, binds = self.plan
+        get = (item.attribute_map if on_events else item.binding_map).get
+        for attribute, value in literals:
+            if get(attribute, _ABSENT) != value:
+                return []
+        for attribute, first in repeats:
+            if get(attribute, _ABSENT) != get(first, _ABSENT):
+                return []
+        bindings = []
+        for name, attribute in binds:
+            value = get(attribute, _ABSENT)
+            if value is _ABSENT:
+                return []
+            bindings.append((name, value))
+        node, fresh = self, self._absorb([Match(tuple(bindings), pos)])
         while fresh and node.parent is not None:
-            node, fresh = node.parent, node.parent.join(node, fresh)
+            parent = node.parent()
+            node, fresh = parent, parent.join(node, fresh)
         return fresh
 
     def join(self, child: _CondIndex, delta: list[Match]) -> list[Match]:
@@ -159,9 +213,9 @@ class _CondIndex:
         if isinstance(cond, ast.Or):
             return self._absorb(delta)
         if child is self.left:
-            pairs = [(lm, rm) for lm in delta for rm in self.right.compatible_with(dict(lm.bindings))]
+            pairs = [(lm, rm) for lm in delta for rm in self.right.compatible_with(lm.bindings)]
         else:
-            pairs = [(lm, rm) for rm in delta for lm in self.left.compatible_with(dict(rm.bindings))]
+            pairs = [(lm, rm) for rm in delta for lm in self.left.compatible_with(rm.bindings)]
         if isinstance(cond, ast.And):
             return self._absorb(
                 [Match(_merge(lm.bindings, rm.bindings), max(lm.witness, rm.witness)) for lm, rm in pairs]
@@ -207,7 +261,7 @@ class _IncrementalRun(_Run):
             elif fresh:
                 create = self.indexes[(norm_id, "create")]
                 for match in fresh:
-                    for created in create.compatible_with(dict(match.bindings)):
+                    for created in create.compatible_with(match.bindings):
                         key = (norm_id, created.bindings)
                         if key in self.live:
                             self._wake(key)
@@ -253,16 +307,17 @@ class _IncrementalRun(_Run):
         self._advance(fact.witness, ("fact", fact.name), fact)
         return True
 
-    def clause_matches(
-        self, norm: ast.NormDecl, clause: str, base: dict[str, Scalar]
-    ) -> list[Match]:
+    def clause_matches(self, norm: ast.NormDecl, clause: str, base: Bindings) -> list[Match]:
         found = self.indexes[(norm.id, clause)].compatible_with(base)
         if len(found) > 1:
             found.sort(key=match_sort_key)
         return found
 
     def create_matches(self, norm: ast.NormDecl) -> list[Match]:
-        return sorted(self.unspawned.pop(norm.id, ()), key=match_sort_key)
+        waiting = self.unspawned.pop(norm.id, [])
+        if len(waiting) > 1:
+            waiting.sort(key=match_sort_key)
+        return waiting
 
 
 def initial_state(spec: ast.CompactSpec, org: Organization) -> EvalState:

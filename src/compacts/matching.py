@@ -15,8 +15,9 @@ with no per-field setattr. Bindings are tuples of (name, value) pairs
 sorted by name.
 
 match_condition is the batch evaluator's matcher: it rescans the trace on
-every query. The incremental engine keeps cached match sets built on the same
-leaf functions. The two matchers are a differential pair that the tests
+every query. The incremental engine keeps cached match sets, its leaves
+compiled to plans with these leaf functions' semantics (tests hold each to
+the other). The two matchers are a differential pair that the tests
 compare, so keep them independent; the norm lifecycle above them is shared
 (evaluator._Run).
 """
@@ -29,7 +30,9 @@ from .lang import ast
 from .ledger import Event, Position, Scalar
 from .validator import kind_of
 
-Bindings = tuple[tuple[str, Scalar], ...]  # sorted by variable name
+# sorted by variable name: the fold's leaf plans build them in that order
+# and its probes key their views by the names in it (incremental._CondIndex)
+Bindings = tuple[tuple[str, Scalar], ...]
 
 
 class DerivedFact(NamedTuple):

@@ -11,11 +11,14 @@ from pathlib import Path
 
 import pytest
 
+from compacts.governance import Organization
+from compacts.incremental import fold_chain
 from compacts.lang import Diagnostic, ParseError, check_well_formedness, parse_compact
 from compacts.lang.parser import KEYWORDS
+from compacts.ledger import GENESIS_BLOCK, Chain
 from compacts.validator import Channel
 
-from conftest import DEMOS, FIXTURES
+from conftest import DEMOS, FIXTURES, bench_generators
 
 WRAP = """compact T context org {{
   roles R, S;
@@ -487,6 +490,24 @@ def test_a_check_leaves_no_reference_cycle(path):
     gc.disable()
     try:
         check_well_formedness(spec)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("workload, size", [("datatrust", 60), ("peerreview", 80)])
+def test_a_fold_leaves_no_reference_cycle(workload, size):
+    # a run's condition indexes go with it, not at the next collection;
+    # datatrust's exemption, (OptIn or Emergency) before Export, is a tree
+    blocks, config = getattr(bench_generators(), f"{workload}_inputs")(1, size)
+    spec = parse_compact((DEMOS / f"{workload}.cpt").read_text())
+    org = Organization.make(spec.context, config["roles"])
+    chain = Chain(blocks=(GENESIS_BLOCK,) + tuple(blocks))
+    check_well_formedness(spec)
+    gc.collect()
+    gc.disable()
+    try:
+        fold_chain(chain, spec, org)
         assert gc.collect() == 0
     finally:
         gc.enable()

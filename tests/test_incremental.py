@@ -11,16 +11,27 @@ import json
 import os
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from compacts import fileformats, incremental
+from compacts import fileformats, incremental, matching
 from compacts.evaluator import NormState, _Run, evaluate
 from compacts.governance import Organization, ruleset_from_spec
 from compacts.incremental import NonContiguousBlock, apply_block, fold_chain, initial_state
 from compacts.lang import ast, check_well_formedness, parse_compact
-from compacts.ledger import GENESIS_BLOCK, Chain, Position
-from compacts.matching import bindings_sort_key
+from compacts.ledger import GENESIS_BLOCK, Chain, Event, Position
+from compacts.matching import (
+    DerivedFact,
+    Match,
+    bindings_sort_key,
+    fact_name,
+    freeze_bindings,
+    match_event_pattern,
+    match_fact_pattern,
+)
 from compacts.network import run_network
 
 from conftest import DEMOS, FIXTURES, bench_generators, build_chain, hospital_events, signed_event
@@ -708,3 +719,72 @@ def test_each_event_and_fact_is_offered_only_to_the_leaves_that_name_it(monkeypa
         expected[fact] = leaves[("fact", fact.name)]
     assert +offered == +expected
     assert any(offered[fact] for fact in state.facts)  # datatrust's include violated(NoExport)
+
+
+# --- compiled leaves and keyed probes ------------------------------------------
+#
+# A leaf runs its compiled plan, not the batch leaf functions, and a probe
+# looks matches up by a sorted bindings tuple. Both are held here to what
+# they replace: the batch leaf functions followed by freeze_bindings, and a
+# scan for the matches that agree on every name both bind. Values compare
+# with their types, so True in place of 1 is a difference.
+
+_VALUES = st.sampled_from([True, False, 1, 0, 2, "1", "0", "a"])
+_ATTRIBUTES = st.sampled_from("abcde")
+_TERMS = st.one_of(st.builds(ast.Literal, _VALUES), st.builds(ast.Variable, st.sampled_from("xyz")))
+_CONSTRAINTS = st.lists(st.builds(ast.Constraint, st.sampled_from("abcd"), _TERMS), max_size=5).map(tuple)
+
+
+def _typed(matches) -> list:
+    return [(m.witness, [(name, type(value), value) for name, value in m.bindings]) for m in matches]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    head=st.sampled_from(("event", "fact", "state")),
+    constraints=_CONSTRAINTS,
+    attributes=st.dictionaries(_ATTRIBUTES, _VALUES, max_size=5),
+)
+@example(head="event", constraints=(ast.Constraint("a", ast.Literal(True)),), attributes={"a": 1})
+@example(head="event", constraints=(ast.Constraint("a", ast.Literal(1)),), attributes={"a": "1"})
+@example(
+    head="fact",
+    constraints=(ast.Constraint("a", ast.Variable("x")), ast.Constraint("b", ast.Variable("x"))),
+    attributes={"a": True, "b": 1},
+)
+def test_a_compiled_leaf_matches_as_the_batch_leaf_functions_do(head, constraints, attributes):
+    pos = Position(3, 1)
+    if head == "event":
+        pattern, item = ast.EventPattern("T", constraints), Event.make("e", "T", attributes, "r")
+        extended = match_event_pattern(pattern, item, {})
+    else:
+        if head == "fact":
+            pattern = ast.FactPattern("F", constraints)
+        else:
+            pattern = ast.NormStateFactPattern("violated", "N", constraints)
+        item = DerivedFact(fact_name(pattern), freeze_bindings(attributes), pos)
+        extended = match_fact_pattern(pattern, item, {})
+    expected = [] if extended is None else [Match(freeze_bindings(extended), pos)]
+    with mock.patch.object(matching, "_extend", side_effect=AssertionError("a plan must not call _extend")):
+        offered = incremental._CondIndex(pattern).offer(pos, item)
+    assert _typed(offered) == _typed(expected)
+
+
+_BINDINGS = st.dictionaries(st.sampled_from("xyz"), _VALUES, max_size=3).map(freeze_bindings)
+_MATCHES = st.lists(st.builds(Match, _BINDINGS, st.builds(Position, st.integers(1, 3), st.integers(-1, 2))))
+_PROBES = st.lists(st.dictionaries(st.sampled_from("wxyz"), _VALUES).map(freeze_bindings))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(batches=st.lists(st.tuples(_MATCHES, _PROBES), min_size=1, max_size=4))
+def test_a_probe_finds_the_matches_that_agree_on_every_name_both_bind(batches):
+    # matches are added between probes, so views are both built from the
+    # matches there and kept up as matches are added
+    index, held = incremental._CondIndex(ast.EventPattern("T", ())), {}
+    for matches, probes in batches:
+        index._absorb(matches)
+        held.update(dict.fromkeys(matches))
+        for probe in probes:
+            found = index.compatible_with(probe)
+            expected = [m for m in held if all(dict(m.bindings).get(name, value) == value for name, value in probe)]
+            assert len(found) == len(set(found)) and set(found) == set(expected)
