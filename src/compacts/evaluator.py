@@ -24,10 +24,13 @@ no time cutoff. Here a pass steps, and _lapse checks, every live instance;
 the incremental run narrows both, through _pass_keys and _lapse_keys, to
 an agenda and a lapse heap that _enlist fills (incremental.py says why).
 
-A pass runs at each event, and at a block boundary only if _lapse closed an
-instance there. A boundary adds no event, so where nothing lapsed no fact is
-new since the last pass ended, and a pass would add none (the incremental
-run also skips an event's pass when it has nothing to spawn or step).
+_fixpoint starts a pass while _due says one is due. Here that is while an
+event or a fact arrived since the last pass began: at each event, then
+again after each pass that added a fact, and at a block boundary only if
+_lapse closed an instance there, since a boundary adds no event and a lapse
+adds a fact. The incremental run's _due is narrower, and exact for it: its
+agenda or its unspawned create matches are non-empty, as a pass there
+steps and spawns nothing else.
 
 freeze hands each state the run's own instance table and facts tuple, with
 no copy. The table is then shared: _put, the one write to it, first copies
@@ -150,6 +153,7 @@ class _Run:
         # each non-terminal instance's key, mapped to its creation seq
         self.live: dict[tuple[str, Bindings], int] = {}
         self.frontier: Optional[Position] = Position(0, -1)
+        self._known = 0  # trace plus facts length as the last pass began
 
     def add_fact(self, fact: DerivedFact) -> bool:
         key = (fact.name, fact.bindings)
@@ -174,8 +178,8 @@ class _Run:
         """Lapses at the boundary of the block at height, then each of its
         events in order; frontier is then the last position processed."""
         self.frontier, last = None, Position(height, -1)
-        if self._lapse(last):  # else no fact is new since the last pass: a pass adds none
-            self._fixpoint()
+        self._lapse(last)
+        self._fixpoint()
         for offset, event in enumerate(events):
             last = Position(height, offset)
             self.process_event(last, event)
@@ -187,9 +191,8 @@ class _Run:
             self.add_fact(fact)
         self._fixpoint()
 
-    def _lapse(self, now: Position) -> bool:
-        """Close every live instance due before now; returns whether any was."""
-        lapsed = False
+    def _lapse(self, now: Position) -> None:
+        """Close every live instance due before now."""
         for key in self._lapse_keys(now):
             inst = self.instances[key]
             due = self._lapse_height(inst)
@@ -200,8 +203,6 @@ class _Run:
                     NormInstance(inst.norm_id, inst.key_bindings, state, inst.created_at, inst.detached_at, now),
                     now,
                 )
-                lapsed = True
-        return lapsed
 
     def _lapse_height(self, inst: NormInstance) -> Optional[int]:
         """The height a live instance lapses past: a detached commitment's
@@ -218,11 +219,19 @@ class _Run:
         return list(self.live)
 
     def _fixpoint(self) -> None:
-        known = -1
-        while len(self.facts) != known:
-            known = len(self.facts)
+        while self._due():
             self._spawn()
             self._transitions()
+
+    def _due(self) -> bool:
+        """Whether a pass could add a fact, marking its start if so: here,
+        whether an event or a fact arrived since the last pass began. Both
+        lists are append-only, so their total length tells."""
+        grown = len(self.trace) + len(self.facts)
+        if grown == self._known:
+            return False
+        self._known = grown
+        return True
 
     def _spawn(self) -> None:
         for norm in self.spec.norms:

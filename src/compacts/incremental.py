@@ -37,12 +37,15 @@ cursor, an instance steps in this pass, at or below it (the one stepping
 too) in the next. _lapse pops a heap of (due height, seq, key), pushed at
 _Run._lapse_height by _enlist; _Run's lapse conditions skip stale entries.
 
-An event runs the fixpoint only if, once its counts-as facts are in, the
-agenda or the unspawned create matches are non-empty: a pass spawns only
-unspawned matches and steps only agenda keys, so otherwise it would do
-nothing. A boundary runs it only if _lapse closed an instance (_Run). The
-state a block returns shares the run's instance table and facts tuple
-until the run next writes them (_Run.freeze).
+A pass is due (_due) only while the agenda or the unspawned create matches
+are non-empty: a pass spawns only unspawned matches and steps only agenda
+keys, so otherwise it would do nothing. So an event passes only if it or
+its counts-as facts woke or created something, a fixpoint ends as soon as
+a pass's facts wake and create nothing, and a boundary passes only if its
+lapses' facts woke or created something. A boundary where nothing is due
+costs one look at the lapse heap's earliest height. The state a block
+returns shares the run's instance table and facts tuple until the run next
+writes them (_Run.freeze).
 
 A run is built one way only, empty and then block by block, and apply_block
 hands it on in the state it returns. It continues the run of a state whose
@@ -63,7 +66,7 @@ import heapq
 import weakref
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .evaluator import EvalState, _Run, ensure_spec_well_formed
 from .governance import EMPTY_ORGANIZATION, Organization, counts_as_facts_for_event
@@ -279,11 +282,11 @@ class _IncrementalRun(_Run):
         seq = self.live[key]  # at or below the cursor it waits for the next pass
         heapq.heappush(self.agenda, (self.passes + (seq <= self.cursor), seq, key))
 
-    def _lapse_keys(self, now: Position) -> list[_Key]:
-        due = []
-        while self.lapses and self.lapses[0][0] < now.block_index:
-            due.append(heapq.heappop(self.lapses)[1:])
-        return [key for _, key in sorted(set(due)) if key in self.live]
+    def _lapse_keys(self, now: Position) -> Iterable[_Key]:
+        lapses, due = self.lapses, set()
+        while lapses and lapses[0][0] < now.block_index:
+            due.add(heapq.heappop(lapses)[1:])
+        return [key for _, key in sorted(due) if key in self.live] if due else ()
 
     def _pass_keys(self) -> Iterator[_Key]:
         while self.agenda and self.agenda[0][0] == self.passes:
@@ -298,8 +301,11 @@ class _IncrementalRun(_Run):
         self._advance(pos, ("event", event.event_type), event)
         for fact in counts_as_facts_for_event(pos, event, self.spec.counts_as, self.org):
             self.add_fact(fact)
-        if self.agenda or self.unspawned:  # else a pass would spawn and step nothing
-            self._fixpoint()
+        self._fixpoint()
+
+    def _due(self) -> bool:
+        # a pass spawns only unspawned matches and steps only agenda keys
+        return bool(self.agenda or self.unspawned)
 
     def add_fact(self, fact: DerivedFact) -> bool:
         if not super().add_fact(fact):

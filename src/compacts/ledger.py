@@ -195,8 +195,13 @@ def hash_block_header(header: BlockHeader) -> bytes:
 
 
 def events_digest(events: tuple[Event, ...]) -> bytes:
-    payload = b"".join(canonical_serialize(e) for e in events)
-    return hashlib.sha256(payload).digest()
+    """SHA-256 of the events' canonical bytes, joined in order. Each event's
+    canonical_serialize bytes are fed to one hash in turn, so the block's
+    bytes are never joined."""
+    digest = hashlib.sha256()
+    for event in events:
+        digest.update(canonical_serialize(event))
+    return digest.digest()
 
 
 GENESIS_HEADER = BlockHeader(

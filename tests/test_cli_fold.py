@@ -8,9 +8,9 @@ import pytest
 
 from compacts import cli, evaluator, incremental
 from compacts.fileformats import write_chain
-from compacts.ledger import GENESIS_BLOCK, Chain
+from compacts.ledger import GENESIS_BLOCK, Chain, Event
 
-from conftest import DEMOS, bench_generators
+from conftest import DEMOS, bench_generators, build_chain
 
 
 def _reports(monkeypatch, tmp_path, argv) -> list[bytes]:
@@ -113,3 +113,33 @@ def test_a_norm_keyed_by_two_kinds_is_refused_before_either_engine_runs(tmp_path
             "--out", str(tmp_path / "report.json")]
     assert cli.main(argv) == cli.EXIT_WELL_FORMEDNESS
     assert "norm C: variable x fills int and bool parameters" in capsys.readouterr().err
+
+
+# Structure-only, eval admits events that break their schema's kinds. A(x:
+# true) and B(x: 1) then join, as true == 1 to Python: batch evaluate keys
+# the instance by the left side's x and the fold by the right side's, so
+# the reports differ in their bytes. Bindings that keep each value's kind
+# (ROADMAP item 16) mend this, and this test then passes.
+KINDS_BROKEN = """compact Kinds context org {
+  roles R;
+  schema A(x: int key);
+  schema B(x: int key);
+  channel m members R carries A, B;
+  prohibition P subject R object R {
+    create on A(x) and B(x);
+    forbids A(x);
+    until B(x);
+  }
+}
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="true == 1 joins across kinds until bindings keep kinds (ROADMAP item 16)")
+def test_eval_reports_on_a_chain_that_breaks_its_kinds_equal_batch(monkeypatch, tmp_path):
+    spec = tmp_path / "kinds.cpt"
+    spec.write_text(KINDS_BROKEN)
+    chain = tmp_path / "chain.json"
+    write_chain(build_chain([[Event.make("a", "A", {"x": True}, "r")], [Event.make("b", "B", {"x": 1}, "r")]]),
+                str(chain))
+    fold, batch = _reports(monkeypatch, tmp_path, ["eval", "--chain", str(chain), "--spec", str(spec)])
+    assert fold == batch

@@ -1,6 +1,6 @@
 """The fold's work per event stays flat as the chain grows.
 
-Three counts are taken while apply_block folds a generated chain (bench
+Four counts are taken while apply_block folds a generated chain (bench
 generators, seed 1):
 
 - probes: calls of ``_CondIndex.compatible_with``, each a lookup of the
@@ -8,6 +8,9 @@ generators, seed 1):
   wake-up or a lifecycle rule's clause query);
 - offers: calls of ``_CondIndex.offer``, each an event or fact handed to a
   leaf whose head names it;
+- passes: fixpoint passes, calls of ``_Run._spawn``, which starts each
+  pass; the fold starts one only when its agenda or its unspawned create
+  matches are non-empty;
 - steps: lifecycle steps, calls of ``_Run._step_commitment`` and
   ``_Run._step_prohibition``, one per instance a pass steps.
 
@@ -43,6 +46,7 @@ WORKLOADS = [("peerreview", 80), ("peerreview", 160), ("peerreview", 320), ("dat
 COUNTED = {
     "probes": [(incremental._CondIndex, "compatible_with")],
     "offers": [(incremental._CondIndex, "offer")],
+    "passes": [(evaluator._Run, "_spawn")],
     "steps": [(evaluator._Run, "_step_commitment"), (evaluator._Run, "_step_prohibition")],
 }
 BOUND = 1.1

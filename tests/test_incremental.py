@@ -489,42 +489,138 @@ def _generated_chain(workload="peerreview", size=80):
     return spec, org, Chain(blocks=(GENESIS_BLOCK,) + tuple(blocks))
 
 
-@pytest.mark.parametrize("workload, size, lapses, idle", [("datatrust", 60, 0, 105), ("peerreview", 80, 16, 0)])
-def test_a_pass_runs_only_where_a_block_changed_something(monkeypatch, workload, size, lapses, idle):
-    # a boundary adds no event, so where nothing lapsed it adds no fact and
-    # a pass there would add none; an event's pass spawns only unspawned
-    # create matches and steps only the agenda, so with both empty it would
-    # do nothing. A boundary where an instance lapsed keeps its pass. At
-    # seed 1, 105 of datatrust's 345 events run no pass, and 16 of
-    # peerreview's 269 boundaries lapse an instance.
-    spec, org, chain = _generated_chain(workload, size)
-    batch = evaluate(chain, spec, org)
-    log = []
-    real = {name: getattr(_Run, name) for name in ("_lapse", "_fixpoint")}
+def _pass_log(monkeypatch, spec, org, chain) -> tuple[dict, Counter]:
+    """Each engine's run of the chain as a log of events, boundary lapses
+    and pass starts, each entry paired with whether a pass starts next; and
+    each engine's lifecycle steps. The two engines' states must be equal."""
+    real = {name: getattr(_Run, name) for name in ("_lapse", "_spawn", "process_event")}
     real_event = incremental._IncrementalRun.process_event
+    logs, steps = {}, Counter()
+
+    def due(run):
+        return bool(run.agenda or run.unspawned) if isinstance(run, incremental._IncrementalRun) else None
 
     def lapsing(self, now):
-        lapsed = real["_lapse"](self, now)
-        log.append(("lapse", lapsed))
-        return lapsed
+        live, before = len(self.live), due(self)
+        real["_lapse"](self, now)
+        logs[engine].append(("lapse", now.block_index, len(self.live) < live, before, due(self)))
 
-    def fixpoint(self):
-        log.append(("pass", bool(self.agenda or self.unspawned)))
-        real["_fixpoint"](self)
+    def spawning(self):
+        logs[engine].append(("pass", due(self)))
+        real["_spawn"](self)
 
-    def event(self, pos, item):
-        log.append(("event", None))
+    def batch_event(self, pos, item):
+        logs[engine].append(("event",))
+        real["process_event"](self, pos, item)
+
+    def fold_event(self, pos, item):
+        logs[engine].append(("event",))
         real_event(self, pos, item)
 
+    def stepping(method):
+        def step(self, *args):
+            steps[engine] += 1
+            return method(self, *args)
+
+        return step
+
     monkeypatch.setattr(_Run, "_lapse", lapsing)
-    monkeypatch.setattr(_Run, "_fixpoint", fixpoint)
-    monkeypatch.setattr(incremental._IncrementalRun, "process_event", event)
-    assert fold_chain(chain, spec, org) == batch
-    after = Counter((prev, step[0] == "pass") for prev, step in zip(log, log[1:] + [("end", None)]))
-    assert after[("lapse", False), True] == 0 and after[("lapse", True), False] == 0
-    assert (after[("lapse", True), True], after[("event", None), False]) == (lapses, idle)
-    starts = [(prev, step) for prev, step in zip(log, log[1:]) if step[0] == "pass"]
-    assert all(step == ("pass", True) for prev, step in starts if prev[0] == "event")
+    monkeypatch.setattr(_Run, "_spawn", spawning)
+    monkeypatch.setattr(_Run, "process_event", batch_event)
+    monkeypatch.setattr(incremental._IncrementalRun, "process_event", fold_event)
+    for name in ("_step_commitment", "_step_prohibition"):
+        monkeypatch.setattr(_Run, name, stepping(getattr(_Run, name)))
+    states = []
+    for engine, run in (("batch", evaluate), ("fold", fold_chain)):
+        logs[engine] = []
+        states.append(run(chain, spec, org))
+    assert states[0] == states[1]
+    follows = {
+        engine: [(entry, then[0] == "pass") for entry, then in zip(log, log[1:] + [("end",)])]
+        for engine, log in logs.items()
+    }
+    return follows, steps
+
+
+def _check_pass_rules(follows) -> list[tuple]:
+    """Each engine's pass rule on a log; returns the fold's boundaries as
+    (height, whether an instance lapsed, whether a pass ran)."""
+    assert all(passes for entry, passes in follows["batch"] if entry[0] == "event")
+    assert all(passes == entry[2] for entry, passes in follows["batch"] if entry[0] == "lapse")
+    assert all(entry[1] for entry, _ in follows["fold"] if entry[0] == "pass")
+    boundaries = [(entry, passes) for entry, passes in follows["fold"] if entry[0] == "lapse"]
+    assert all(not before and passes == after for (_, _, _, before, after), passes in boundaries)
+    return [(height, closed, passes) for (_, height, closed, _, _), passes in boundaries]
+
+
+# Seed-1 totals: fold passes, fold steps, batch passes
+PASS_TOTALS = {"datatrust": (330, 330, 495), "peerreview": (456, 456, 504)}
+
+
+@pytest.mark.parametrize("workload, size, lapses, idle", [("datatrust", 60, 0, 105), ("peerreview", 80, 16, 0)])
+def test_a_pass_runs_only_where_a_block_changed_something(monkeypatch, workload, size, lapses, idle):
+    # _due is each engine's rule for starting a pass. The fold's is that the
+    # agenda or the unspawned create matches are non-empty, since a pass
+    # steps only the one and spawns only the other: no fold pass starts with
+    # both empty, and a boundary, where only its lapses can fill them, passes
+    # exactly when they woke or created something. Batch's is that an event
+    # or a fact arrived since the last pass began: it passes at every event,
+    # and at a boundary exactly when an instance lapsed. At seed 1, 105 of
+    # datatrust's 345 events run no fold pass, and 16 of peerreview's 269
+    # boundaries lapse an instance but wake and create nothing, so the fold
+    # passes at none of them.
+    follows, steps = _pass_log(monkeypatch, *_generated_chain(workload, size))
+    boundaries = _check_pass_rules(follows)
+    assert sum(closed for _, closed, _ in boundaries) == lapses
+    assert not any(passes for _, _, passes in boundaries)
+    assert sum(not passes for entry, passes in follows["fold"] if entry[0] == "event") == idle
+    fold, batch = (sum(entry[0] == "pass" for entry, _ in follows[engine]) for engine in ("fold", "batch"))
+    assert (fold, steps["fold"], batch) == PASS_TOTALS[workload]
+
+
+# C's violation creates a Remedy at the boundary of block 4, Offer's expiry
+# wakes Watch, which it detaches, at block 6, and the Remedy's violation at
+# block 8 wakes and creates nothing.
+LAPSES_THAT_WAKE = """compact Lapses context org {
+  roles R;
+  schema Ask(x: text key);
+  schema Go(x: text key);
+  schema Do(x: text key);
+  channel m members R carries Ask, Go, Do;
+  commitment C subject R object R {
+    create on Ask(x);
+    consequent Do(x) within 2 blocks;
+  }
+  commitment Remedy subject R object R {
+    create on violated C(x);
+    consequent Do(x) within 3 blocks;
+  }
+  commitment Offer subject R object R {
+    create on Go(x);
+    antecedent Ask(x);
+    consequent Do(x) within 9 blocks;
+    expires after 4 blocks;
+  }
+  commitment Watch subject R object R {
+    create on Go(x);
+    antecedent expired Offer(x);
+    consequent Do(x) within 9 blocks;
+  }
+}
+"""
+
+
+def test_a_boundary_passes_exactly_where_its_lapses_wake_or_create(monkeypatch):
+    spec = parse_compact(LAPSES_THAT_WAKE)
+    org = Organization.make(spec.context, {"r": ["R"]})
+    first = [Event.make("e1", "Ask", {"x": "a"}, "r"), Event.make("e2", "Go", {"x": "b"}, "r")]
+    chain = build_chain([first] + [[]] * 7)
+    states = {inst.norm_id: inst.state.value for inst in fold_chain(chain, spec, org).instances.values()}
+    assert states == {"C": "violated", "Remedy": "violated", "Offer": "expired", "Watch": "detached"}
+    boundaries = _check_pass_rules(_pass_log(monkeypatch, spec, org, chain)[0])
+    lapsed = [(height, passes) for height, closed, passes in boundaries if closed]
+    assert lapsed == [(4, True), (6, True), (8, False)]
+    assert not any(passes for _, closed, passes in boundaries if not closed)
 
 
 def test_a_block_that_changes_nothing_shares_its_parent_state():
@@ -613,8 +709,9 @@ def test_a_clause_match_wakes_exactly_the_live_instances_that_agree_with_it(monk
 
 def test_the_incremental_run_overrides_no_lifecycle_rule():
     # the lifecycle is written once, in _Run. The fold answers its match
-    # queries, narrows its passes and lapse checks, files what _enlist hands
-    # it, and routes events and facts to leaves. process_event stays because
+    # queries, narrows its passes and lapse checks, says when a pass is due
+    # (_due), files what _enlist hands it, and routes events and facts to
+    # leaves. process_event stays because
     # ('compacts.incremental', 'counts_as_facts_for_event') is a bench hook.
     overridden = {
         name for name, value in vars(incremental._IncrementalRun).items()
@@ -622,7 +719,7 @@ def test_the_incremental_run_overrides_no_lifecycle_rule():
     }
     assert overridden == {
         "__init__", "clause_matches", "create_matches", "_pass_keys", "_lapse_keys", "_enlist",
-        "add_fact", "process_event",
+        "add_fact", "process_event", "_due",
     }
 
 

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from compacts.ledger import (
     GENESIS_HEADER,
@@ -168,6 +170,34 @@ def test_empty_block_events_digest_is_hash_of_nothing():
     header = mine_block((), GENESIS_HEADER, EASY_TARGET, "ann")
     assert header.events_digest.hex() == gold["empty_events_digest_hex"]
     assert header.events_digest == hashlib.sha256(b"").digest()
+
+
+_EVENTS = st.lists(
+    st.builds(
+        Event.make,
+        event_id=st.text(max_size=3),
+        event_type=st.sampled_from(["Reading", "Alarm"]),
+        attributes=st.dictionaries(
+            st.sampled_from(["a", "b", "value"]),
+            st.one_of(st.booleans(), st.integers(-(2**63), 2**63 - 1), st.text(max_size=3)),
+        ),
+        emitter=st.sampled_from(["ann", "ben"]),
+        logical_ts=st.integers(0, 2**64 - 1),
+        signature=st.one_of(st.just(b""), st.binary(min_size=1, max_size=33)),
+    ),
+    max_size=6,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(events=_EVENTS)
+@example(events=[])
+@example(events=[Event.make("e", "Reading", {}, "ann", 0, sig) for sig in (b"", b"\x01", b"abc", b"", bytes(33))])
+def test_the_streamed_events_digest_equals_the_digest_of_the_joined_bytes(events):
+    # events_digest feeds each event's bytes to one hash; the digest is
+    # that of all the events' canonical bytes joined
+    joined = hashlib.sha256(b"".join(canonical_serialize(event) for event in events)).digest()
+    assert events_digest(tuple(events)) == joined
 
 
 def test_validate_block_accepts_honest_block():

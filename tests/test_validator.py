@@ -287,6 +287,35 @@ def test_index_verdicts_equal_the_scan(ledger):
             )
 
 
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(ledger=st.lists(_ledger_events(), max_size=12))
+@example(ledger=[ev("e", "Report", {"case": "a", "verdict": "x"}),
+                 ev("e", "Report", {"case": "a", "verdict": "x"}),
+                 ev("e", "Report", {"case": "a", "verdict": "y"}),
+                 ev("e", "Report", {"case": "a", "verdict": "x"})])  # repeated keys, equal and differing outs
+@example(ledger=[ev("e", "Count", {"slot": 0, "n": 1}),
+                 ev("e", "Count", {"slot": 0, "n": True}),
+                 ev("e", "Count", {"slot": True, "n": 2}),
+                 ev("e", "Count", {"slot": 0, "n": 2})])  # outs and keys equal across kinds
+def test_index_outs_equal_the_union_of_each_key_s_outs(ledger):
+    """add() keeps, for each (event type, key values), the union of the
+    out tuples added under it: the set a union at every add would hold,
+    with the same representative of outs that compare equal (1 and True)."""
+    index, union = LedgerIndex(INDEX_RULES), {}
+    for event in ledger:
+        index.add(event)
+        plan = INDEX_RULES._plans.get(event.event_type)
+        if plan is not None:
+            attrs = event.attribute_map
+            key = (event.event_type, tuple(map(attrs.get, plan.keys)))
+            union[key] = union.get(key, frozenset()) | {tuple(map(attrs.get, plan.outs))}
+
+    def shown(outs):
+        return [(repr(key), sorted(map(repr, held))) for key, held in outs.items()]
+
+    assert shown(index.outs) == shown(union)
+
+
 def _with_edge_types(rules):
     """rules plus a schema no channel carries, a second declaration of the
     first type (the first wins), a schema that repeats a parameter name, and
