@@ -228,11 +228,12 @@ class Chain:
 
     A chain is the one holder of its admission index (validator.LedgerIndex,
     which holds the rules it is for), kept in a private cell with the block it
-    covers: the tip, or a block validate_block accepted on top of it.
-    admission_index builds it from the chain's events on first use. extend
-    hands it to the child only for the block it covers; otherwise the parent
-    keeps it. verify_chain's memo chains each hold their own copy. The cell
-    takes no part in equality, hashing or repr.
+    covers: the tip, or a block validate_block accepted on top of it. A
+    chain a network peer mines holds, for its tip, the index its admission
+    filled (network._Peer.turn). admission_index builds it from the chain's
+    events on first use. extend hands it to the child only for the block it
+    covers; otherwise the parent keeps it. verify_chain's memo chains each
+    hold their own copy. The cell takes no part in equality, hashing or repr.
     """
 
     blocks: tuple[Block, ...] = field(default_factory=lambda: (GENESIS_BLOCK,))
@@ -323,26 +324,21 @@ def validate_block(
     roster: Optional[Mapping[str, str]] = None,
     rules=None,
     roles_of=None,
-    admitted=None,
 ) -> Optional[Rejection]:
     """Check a proposed next block against a chain; None means accepted.
 
-    Checks run in a fixed order and the first failure wins: hash link, target
-    bound, index continuity, events digest, per-event signatures, event id
-    uniqueness, then validator admission. Target, roster and rules are
-    optional context; the corresponding checks are skipped when absent.
-    roles_of resolves a principal's roles for channel membership.
+    Every block gets every check, in a fixed order, and the first failure
+    wins: hash link, target bound, index continuity, events digest,
+    per-event signatures, event id uniqueness, then validator admission.
+    Target, roster and rules are optional context; the corresponding checks
+    are skipped when absent. roles_of resolves a principal's roles for
+    channel membership. A network peer validates only blocks it did not
+    build (see network._Peer.turn).
 
     Admission runs on the chain's own index (see Chain), the block's events
     added as they pass. An accepted block, an empty one too, leaves it on
     the chain, covering that block, for extend to hand on; a block rejected
     at the id or admission checks drops it, and the next call rebuilds it.
-    admitted, passed only by verify_chain, is a miner's (events, index):
-    the events tuple it mined and its admission of them on a copy of the
-    chain's index. The index replaces the admission loop. When block.events
-    is that very tuple, the events digest (mine_block computed the one the
-    header carries) and the signatures (the miner's receive checked them)
-    are not checked again; an equal tuple is checked in full.
     """
     prev = chain.tip.header
     if block.header.prev_hash != hash_block_header(prev):
@@ -354,10 +350,9 @@ def validate_block(
         return Rejection(
             "BadIndex", f"expected {prev.index + 1}, got {block.header.index}"
         )
-    mined = admitted is not None and block.events is admitted[0]
-    if not mined and block.header.events_digest != events_digest(block.events):
+    if block.header.events_digest != events_digest(block.events):
         return Rejection("BadEventsDigest", f"block {block.header.index}")
-    if roster is not None and not mined:
+    if roster is not None:
         for event in block.events:
             secret = roster.get(event.emitter)
             if secret is None or not verify_event_signature(event, secret):
@@ -369,9 +364,6 @@ def validate_block(
         if event.event_id in index.event_ids or event.event_id in in_block:
             return Rejection("DuplicateEventId", event.event_id)
         in_block.add(event.event_id)
-    if admitted is not None:
-        chain._admission.append((admitted[1], block))
-        return None
     # Admission: each event is checked against the chain prefix and this block's earlier events.
     for event in block.events:
         if rules is not None:
@@ -405,14 +397,12 @@ def verify_chain(
     failing index otherwise.
 
     memo maps the header digest of each block verified so far to the
-    verified Chain that ends at it, and a mined block's (prev_hash,
-    events_digest) to its miner's events and admission index
-    (network._Peer.turn).
+    verified Chain that ends at it, holding its own index; a network peer
+    also stores there each chain it mines, as built (network._Peer.turn).
     With it, verification starts after the newest block whose memo chain
     holds exactly this chain's blocks up to that block, each block past it
-    is validated on a copy of its parent's index or with the admission held
-    for it, and every block that passes is stored, so every memo chain
-    keeps its own index. A memo is only valid for one target, roster, rules
+    is validated on a copy of its parent's index, and every block that
+    passes is stored. A memo is only valid for one target, roster, rules
     and roles_of. Without it every block is verified from genesis, each on
     the chain its parent's validation extended.
     """
@@ -430,13 +420,11 @@ def verify_chain(
                 start, verified = height + 1, known
                 break
     for block in blocks[start:]:
-        prefix, admitted = verified, None
-        if memo is not None:  # the memo's chain keeps its index; validate on a copy, unless admitted
-            admitted = memo.pop((block.header.prev_hash, block.header.events_digest), None)
-            index = verified.admission_index(rules)
+        prefix = verified
+        if memo is not None:  # the memo's chain keeps its index; validate on a copy
             prefix = Chain(blocks=verified.blocks)
-            prefix._admission.append((index if admitted is not None else index.copy(), verified.tip))
-        rejection = validate_block(prefix, block, target, roster, rules, roles_of, admitted=admitted)
+            prefix._admission.append((verified.admission_index(rules).copy(), verified.tip))
+        rejection = validate_block(prefix, block, target, roster, rules, roles_of)
         if rejection is not None:
             return FirstBadBlock(block.header.index, rejection)
         verified = prefix.extend(block)

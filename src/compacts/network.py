@@ -84,25 +84,21 @@ class _Peer:
     def __init__(self, pid: str, target: int, roster: dict, rules, roles_of, memo: dict):
         self.pid, self.target, self.roster = pid, target, roster
         self.rules, self.roles_of, self.memo = rules, roles_of, memo
-        self.chain = genesis_chain()  # after an adoption, the memo's verified chain
+        self.chain = genesis_chain()  # then a memo chain: one it verified or one it mined
         self.seen: dict[str, Event] = {}  # event_id -> event, arrival order
-        self.refused = None  # (tip digest, pending ids) of the last turn that admitted nothing
-
-    def adopt(self, chain: Chain) -> bool:
-        """Switch to chain if it passes verification."""
-        if verify_chain(chain, target=self.target, roster=self.roster, rules=self.rules,
-                        roles_of=self.roles_of, memo=self.memo) is not None:
-            return False  # invalid chains are dropped
-        self.chain = self.memo[chain.tip_digest()]  # holds its admission index
-        return True
+        self.refused = None  # (tip digest, pending ids) of the last turn that mined nothing
 
     def receive(self, message) -> bool:
         """Take one event or chain; returns whether to forward it."""
         if isinstance(message, Chain):
             old = self.chain.blocks
             # a tie keeps the peer's own chain, which it may be sent back
-            if select_active_chain([self.chain, message]) is self.chain or not self.adopt(message):
+            if select_active_chain([self.chain, message]) is self.chain:
                 return False
+            if verify_chain(message, target=self.target, roster=self.roster, rules=self.rules,
+                            roles_of=self.roles_of, memo=self.memo) is not None:
+                return False  # invalid chains are dropped
+            self.chain = self.memo[message.tip_digest()]  # holds its admission index
             # exact: an honest peer has seen every event on its chain, so add those past the fork
             fork = next(h for h in range(len(old) - 1, -1, -1) if message.blocks[h].header == old[h].header)
             for block in message.blocks[fork + 1:]:
@@ -119,10 +115,10 @@ class _Peer:
 
     def turn(self) -> list:
         """Mine one block of every seen event admission lets in; returns what to
-        send. A turn with the tip and pending ids of the last one that admitted
-        nothing skips admission, which reads only those. The miner's admission is
-        the block's: the memo holds the events mined and its index under
-        (prev_hash, events_digest)."""
+        send. A turn with the tip and pending ids of the last one that mined
+        nothing skips admission, which reads only those. The peer built the
+        block, so it does not verify it: the new chain, holding the index
+        admission filled, enters the memo under its tip's digest as built."""
         chain, index = self.chain, self.chain.admission_index(self.rules)
         pending = [e for e in self.seen.values() if e.event_id not in index.event_ids]
         refusal = (chain.tip_digest(), frozenset(e.event_id for e in pending))
@@ -131,9 +127,10 @@ class _Peer:
             self.refused = refusal
             return []
         header = mine_block(mineable, chain.tip.header, self.target, miner=self.pid)
-        self.memo[header.prev_hash, header.events_digest] = (mineable, index)
         mined = chain.extend(Block(header=header, events=mineable))
-        return [mined] if self.adopt(mined) else []  # verifies the new block once, for every peer
+        mined._admission.append((index, mined.tip))
+        self.chain = self.memo[mined.tip_digest()] = mined
+        return [mined]
 
 
 def run_network(
@@ -153,10 +150,11 @@ def run_network(
     the peer can admit, so none is left waiting. An idle round skips to the
     next one an event is due. Converged means one tip, every event's round in
     0..max_rounds-1, and no event off the tip that admission there lets in.
-    Every chain returned passed verify_chain under config.target, the roster,
-    rules and roles_of; a peer verifies a received chain only to adopt it,
-    and only past its newest verified block, taking a mined block's
-    admission from its miner (see verify_chain's memo, which peers share).
+    A peer verifies what it did not build: a received chain, only to adopt
+    it, and only past its newest block in verify_chain's memo, which peers
+    share. A chain a peer mines enters the memo as built, with the index
+    its admission filled (see _Peer.turn). Every chain returned verifies
+    from genesis under config.target, the roster, rules and roles_of.
     """
     roster = config.roster
     roles_of = org.roles_of if org is not None else None
