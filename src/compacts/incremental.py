@@ -12,16 +12,16 @@ table built with the run: Rete's alpha network, one level deep. Each leaf
 compiles its pattern once to a plan (literal tests, repeated-variable tests,
 binds in variable order) that builds a match's bindings straight from the
 event's attribute map or the fact's bindings, with matching._extend's
-semantics; a property test holds the two equal. A leaf's new matches climb
-its tree, joining the other side's matches at each node. Joins and clause
-queries probe a condition's matches by a bindings tuple sorted by name, the
-order Bindings promises and the probes rely on: a view is keyed by the
-tuple's names, as Rete/UL hashes its memories by join-variable values
-(Doorenbos, 1995). The lifecycle rules are the batch evaluator's own
-(evaluator._Run);
-_IncrementalRun answers their match queries from the cached sets, hands
-_spawn just the create matches added since its last pass, and tells a pass
-and _lapse which instances to look at.
+semantics; a property test holds the two equal. A route carries the path from
+its leaf to the root, fixed as in Rete where an alpha memory feeds the beta
+network: the leaf's new matches climb it, joining the other side's matches at
+each node. Joins and clause queries probe a condition's matches by a bindings
+tuple sorted by name, the order Bindings promises and the probes rely on: a
+view is keyed by the tuple's names, as Rete/UL hashes its memories by
+join-variable values (Doorenbos, 1995). The lifecycle rules are the batch
+evaluator's own (evaluator._Run); _IncrementalRun answers their match queries
+from the cached sets, hands _spawn just the create matches added since its
+last pass, and tells a pass and _lapse which instances to look at.
 
 A block steps only what it touched. A step reads only the instance and the
 clause matches compatible with its key (_first_unexempted's merged bindings
@@ -63,7 +63,6 @@ pattern semantics: they are a differential pair, so keep them independent.
 from __future__ import annotations
 
 import heapq
-import weakref
 from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -140,20 +139,19 @@ class _CondIndex:
     the positions the view keeps. A create index also finds the instances a
     clause match wakes: each instance key is one of its matches' bindings.
 
-    A child reaches its parent by a weak reference, so a tree is freed as
-    soon as its run is, with no reference cycle for the collector."""
+    A node holds no reference to its parent: a run's route carries a leaf
+    and its path to the root (paths) as (child, parent) steps to climb."""
 
-    __slots__ = ("cond", "parent", "left", "right", "matches", "views", "plan", "__weakref__")
+    __slots__ = ("cond", "left", "right", "matches", "views", "plan")
 
-    def __init__(self, cond: ast.Condition, parent: Optional[_CondIndex] = None):
+    def __init__(self, cond: ast.Condition):
         self.cond = cond
-        self.parent = None if parent is None else weakref.ref(parent)
         self.left: Optional[_CondIndex] = None
         self.right: Optional[_CondIndex] = None
         self.plan = None
         if isinstance(cond, (ast.And, ast.Or, ast.Before)):
-            self.left = _CondIndex(cond.left, self)
-            self.right = _CondIndex(cond.right, self)
+            self.left = _CondIndex(cond.left)
+            self.right = _CondIndex(cond.right)
         else:
             self.plan = (isinstance(cond, ast.EventPattern),) + _compile(cond)
         self.matches: dict[Match, None] = {}  # not a set: views are built in the order added
@@ -174,8 +172,8 @@ class _CondIndex:
             found.extend(table.get(key, ()))
         return found
 
-    def leaves(self) -> list[_CondIndex]:
-        return [self] if self.left is None else self.left.leaves() + self.right.leaves()
+    def paths(self) -> list[tuple[_CondIndex, ...]]:  # leaf first, leaves left to right
+        return [(self,)] if self.left is None else [p + (self,) for p in self.left.paths() + self.right.paths()]
 
     def _absorb(self, candidates: list[Match]) -> list[Match]:
         fresh = []
@@ -188,7 +186,7 @@ class _CondIndex:
         return fresh
 
     def offer(self, pos: Position, item: Event | DerivedFact) -> list[Match]:
-        """Match an event or fact this leaf's head names; return what it adds at the root."""
+        """Match an event or fact this leaf's head names; return what it adds here."""
         on_events, literals, repeats, binds = self.plan
         get = (item.attribute_map if on_events else item.binding_map).get
         for attribute, value in literals:
@@ -203,11 +201,7 @@ class _CondIndex:
             if value is _ABSENT:
                 return []
             bindings.append((name, value))
-        node, fresh = self, self._absorb([Match(tuple(bindings), pos)])
-        while fresh and node.parent is not None:
-            parent = node.parent()
-            node, fresh = parent, parent.join(node, fresh)
-        return fresh
+        return self._absorb([Match(tuple(bindings), pos)])
 
     def join(self, child: _CondIndex, delta: list[Match]) -> list[Match]:
         """Take in a child's new matches; return what they add here. A pair of
@@ -242,14 +236,14 @@ class _IncrementalRun(_Run):
     def __init__(self, spec: ast.CompactSpec, org: Organization):
         super().__init__(spec, org)
         self.indexes: dict[tuple[str, str], _CondIndex] = {}
-        self.routes: dict[tuple[str, str], list[tuple[_CondIndex, str, str]]] = {}
+        self.routes: dict[tuple[str, str], list[tuple[_CondIndex, tuple, str, str]]] = {}
         for norm in spec.norms:
             for clause, cond in norm.clauses():
                 root = self.indexes[(norm.id, clause)] = _CondIndex(cond)
-                for leaf in root.leaves():  # event types and fact names kept apart
-                    p = leaf.cond
+                for path in root.paths():  # event types and fact names kept apart
+                    p = path[0].cond
                     head = ("event", p.event_type) if isinstance(p, ast.EventPattern) else ("fact", fact_name(p))
-                    self.routes.setdefault(head, []).append((leaf, norm.id, clause))
+                    self.routes.setdefault(head, []).append((path[0], tuple(zip(path, path[1:])), norm.id, clause))
         self.unspawned: dict[str, list[Match]] = {}
         self.agenda: list[tuple[int, int, _Key]] = []  # (pass, seq, key)
         self.passes = 0  # passes done: the number of the pass under way, or next
@@ -257,8 +251,10 @@ class _IncrementalRun(_Run):
         self.lapses: list[tuple[int, int, _Key]] = []
 
     def _advance(self, pos: Position, head: tuple[str, str], item: Event | DerivedFact) -> None:
-        for leaf, norm_id, clause in self.routes.get(head, ()):
+        for leaf, climb, norm_id, clause in self.routes.get(head, ()):
             fresh = leaf.offer(pos, item)
+            for child, node in climb:  # up to the root, while it adds
+                fresh = fresh and node.join(child, fresh)
             if fresh and clause == "create":
                 self.unspawned.setdefault(norm_id, []).extend(fresh)
             elif fresh:

@@ -228,12 +228,12 @@ class Chain:
 
     A chain is the one holder of its admission index (validator.LedgerIndex,
     which holds the rules it is for), kept in a private cell with the block it
-    covers: the tip, or a block validate_block accepted on top of it. A
-    chain a network peer mines holds, for its tip, the index its admission
-    filled (network._Peer.turn). admission_index builds it from the chain's
-    events on first use. extend hands it to the child only for the block it
-    covers; otherwise the parent keeps it. verify_chain's memo chains each
-    hold their own copy. The cell takes no part in equality, hashing or repr.
+    covers: the tip, or a block validate_block accepted on top of it; no
+    other module touches the cell. admission_index builds the index from the
+    chain's events on first use. A network peer hands extend the index its
+    admission filled for the chain it mines (network._Peer.turn), and
+    verify_chain's memo chains each hold their own. The cell takes no part
+    in equality, hashing or repr.
     """
 
     blocks: tuple[Block, ...] = field(default_factory=lambda: (GENESIS_BLOCK,))
@@ -250,10 +250,14 @@ class Chain:
     def tip_digest(self) -> bytes:
         return hash_block_header(self.tip.header)
 
-    def extend(self, block: Block) -> "Chain":
+    def extend(self, block: Block, index: Optional["validator.LedgerIndex"] = None) -> "Chain":
+        """The chain with block on top, holding index if handed one, else the
+        parent's if that covers block; the parent then gives its index up."""
         child = Chain(blocks=self.blocks + (block,))
-        if self._admission and self._admission[-1][1] is block:
-            child._admission.append(self._admission.pop())
+        if index is None and self._admission and self._admission[-1][1] is block:
+            index = self._admission.pop()[0]
+        if index is not None:
+            child._admission.append((index, block))
         return child
 
     def admission_index(self, rules) -> "validator.LedgerIndex":
@@ -396,40 +400,38 @@ def verify_chain(
     Block 0 must be the shared genesis block exactly. Returns the lowest
     failing index otherwise.
 
-    memo maps the header digest of each block verified so far to the
-    verified Chain that ends at it, holding its own index; a network peer
-    also stores there each chain it mines, as built (network._Peer.turn).
-    With it, verification starts after the newest block whose memo chain
-    holds exactly this chain's blocks up to that block, each block past it
-    is validated on a copy of its parent's index, and every block that
-    passes is stored. A memo is only valid for one target, roster, rules
-    and roles_of. Without it every block is verified from genesis, each on
-    the chain its parent's validation extended.
+    memo maps a tip digest to the chain verified whole that ends there,
+    holding its own index; a network peer also stores there each chain it
+    mines, as built (network._Peer.turn). With it, verification starts
+    after the newest block whose memo chain holds exactly this chain's
+    blocks up to that block: that chain's index is copied once, and the
+    whole suffix is validated on the copy, which extend hands from block to
+    block. Only a chain that passes whole is stored, under its tip digest.
+    A memo is only valid for one target, roster, rules and roles_of.
+    Without it every block is verified from genesis, in the same loop.
     """
     if not chain.blocks:
         return FirstBadBlock(0, Rejection("BadGenesis", "empty chain"))
     head = chain.blocks[0]
     if head.header != GENESIS_HEADER or head.events:
         return FirstBadBlock(0, Rejection("BadGenesis", "not the shared genesis"))
-    blocks = chain.blocks
-    start, verified = 1, Chain(blocks=blocks[:1])
+    blocks, verified = chain.blocks, Chain(blocks=chain.blocks[:1])
     if memo is not None:
         for height in range(len(blocks) - 1, 0, -1):
             known = memo.get(hash_block_header(blocks[height].header))
             if known is not None and known.blocks == blocks[: height + 1]:
-                start, verified = height + 1, known
+                if height == len(blocks) - 1:
+                    return None
+                copy = known.admission_index(rules).copy()  # the memo's chain keeps its own
+                verified = Chain(blocks=blocks[:height]).extend(known.tip, copy)
                 break
-    for block in blocks[start:]:
-        prefix = verified
-        if memo is not None:  # the memo's chain keeps its index; validate on a copy
-            prefix = Chain(blocks=verified.blocks)
-            prefix._admission.append((verified.admission_index(rules).copy(), verified.tip))
-        rejection = validate_block(prefix, block, target, roster, rules, roles_of)
+    for block in blocks[len(verified.blocks):]:
+        rejection = validate_block(verified, block, target, roster, rules, roles_of)
         if rejection is not None:
             return FirstBadBlock(block.header.index, rejection)
-        verified = prefix.extend(block)
-        if memo is not None:
-            memo[hash_block_header(block.header)] = verified
+        verified = verified.extend(block)
+    if memo is not None and len(blocks) > 1:
+        memo[chain.tip_digest()] = verified
     return None
 
 

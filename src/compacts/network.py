@@ -117,8 +117,8 @@ class _Peer:
         """Mine one block of every seen event admission lets in; returns what to
         send. A turn with the tip and pending ids of the last one that mined
         nothing skips admission, which reads only those. The peer built the
-        block, so it does not verify it: the new chain, holding the index
-        admission filled, enters the memo under its tip's digest as built."""
+        block and does not verify it: the new chain, handed by extend the
+        index admission filled, enters the memo under its tip digest as built."""
         chain, index = self.chain, self.chain.admission_index(self.rules)
         pending = [e for e in self.seen.values() if e.event_id not in index.event_ids]
         refusal = (chain.tip_digest(), frozenset(e.event_id for e in pending))
@@ -127,8 +127,7 @@ class _Peer:
             self.refused = refusal
             return []
         header = mine_block(mineable, chain.tip.header, self.target, miner=self.pid)
-        mined = chain.extend(Block(header=header, events=mineable))
-        mined._admission.append((index, mined.tip))
+        mined = chain.extend(Block(header=header, events=mineable), index)
         self.chain = self.memo[mined.tip_digest()] = mined
         return [mined]
 
@@ -152,9 +151,10 @@ def run_network(
     0..max_rounds-1, and no event off the tip that admission there lets in.
     A peer verifies what it did not build: a received chain, only to adopt
     it, and only past its newest block in verify_chain's memo, which peers
-    share. A chain a peer mines enters the memo as built, with the index
-    its admission filled (see _Peer.turn). Every chain returned verifies
-    from genesis under config.target, the roster, rules and roles_of.
+    share. A chain a peer mines enters the memo as built, handed by
+    Chain.extend the index its admission filled (see _Peer.turn), so a
+    withheld chain is known there before its release. Every chain returned
+    verifies from genesis under config.target, the roster, rules and roles_of.
     """
     roster = config.roster
     roles_of = org.roles_of if org is not None else None

@@ -1,5 +1,5 @@
 """The fold's work per event stays flat as the chain grows, and the
-network's grows as the run's events do, but for two known-quadratic counts.
+network's grows as the run's events do, but for four known-quadratic counts.
 
 Four counts are taken while apply_block folds a generated chain (bench
 generators, seed 1):
@@ -34,15 +34,26 @@ run under hospital.cpt's rules and roles as compacts run does:
 - entries_copied: for each ``LedgerIndex.copy``, the event ids, bound
   values and ``outs`` keys of the index copied;
 - seen_scanned: for each ``_Peer.turn``, the events the peer has seen,
-  each of which the turn's pending list scans.
+  each of which the turn's pending list scans;
+- verify_event_signature: the signature checks a peer's receive makes;
+- events_digest: the blocks' events digests computed, by mining or by
+  validation;
+- memo_entries, memo_blocks, memo_index_entries: what the run's shared
+  verify memo retains at its end, standing in for retained memory: its
+  entries, the blocks its chains reference (each chain counted whole) and
+  the entries, counted as for entries_copied, of the indexes its chains
+  hold.
 
 For each count the least-squares slope of its logarithm against that of
-the scenario's events is taken over the four sizes. The admission checks
-grow with the events (slope at most 1.1; 1.014 at seed 1). entries_copied and
-seen_scanned are known-quadratic: each mined block copies its parent's
-whole index, and each turn scans every seen event (ROADMAP items 12 and
-5). They are gated at slope 2.1 (1.647 and 1.544 at seed 1), a bound that
-later changes may only tighten.
+the scenario's events is taken over the four sizes. The admission checks,
+signature checks, events digests and memo entries grow at most with the
+events (slope at most 1.1; 1.014, 0.988, 0.668 and 0.668 at seed 1).
+entries_copied, seen_scanned, memo_blocks and memo_index_entries are
+known-quadratic: each mined block copies its parent's whole index, each
+turn scans every seen event, and each memo chain holds its whole prefix
+and its own index (ROADMAP items 12 and 5). They are gated at slope 2.1
+(1.647, 1.544, 1.241 and 1.592 at seed 1), a bound that later changes may
+only tighten.
 
 The counts must repeat exactly under every hash seed, so the test runs this
 file as a script under PYTHONHASHSEED 0 to 3; the script prints each
@@ -87,12 +98,17 @@ NETWORK_COUNTED = {
     "validate_block": [(ledger, "validate_block")],
     "entries_copied": [(LedgerIndex, "copy")],
     "seen_scanned": [(network._Peer, "turn")],
+    "verify_event_signature": [(network, "verify_event_signature")],
+    "events_digest": [(ledger, "events_digest")],
 }
 WEIGHT = {  # what one call adds, read from its first argument; else 1
     "entries_copied": lambda index: len(index.event_ids) + len(index.bound) + len(index.outs),
     "seen_scanned": lambda peer: len(peer.seen),
 }
-SLOPE_BOUND = {"schema_checks": 1.1, "integrity_checks": 1.1, "entries_copied": 2.1, "seen_scanned": 2.1}
+SLOPE_BOUND = {
+    "schema_checks": 1.1, "integrity_checks": 1.1, "verify_event_signature": 1.1, "events_digest": 1.1,
+    "memo_entries": 1.1, "entries_copied": 2.1, "seen_scanned": 2.1, "memo_blocks": 2.1, "memo_index_entries": 2.1,
+}
 
 
 @contextmanager
@@ -141,7 +157,8 @@ def work_by_quintile(workload: str, size: int) -> list[dict[str, int]]:
 
 def network_work(patients: int) -> dict[str, int]:
     """Events and each network count of one hospital run, its inputs read
-    from files as compacts run reads them."""
+    from files as compacts run reads them. The memo is read from the first
+    peer the run makes: peers share it."""
     lines, net = bench_generators().hospital_inputs(1, patients)
     with tempfile.TemporaryDirectory() as work:
         scenario_path, net_path = Path(work, "scenario.jsonl"), Path(work, "net.json")
@@ -150,10 +167,19 @@ def network_work(patients: int) -> dict[str, int]:
         scenario, (config, roles) = read_scenario(str(scenario_path)), read_network_config(str(net_path))
     spec = parse_compact((DEMOS / "hospital.cpt").read_text())
     org = Organization.make(spec.context, roles)
-    counts = Counter({name: 0 for name in NETWORK_COUNTED})
-    with counting(NETWORK_COUNTED, counts):
+    counts, peers, make = Counter({name: 0 for name in NETWORK_COUNTED}), [], network._Peer
+    with counting(NETWORK_COUNTED, counts), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_Peer", lambda *args: peers.append(make(*args)) or peers[-1])
         network.run_network(scenario, config, rules=ruleset_from_spec(spec), org=org)
-    return dict(counts, events=len(scenario))
+    chains = peers[0].memo.values()
+    held = [index for chain in chains for index, _ in chain._admission]
+    return dict(
+        counts,
+        events=len(scenario),
+        memo_entries=len(chains),
+        memo_blocks=sum(len(chain.blocks) for chain in chains),
+        memo_index_entries=sum(map(WEIGHT["entries_copied"], held)),
+    )
 
 
 def _all_work() -> dict:

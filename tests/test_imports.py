@@ -4,7 +4,8 @@ every module imports on its own.
 Package ``__init__.py`` files are exempt from the first check: their imports
 are re-exports. Annotations written as strings count as uses of the names
 inside them. The second check runs each import in a fresh interpreter, so an
-import cycle that shows only for some entry module fails it.
+import cycle that shows only for some entry module fails it. A third holds
+that only ledger.py reads or writes a chain's ``_admission`` cell.
 """
 
 from __future__ import annotations
@@ -79,3 +80,16 @@ def test_each_module_imports_on_its_own(name):
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_only_the_ledger_touches_a_chain_s_admission_cell():
+    # a Chain holds its admission index in a private cell whose layout only
+    # ledger.py knows: every other module hands an index over through
+    # Chain.extend or reads one through Chain.admission_index
+    touched = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py")) if path != PACKAGE / "ledger.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_admission"
+    ]
+    assert not touched, f"_admission read or written outside ledger.py: {touched}"

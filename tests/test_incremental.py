@@ -661,18 +661,25 @@ def test_a_state_never_changes_while_its_run_goes_on():
 def test_a_clause_match_wakes_exactly_the_live_instances_that_agree_with_it(monkeypatch, workload, size):
     # a wake-up that missed an agreeing instance could leave a transition
     # unmade; one that woke every live instance of the norm would step
-    # instances no new match can move. The set is recomputed by scanning live.
+    # instances no new match can move. The set is recomputed by scanning live,
+    # from what each route's offer or join adds at the root its climb ends at.
     blocks, config = getattr(bench_generators(), f"{workload}_inputs")(1, size)
     spec = parse_compact((DEMOS / f"{workload}.cpt").read_text())
     org = Organization.make(spec.context, config["roles"])
-    offers, woken, totals = [], [], Counter()
+    added, woken, totals = [], [], Counter()
     real_offer = incremental._CondIndex.offer
+    real_join = incremental._CondIndex.join
     real_wake = incremental._IncrementalRun._wake
     real_advance = incremental._IncrementalRun._advance
 
     def offering(self, pos, item):
         fresh = real_offer(self, pos, item)
-        offers.append((self, fresh))
+        added.append((self, fresh))
+        return fresh
+
+    def joining(self, child, delta):
+        fresh = real_join(self, child, delta)
+        added.append((self, fresh))
         return fresh
 
     def waking(self, key):
@@ -680,13 +687,17 @@ def test_a_clause_match_wakes_exactly_the_live_instances_that_agree_with_it(monk
         real_wake(self, key)
 
     def advancing(self, pos, head, item):
-        offers.clear()
+        added.clear()
         woken.clear()
         real_advance(self, pos, head, item)
-        clause_of = {leaf: (norm_id, clause) for leaf, norm_id, clause in self.routes.get(head, ())}
+        clause_of = {  # a route's root: the last step's parent, or the leaf itself
+            climb[-1][1] if climb else leaf: (norm_id, clause) for leaf, climb, norm_id, clause in self.routes.get(head, ())
+        }
         expected, of_the_norms = set(), set()
-        for leaf, fresh in offers:
-            norm_id, clause = clause_of[leaf]
+        for node, fresh in added:
+            if node not in clause_of:  # below a root
+                continue
+            norm_id, clause = clause_of[node]
             if clause == "create" or not fresh:
                 continue
             of_the_norms |= {key for key in self.live if key[0] == norm_id}
@@ -701,6 +712,7 @@ def test_a_clause_match_wakes_exactly_the_live_instances_that_agree_with_it(monk
         totals["spared"] += len(of_the_norms - expected)
 
     monkeypatch.setattr(incremental._CondIndex, "offer", offering)
+    monkeypatch.setattr(incremental._CondIndex, "join", joining)
     monkeypatch.setattr(incremental._IncrementalRun, "_wake", waking)
     monkeypatch.setattr(incremental._IncrementalRun, "_advance", advancing)
     fold_chain(Chain(blocks=(GENESIS_BLOCK,) + tuple(blocks)), spec, org)

@@ -282,8 +282,9 @@ def hospital_run(hospital_spec, seed, patients=8):
     return submissions, replace(config, gossip_seed=seed), ruleset_from_spec(hospital_spec), org
 
 
-def record_verifications(monkeypatch, submissions, config, rules=None, org=None):
-    """Run the network, recording each chain it verified with the verdict it got."""
+def record_verifications(monkeypatch, submissions, config, rules=None, org=None, hostile=None):
+    """Run the network, recording each chain it verified with the verdict it
+    got; with hostile, through hostile_run with those peers in."""
     calls = []
 
     def recording(chain, **context):
@@ -292,7 +293,10 @@ def record_verifications(monkeypatch, submissions, config, rules=None, org=None)
         return verdict
 
     monkeypatch.setattr(network, "verify_chain", recording)
-    result = run_network(submissions, config, rules=rules, org=org)
+    if hostile is None:
+        result = run_network(submissions, config, rules=rules, org=org)
+    else:
+        result = hostile_run(submissions, config, rules, org, hostile)[0]
     monkeypatch.undo()
     return result, calls
 
@@ -304,15 +308,28 @@ def _setup(name, hospital_spec):
     return make_scenario(), make_config(seed=int(seed)), None, None
 
 
-@pytest.mark.parametrize("name", ["hospital-7", "hospital-3", "readings-42", "readings-5"])
+HOSTILE = {"censor": Censor, "equivocate": Equivocate, "tamper": Tamper, "withhold": Withhold}
+
+
+@pytest.mark.parametrize("name", ["hospital-7", "hospital-3", "readings-42", "readings-5"] + sorted(HOSTILE))
 def test_suffix_verification_agrees_with_genesis_on_every_delivered_chain(
-    monkeypatch, hospital_spec, name
+    monkeypatch, hospital_spec, tmp_path, name
 ):
-    result, calls = record_verifications(monkeypatch, *_setup(name, hospital_spec))
-    assert result.converged
-    active = result.active_chain.blocks
-    forks = [c for c, _, _ in calls if c.blocks != active[: len(c.blocks)]]
-    assert forks, "the run should verify chains off the final chain"
+    # honest runs verify only chains that end at a memoized tip; in a run
+    # with a hostile peer, as test_every_memo_entry_is_a_sound_chain_holding_its_index
+    # runs one, Equivocate's siblings are validated past a memo hit
+    if name in HOSTILE:
+        scenario, config, roles = _postcondition_inputs("bench-3-10-five-peers", tmp_path)
+        rules, org = ruleset_from_spec(hospital_spec), Organization.make(hospital_spec.context, roles)
+        hostile = {config.peers[2]: HOSTILE[name]}
+        _, calls = record_verifications(monkeypatch, scenario, config, rules, org, hostile)
+        assert calls
+    else:
+        result, calls = record_verifications(monkeypatch, *_setup(name, hospital_spec))
+        assert result.converged
+        active = result.active_chain.blocks
+        forks = [c for c, _, _ in calls if c.blocks != active[: len(c.blocks)]]
+        assert forks, "the run should verify chains off the final chain"
     for chain, verdict, context in calls:
         oracle = {key: value for key, value in context.items() if key != "memo"}
         assert verify_chain(chain, **oracle) == verdict
@@ -416,6 +433,45 @@ def test_sibling_blocks_on_one_memo_parent_each_get_its_index(monkeypatch, verif
     assert from_genesis == [None, None]
     assert validated == Counter(sibling.tip.header for sibling in siblings)
     assert built == []
+
+
+def test_a_multi_block_suffix_is_validated_on_one_copy_and_memoized_whole(monkeypatch, verified_hospital_run):
+    # three blocks of fresh events past the memo's tip: the tip chain's index
+    # is copied once, the whole suffix is validated on that copy, and only
+    # the whole chain is stored, under its tip digest, holding its index. A
+    # twin forged at its third block is rejected there and stores nothing.
+    chain, memo, context = verified_hospital_run
+    fresh = [
+        Event.make(f"fresh-{n}", "Admit", {"patient": f"fresh-{n}", "nurse": "bob"}, "hospital")
+        .with_signature(context["roster"]["hospital"])
+        for n in range(3)
+    ]
+    extended = chain
+    for event in fresh:
+        extended = extended.extend(_forged_block(extended, (event,), context["target"]))
+    parent = ledger.Chain(blocks=extended.blocks[:-1])
+    twin = parent.extend(_forged_block(parent, (forged(fresh[-1]),), context["target"]))
+    assert verify_chain(extended, **context) is None
+    rejected = verify_chain(twin, **context)
+    assert rejected.index == twin.height and rejected.rejection.reason == "BadSignature"
+    before = dict(memo)
+    copies = Counter()
+    real_copy = LedgerIndex.copy
+    monkeypatch.setattr(LedgerIndex, "copy", lambda index: copies.update(["copy"]) or real_copy(index))
+    validated = count_validations(monkeypatch)
+    assert verify_chain(twin, memo=memo, **context) == rejected
+    assert sum(validated.values()) == 3 and copies == Counter(copy=1)
+    assert memo.keys() == before.keys() and all(memo[key] is known for key, known in before.items())
+    validated.clear()
+    copies.clear()
+    assert verify_chain(extended, memo=memo, **context) is None
+    assert validated == Counter(block.header for block in extended.blocks[-3:]) and copies == Counter(copy=1)
+    assert memo.keys() - before.keys() == {extended.tip_digest()} and len(memo) == len(before) + 1
+    stored = memo[extended.tip_digest()]
+    [(index, covered)] = stored._admission
+    assert stored.blocks == extended.blocks and covered is extended.tip and index.rules is context["rules"]
+    rebuilt = LedgerIndex(context["rules"], extended.events())
+    assert (index.event_ids, index.bound, index.outs) == (rebuilt.event_ids, rebuilt.bound, rebuilt.outs)
 
 
 def test_memoized_blocks_after_an_altered_block_are_rejected_at_it(verified_hospital_run):
@@ -549,7 +605,6 @@ def test_a_block_unlike_its_miner_s_is_admitted_in_full(monkeypatch, hospital_sp
 
 
 MEMO_RUNS = [f"bench-{seed}-{patients}" for seed in range(1000, 1010) for patients in (10, 20, 40)]
-HOSTILE = {"censor": Censor, "equivocate": Equivocate, "tamper": Tamper, "withhold": Withhold}
 
 
 @pytest.mark.parametrize("name", MEMO_RUNS + sorted(HOSTILE))
