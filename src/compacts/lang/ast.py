@@ -93,6 +93,9 @@ class Before:
 Condition = Union[EventPattern, FactPattern, NormStateFactPattern, And, Or, Before]
 PatternLike = (EventPattern, FactPattern, NormStateFactPattern)
 
+# Binary operators, loosest first: 'or' and 'and' chain to the left, 'before' joins two primaries.
+OPERATORS: tuple[tuple[type, str], ...] = ((Or, "or"), (And, "and"), (Before, "before"))
+
 
 def walk(condition: Condition) -> Iterator[Condition]:
     yield condition

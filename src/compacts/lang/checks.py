@@ -11,6 +11,12 @@ drop the norm's outcomes from trust).
 Its last pass warns (unobservable-event-type) of each event type a norm's
 party cannot see on any of its channels: without one, each party can compute
 the norm's state from information it can observe.
+State references are followed by one iterative walk over each norm id's first
+declaration. It lists the norms a reference reaches, each after the norms its
+clauses reference, in order, and enters each before following its references,
+so a reference that closes a cycle reaches nothing new: kinds, walked through
+create clauses, give a create variable reached around a cycle no kind, and
+passes over the walk's order repeat while a cycle grows a norm's event types.
 """
 
 from __future__ import annotations
@@ -126,7 +132,7 @@ def _diagnose(spec: ast.CompactSpec) -> list[Diagnostic]:
                     _err(norm.pos, "unknown-role", f"norm {norm.id}: role {clause.role} not declared")
                 )
         diags.extend(_check_norm(declared, norm))
-    return diags + _unobservable(spec, rules)
+    return diags + _unobservable(spec, rules, declared.table)
 
 
 def _check_norm(declared, norm: ast.NormDecl) -> list[Diagnostic]:
@@ -202,22 +208,27 @@ class _Declarations:
     An event type declares its parameters. A counts-as fact declares its
     projected attributes, each of the kind of the source parameter its
     variable fills (the first rule that gives one decides). A norm-state
-    pattern declares the norm's create variables, each of the kind the
-    create clause gives it; a cycle of state references adds no kind. An
-    object, not a closure, so that its tables hold no reference to it and
-    go when the check returns."""
+    pattern declares the create variables of its id's first declaration, of
+    the kinds its create clause gives them, none around a cycle. An object,
+    not a closure: its tables hold no reference to it and go with the check."""
 
     def __init__(self, spec: ast.CompactSpec, rules: IntegrityRuleSet):
-        self.spec, self.rules = spec, rules
+        self.rules, self.table = rules, {norm.id: norm for norm in reversed(spec.norms)}
         self.events: dict[str, Optional[dict[str, str]]] = {}
         self.facts: dict[str, dict[str, Optional[str]]] = {}
-        self.norms: dict[str, Optional[dict[str, Optional[str]]]] = {}
+        self.norms = {norm_id: dict.fromkeys(norm.create_variables()) for norm_id, norm in self.table.items()}
         for rule in spec.counts_as:
             filled = _check_kinds(self, [rule.source])[1]
             projected = self.facts.setdefault(rule.fact, {})
             for attribute, variable in rule.projection:
                 if projected.get(attribute) is None:
                     projected[attribute] = filled.get(variable)
+        # walked from the state patterns in the order the checks meet them
+        creates = {norm_id: _references([norm.create], self.table) for norm_id, norm in self.table.items()}
+        roots = _references((cond for norm in spec.norms for _, cond in norm.clauses()), self.table)
+        for norm_id in _reach(roots, creates, set()):
+            kinds = _check_kinds(self, ast.patterns_of(self.table[norm_id].create))[1]
+            self.norms[norm_id] = {name: kinds.get(name) for name in self.norms[norm_id]}
 
     def __call__(self, pattern) -> Optional[dict[str, Optional[str]]]:
         if isinstance(pattern, ast.EventPattern):
@@ -228,16 +239,7 @@ class _Declarations:
             return self.events[pattern.event_type]
         if isinstance(pattern, ast.FactPattern):
             return self.facts.get(pattern.fact)
-        norms = self.norms
-        if pattern.norm_id not in norms:
-            norm = self.spec.norm(pattern.norm_id)
-            norms[pattern.norm_id] = None
-            if norm is not None:
-                names = norm.create_variables()
-                norms[pattern.norm_id] = dict.fromkeys(names)  # what a cycle of references sees
-                kinds = _check_kinds(self, ast.patterns_of(norm.create))[1]
-                norms[pattern.norm_id] = {name: kinds.get(name) for name in names}
-        return norms[pattern.norm_id]
+        return self.norms.get(pattern.norm_id)
 
 
 def _check_pattern(declared, pattern: ast.Condition, pos: ast.Pos, where: str = "") -> list[Diagnostic]:
@@ -301,45 +303,59 @@ def _repeated(items: Iterable[T], key: Callable[[T], Hashable] = lambda item: it
     return [group[1] for group in groups.values() if len(group) > 1]
 
 
-def _norm_event_types(spec: ast.CompactSpec, norm: ast.NormDecl, seen: set[str]) -> set[str]:
-    """Event types a party must see to compute the norm's state. Derived
-    facts trace back to their sources: counts-as facts to their rules' source
-    event types, norm-state facts to the referenced norm's (transitively)."""
-    if norm.id in seen:
-        return set()
-    seen.add(norm.id)
-    types: set[str] = set()
-    for _, cond in norm.clauses():
-        for pattern in ast.patterns_of(cond):
-            if isinstance(pattern, ast.EventPattern):
-                types.add(pattern.event_type)
-            elif isinstance(pattern, ast.FactPattern):
-                for rule in spec.counts_as:
-                    if rule.fact == pattern.fact:
-                        types.add(rule.source.event_type)
-            elif isinstance(pattern, ast.NormStateFactPattern):
-                target = spec.norm(pattern.norm_id)
-                if target is not None:
-                    types.update(_norm_event_types(spec, target, seen))
-    return types
+def _references(conditions: Iterable[ast.Condition], table: dict[str, ast.NormDecl]) -> list[str]:
+    """The declared norm ids the conditions' state patterns name, in order."""
+    patterns = (p for condition in conditions for p in ast.patterns_of(condition))
+    return [p.norm_id for p in patterns if isinstance(p, ast.NormStateFactPattern) and p.norm_id in table]
 
 
-def _unobservable(spec: ast.CompactSpec, rules: IntegrityRuleSet) -> list[Diagnostic]:
+def _reach(roots: Iterable[str], references: dict[str, list[str]], seen: set[str]) -> list[str]:
+    """The module docstring's walk from roots: it enters no id in seen, and adds each id it enters."""
+    order, stack = [], [(None, iter(roots))]
+    while stack:
+        for norm_id in stack[-1][1]:
+            if norm_id not in seen:
+                seen.add(norm_id)
+                stack.append((norm_id, iter(references[norm_id])))
+                break
+        else:
+            order.append(stack.pop()[0])
+    return order[:-1]  # the last is the roots' None
+
+
+def _unobservable(spec: ast.CompactSpec, rules: IntegrityRuleSet, table: dict[str, ast.NormDecl]) -> list[Diagnostic]:
     """A warning per norm, party and declared event type that no channel open
     to the party carries; an undeclared type already draws its own error. The
     built-in governance types ride a channel open to every role; a principal
     context resolves to channels only at runtime."""
+    def own(norm: ast.NormDecl) -> set[str]:  # a fact's through its rules' sources
+        patterns = [p for _, cond in norm.clauses() for p in ast.patterns_of(cond)]
+        facts = {p.fact for p in patterns if isinstance(p, ast.FactPattern)}
+        return {p.event_type for p in patterns if isinstance(p, ast.EventPattern)} | {
+            rule.source.event_type for rule in spec.counts_as if rule.fact in facts}
+
+    refs = {norm_id: _references((cond for _, cond in norm.clauses()), table) for norm_id, norm in table.items()}
+    needed, order = {norm_id: own(norm) for norm_id, norm in table.items()}, _reach(table, refs, set())
+    grown = True
+    while grown:  # after the first pass in walk order, only a cycle grows a set
+        sizes = [len(needed[norm_id]) for norm_id in order]
+        for norm_id in order:
+            needed[norm_id].update(*(needed[ref] for ref in refs[norm_id]))
+        grown = sizes != [len(needed[norm_id]) for norm_id in order]
     visible = {(member, t) for channel in rules.channels for member in channel.members for t in channel.carries}
     gaps: list[Diagnostic] = []
     for norm in spec.norms:
-        needed = sorted(_norm_event_types(spec, norm, set()))
+        types = needed[norm.id]
+        if table[norm.id] is not norm:  # a later declaration walks with its id seen
+            walked = _reach(_references((cond for _, cond in norm.clauses()), table), refs, {norm.id})
+            types = own(norm).union(*(own(table[norm_id]) for norm_id in walked))
         context = norm.context if norm.context is not None else spec.context
         parties = (norm.subject.role, norm.object.role) + ((context,) if context in spec.roles else ())
         gaps.extend(
             Diagnostic("warning", *norm.pos, "unobservable-event-type",
                        f"norm {norm.id}: role {party} cannot observe {event_type}")
             for party in dict.fromkeys(parties)
-            for event_type in needed
+            for event_type in sorted(types)
             if (party, event_type) not in visible and rules.schema_for(event_type) is not None
         )
     return gaps

@@ -321,23 +321,16 @@ class _Parser:
     # Each rule leaves in self.height the depth of the condition it parsed:
     # the most operators on one path from its root. Parentheses do not count.
 
-    def condition(self, before: bool = True) -> ast.Condition:
-        """With before=False, a condition with no top-level 'before'."""
-        node = self.and_condition(before)
-        while self.at_keyword("or"):
-            node = self._operator(ast.Or, node, lambda: self.and_condition(before))
-        return node
-
-    def and_condition(self, before: bool = True) -> ast.Condition:
-        node = self.before_condition(before)
-        while self.at_keyword("and"):
-            node = self._operator(ast.And, node, lambda: self.before_condition(before))
-        return node
-
-    def before_condition(self, before: bool = True) -> ast.Condition:
-        node = self.primary()
-        if before and self.at_keyword("before"):
-            node = self._operator(ast.Before, node, self.primary)
+    def condition(self, before: bool = True, level: int = 0) -> ast.Condition:
+        """Operators of ast.OPERATORS[level:] over primaries; before=False stops at a top-level 'before'."""
+        if level == len(ast.OPERATORS):
+            return self.primary()
+        make, word = ast.OPERATORS[level]
+        node = self.condition(before, level + 1)
+        while self.at_keyword(word) and (before or make is not ast.Before):
+            node = self._operator(make, node, lambda: self.condition(before, level + 1))
+            if make is ast.Before:
+                break
         return node
 
     def _operator(

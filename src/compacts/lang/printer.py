@@ -11,16 +11,6 @@ from __future__ import annotations
 from ..validator import Channel, SchemaDecl
 from . import ast
 
-# operator -> (keyword, precedence, precedence its left and its right operand
-# print at). 'and' and 'or' group to the left, so a right operand of the same
-# operator is parenthesized; the operands of 'before' are patterns or
-# parenthesized conditions.
-_OPERATORS = {
-    ast.Or: ("or", 1, 1, 2),
-    ast.And: ("and", 2, 2, 3),
-    ast.Before: ("before", 3, 4, 4),
-}
-
 
 def _term(term: ast.Term) -> str:
     if isinstance(term, ast.Variable):
@@ -56,14 +46,17 @@ def format_pattern(pattern: ast.Condition) -> str:
 
 
 def format_condition(condition: ast.Condition, parent_level: int = 0, bare_before: bool = True) -> str:
-    """bare_before=False, for an exemption, whose own 'before' keyword would
-    close it, parenthesizes each 'before' not already in parentheses."""
+    """The condition as an operand at precedence parent_level, an index of
+    ast.OPERATORS: a looser operator is parenthesized. bare_before=False, for
+    an exemption, whose own 'before' keyword would close it, parenthesizes
+    each 'before' not already in parentheses."""
     if isinstance(condition, ast.PatternLike):
         return format_pattern(condition)
-    word, level, left_level, right_level = _OPERATORS[type(condition)]
-    wrap = level < parent_level or (not bare_before and isinstance(condition, ast.Before))
-    left = format_condition(condition.left, left_level, bare_before or wrap)
-    right = format_condition(condition.right, right_level, bare_before or wrap)
+    level, (node, word) = next(entry for entry in enumerate(ast.OPERATORS) if isinstance(condition, entry[1][0]))
+    wrap = level < parent_level or (not bare_before and node is ast.Before)
+    # 'and' and 'or' group to the left; the operands of 'before' are primaries
+    left = format_condition(condition.left, level + (node is ast.Before), bare_before or wrap)
+    right = format_condition(condition.right, level + 1, bare_before or wrap)
     text = f"{left} {word} {right}"
     return f"({text})" if wrap else text
 

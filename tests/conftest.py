@@ -9,6 +9,7 @@ import pytest
 from compacts.governance import Organization
 from compacts.lang import parse_compact
 from compacts.ledger import Block, Chain, Event, genesis_chain, mine_block
+from compacts.validator import LedgerIndex
 
 REPO = Path(__file__).resolve().parent.parent
 DEMOS = REPO / "demos"
@@ -29,6 +30,35 @@ HOSPITAL_ROLES = {
     "charlie": ["Patient"],
     "alice": ["Nurse"],
 }
+
+
+def count_index_builds(monkeypatch) -> list:
+    """Records, from now on, the number of events each LedgerIndex is built from,
+    for each one built from a non-empty sequence: a rebuild, not a fresh index."""
+    built = []
+    real_init = LedgerIndex.__init__
+
+    def counting_init(index, rules, events=()):
+        events = list(events)
+        if events:
+            built.append(len(events))
+        real_init(index, rules, events)
+
+    monkeypatch.setattr(LedgerIndex, "__init__", counting_init)
+    return built
+
+
+def chained_norms(count: int, reverse: bool = False) -> str:
+    """A well-formed compact of count commitments in which N0 is created on
+    an event and each later N{i} when N{i-1} is satisfied, declared in order
+    or in reverse."""
+    norms = [
+        f"  commitment N{i} subject R object S {{ create on {f'satisfied N{i - 1}(k)' if i else 'E(k)'};"
+        " consequent E(k) within 5 blocks; }"
+        for i in range(count)
+    ]
+    head = "compact Chain context org {\n  roles R, S;\n  schema E(k: text key);\n  channel c members R, S carries E;\n"
+    return head + "\n".join(norms[::-1] if reverse else norms) + "\n}\n"
 
 
 def cli_argv(fmt: str, path, out) -> list[str]:

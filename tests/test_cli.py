@@ -20,7 +20,7 @@ from compacts.cli import (
 from compacts.lang import checks
 from compacts.lang.parser import MAX_CONDITION_DEPTH
 
-from conftest import DEMOS, FIXTURES, REPO, cli_argv
+from conftest import DEMOS, FIXTURES, REPO, chained_norms, cli_argv
 
 
 def run_cli(*argv):
@@ -454,6 +454,17 @@ def test_hostile_compact_fails_run_without_a_traceback(tmp_path, capsys, name):
     done = _cli_subprocess(argv)
     assert done.returncode == EXIT_PARSE
     assert "hostile.cpt:" in done.stderr and "error:" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("count, reverse", [(1500, False), (500, True)], ids=["1500-in-order", "500-in-reverse"])
+def test_a_long_chain_of_state_references_parses_without_a_traceback(tmp_path, count, reverse):
+    # the checker follows each norm's reference to the one before it; a
+    # walk that recursed per reference hit Python's recursion limit
+    spec = tmp_path / "chain.cpt"
+    spec.write_text(chained_norms(count, reverse))
+    done = _cli_subprocess(["parse", str(spec)])
+    assert done.returncode == EXIT_OK, done.stderr
     assert "Traceback" not in done.stderr
 
 

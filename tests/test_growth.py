@@ -44,6 +44,11 @@ run under hospital.cpt's rules and roles as compacts run does:
   the entries, counted as for entries_copied, of the indexes its chains
   hold.
 
+- index_built: for each LedgerIndex built from a non-empty sequence of
+  events (a rebuild, not a peer's fresh index), the events it is built
+  from. A peer extends the index it holds, and a mined chain takes the index
+  it was mined on, so an honest run builds none.
+
 For each count the least-squares slope of its logarithm against that of
 the scenario's events is taken over the four sizes. The admission checks,
 signature checks, events digests and memo entries grow at most with the
@@ -54,6 +59,14 @@ turn scans every seen event, and each memo chain holds its whole prefix
 and its own index (ROADMAP items 12 and 5). They are gated at slope 2.1
 (1.647, 1.544, 1.241 and 1.592 at seed 1), a bound that later changes may
 only tighten.
+
+The checker's work is counted on a chain of state references, the
+conftest's chained_norms compact at 100, 200, 400 and 800 norms, declared
+in order and in reverse: patterns_of, the calls of ``ast.patterns_of`` that
+check_well_formedness makes. The checker lists each norm once in one walk
+over its references, so the count grows with the norms (slope at most 1.1;
+1.0 in both orders). A walk per norm made it grow with their square, and a
+recursive one ended in RecursionError from 400 norms in reverse order.
 
 The counts must repeat exactly under every hash seed, so the test runs this
 file as a script under PYTHONHASHSEED 0 to 3; the script prints each
@@ -78,10 +91,10 @@ import pytest
 from compacts import evaluator, incremental, ledger, network
 from compacts.fileformats import read_network_config, read_scenario
 from compacts.governance import Organization, ruleset_from_spec
-from compacts.lang import parse_compact
+from compacts.lang import ast, check_well_formedness, parse_compact
 from compacts.validator import LedgerIndex
 
-from conftest import DEMOS, REPO, bench_generators
+from conftest import DEMOS, REPO, bench_generators, chained_norms, count_index_builds
 
 WORKLOADS = [("peerreview", 80), ("peerreview", 160), ("peerreview", 320), ("datatrust", 120), ("datatrust", 240)]
 COUNTED = {
@@ -105,6 +118,8 @@ WEIGHT = {  # what one call adds, read from its first argument; else 1
     "entries_copied": lambda index: len(index.event_ids) + len(index.bound) + len(index.outs),
     "seen_scanned": lambda peer: len(peer.seen),
 }
+NORMS = (100, 200, 400, 800)
+ORDERS = {"in-order": False, "reversed": True}
 SLOPE_BOUND = {
     "schema_checks": 1.1, "integrity_checks": 1.1, "verify_event_signature": 1.1, "events_digest": 1.1,
     "memo_entries": 1.1, "entries_copied": 2.1, "seen_scanned": 2.1, "memo_blocks": 2.1, "memo_index_entries": 2.1,
@@ -170,21 +185,32 @@ def network_work(patients: int) -> dict[str, int]:
     counts, peers, make = Counter({name: 0 for name in NETWORK_COUNTED}), [], network._Peer
     with counting(NETWORK_COUNTED, counts), pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "_Peer", lambda *args: peers.append(make(*args)) or peers[-1])
+        built = count_index_builds(patch)
         network.run_network(scenario, config, rules=ruleset_from_spec(spec), org=org)
     chains = peers[0].memo.values()
     held = [index for chain in chains for index, _ in chain._admission]
     return dict(
         counts,
         events=len(scenario),
+        index_built=sum(built),
         memo_entries=len(chains),
         memo_blocks=sum(len(chain.blocks) for chain in chains),
         memo_index_entries=sum(map(WEIGHT["entries_copied"], held)),
     )
 
 
+def check_work(norms: int, reverse: bool) -> dict[str, int]:
+    """The patterns_of calls of one check of the chained-norm compact."""
+    spec, counts = parse_compact(chained_norms(norms, reverse)), Counter()
+    with counting({"patterns_of": [(ast, "patterns_of")]}, counts):
+        check_well_formedness(spec)
+    return dict(counts)
+
+
 def _all_work() -> dict:
     work = {f"{workload}-{size}": work_by_quintile(workload, size) for workload, size in WORKLOADS}
     work.update({f"hospital-{patients}": network_work(patients) for patients in PATIENTS})
+    work.update({f"chained-{order}-{n}": check_work(n, reverse) for order, reverse in ORDERS.items() for n in NORMS})
     return work
 
 
@@ -203,6 +229,7 @@ def work_by_hash_seed() -> list[dict]:
 def test_each_count_repeats_under_every_hash_seed(work_by_hash_seed):
     first = work_by_hash_seed[0]
     names = [f"{workload}-{size}" for workload, size in WORKLOADS] + [f"hospital-{p}" for p in PATIENTS]
+    names += [f"chained-{order}-{n}" for order in ORDERS for n in NORMS]
     assert sorted(first) == sorted(names)
     assert all(run == first for run in work_by_hash_seed[1:])
 
@@ -219,12 +246,23 @@ def test_an_honest_network_run_validates_no_block(work_by_hash_seed):
     assert [work_by_hash_seed[0][f"hospital-{p}"]["validate_block"] for p in PATIENTS] == [0] * len(PATIENTS)
 
 
+def test_an_honest_network_run_builds_no_index_from_a_chain_s_events(work_by_hash_seed):
+    assert [work_by_hash_seed[0][f"hospital-{p}"]["index_built"] for p in PATIENTS] == [0] * len(PATIENTS)
+
+
 @pytest.mark.parametrize("count", sorted(SLOPE_BOUND))
 def test_the_network_s_work_grows_within_its_slope(work_by_hash_seed, count):
     runs = [work_by_hash_seed[0][f"hospital-{p}"] for p in PATIENTS]
     fit = statistics.linear_regression([math.log(run["events"]) for run in runs],
                                        [math.log(run[count]) for run in runs])
     assert fit.slope <= SLOPE_BOUND[count], [run[count] for run in runs]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_the_checker_s_work_grows_with_a_chain_of_state_references(work_by_hash_seed, order):
+    counts = [work_by_hash_seed[0][f"chained-{order}-{n}"]["patterns_of"] for n in NORMS]
+    fit = statistics.linear_regression([math.log(n) for n in NORMS], [math.log(count) for count in counts])
+    assert fit.slope <= 1.1, counts
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from compacts.ledger import Block, Event, mine_block, verify_chain
 from compacts.network import NetworkConfig, run_network
 from compacts.validator import LedgerIndex, check_integrity
 
-from conftest import DEMOS, bench_generators, load_fixture
+from conftest import DEMOS, bench_generators, count_index_builds, load_fixture
 from hostile_peers import Censor, Equivocate, Tamper, Withhold, forged, hostile_run
 
 ROSTER = tuple((f"client-{i}", f"key-{i}") for i in range(4))
@@ -351,22 +351,6 @@ def count_validations(monkeypatch) -> Counter:
 
     monkeypatch.setattr(ledger, "validate_block", counting)
     return validated
-
-
-def count_index_builds(monkeypatch) -> list:
-    """Records, from now on, the number of events each LedgerIndex is built from,
-    for each one built from a non-empty sequence: a rebuild, not a fresh index."""
-    built = []
-    real_init = LedgerIndex.__init__
-
-    def counting_init(index, rules, events=()):
-        events = list(events)
-        if events:
-            built.append(len(events))
-        real_init(index, rules, events)
-
-    monkeypatch.setattr(LedgerIndex, "__init__", counting_init)
-    return built
 
 
 @pytest.fixture
