@@ -23,6 +23,9 @@ spawned it. Nothing seen lies past the current position, so matching needs
 no time cutoff. Here a pass steps, and _lapse checks, every live instance;
 the incremental run narrows both, through _pass_keys and _lapse_keys, to
 an agenda and a lapse heap that _enlist fills (incremental.py says why).
+A table beside the step rules, _STEP_READS, lists the clauses each live
+state's step reads; the incremental run wakes an instance only for a match
+of one of them.
 
 _fixpoint starts a pass while _due says one is due. Here that is while an
 event or a fact arrived since the last pass began: at each event, then
@@ -87,7 +90,8 @@ class NormState(Enum):
     EXPIRED = "expired"
 
 
-TERMINAL_STATES = frozenset({NormState.SATISFIED, NormState.VIOLATED, NormState.EXPIRED})
+# a tuple, so membership tests identity: an Enum's hash runs in Python
+TERMINAL_STATES = (NormState.SATISFIED, NormState.VIOLATED, NormState.EXPIRED)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +114,7 @@ class NormInstance:
         return self.state in TERMINAL_STATES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalState:
     """What the evaluator concluded from a processed chain prefix, its facts
     in derivation order. Its events stay in the append-only trace of run, the
@@ -242,11 +246,11 @@ class _Run:
                 detach_on_create = norm.kind == ast.COMMITMENT and norm.antecedent is None
                 self.live[key] = len(self.instances)
                 self._put(key, NormInstance(
-                    norm_id=norm.id,
-                    key_bindings=match.bindings,
-                    state=NormState.DETACHED if detach_on_create else NormState.ACTIVE,
-                    created_at=match.witness,
-                    detached_at=match.witness if detach_on_create else None,
+                    norm.id,
+                    match.bindings,
+                    NormState.DETACHED if detach_on_create else NormState.ACTIVE,
+                    match.witness,
+                    match.witness if detach_on_create else None,
                 ))
                 self._enlist(key)
                 if detach_on_create:
@@ -267,6 +271,14 @@ class _Run:
     def _pass_keys(self) -> Iterable[tuple[str, Bindings]]:
         """Keys one pass steps, in creation order: here every live one."""
         return list(self.live)
+
+    # The clauses a live state's step reads, by norm kind: the two step rules
+    # below read no other, and a norm may lack some. An exemption only removes
+    # a violation, and a lapse comes from _lapse_height, so neither is listed.
+    _STEP_READS = {
+        ast.COMMITMENT: {NormState.ACTIVE: ("antecedent", "consequent"), NormState.DETACHED: ("consequent",)},
+        ast.PROHIBITION: {NormState.ACTIVE: ("forbids", "until")},
+    }
 
     def _step_commitment(self, key, inst: NormInstance, norm: ast.NormDecl) -> None:
         base = inst.key_bindings

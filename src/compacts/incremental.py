@@ -23,19 +23,29 @@ evaluator's own (evaluator._Run); _IncrementalRun answers their match queries
 from the cached sets, hands _spawn just the create matches added since its
 last pass, and tells a pass and _lapse which instances to look at.
 
-A block steps only what it touched. A step reads only the instance and the
-clause matches compatible with its key (_first_unexempted's merged bindings
-select a subset of those), so an instance whose state has not changed and
-whose clauses gained no compatible match since its last step would step to
-no transition again. A pass steps an agenda: _Run._enlist adds an instance
-as it is created and as a transition leaves it live, and a clause of its
-norm adds it on gaining a match that agrees with its key on the names both
-bind. Those keys are read from the norm's create index, since each key is a
-create match's bindings; the live ones are woken. The agenda keeps batch's
-order: creation order, the seq _Run.live maps a key to; woken above the
-cursor, an instance steps in this pass, at or below it (the one stepping
-too) in the next. _lapse pops a heap of (due height, seq, key), pushed at
-_Run._lapse_height by _enlist; _Run's lapse conditions skip stale entries.
+A block steps only what can fire. A step reads only the instance and the
+matches compatible with its key of the clauses its state reads, listed in
+_Run._STEP_READS: an active commitment its antecedent and consequent, a
+detached one its consequent, an active prohibition its forbids and until (an
+exemption only removes a violation, and lapses come from the lapse heap).
+A pass steps an agenda. _Run._enlist adds an instance, as it is created and
+as a transition leaves it live, if a clause its state reads already has a
+compatible match; a clause of its norm adds it on gaining a match that
+agrees with its key on the names both bind, if its state reads that clause.
+Those keys are read from the norm's create index, since each key is a create
+match's bindings; the live ones are woken. The agenda keeps batch's order:
+creation order, the seq _Run.live maps a key to; woken above the cursor, an
+instance steps in this pass, at or below it (the one stepping too) in the
+next. Both rules are exact. A step with no compatible match in any clause
+its state reads transitions nothing, and a match that did not fire one step
+fires no later one (a witness before creation, or an exemption, stays). So
+only steps that transition nothing are left out: a later compatible match
+wakes the instance through _advance, whose cursor rule puts it in the same
+pass an agenda of every enlisted and agreeing instance would have stepped it
+in, and states, facts, witnesses and transition order are unchanged. _lapse
+pops a heap of (due height, seq, key), pushed at _Run._lapse_height by
+_enlist whether or not it wakes the instance; _Run's lapse conditions skip
+stale entries.
 
 A pass is due (_due) only while the agenda or the unspawned create matches
 are non-empty: a pass spawns only unspawned matches and steps only agenda
@@ -67,7 +77,7 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
-from .evaluator import EvalState, _Run, ensure_spec_well_formed
+from .evaluator import EvalState, NormState, _Run, ensure_spec_well_formed
 from .governance import EMPTY_ORGANIZATION, Organization, counts_as_facts_for_event
 from .lang import ast
 from .ledger import Block, Chain, Event, Position
@@ -237,6 +247,10 @@ class _IncrementalRun(_Run):
         super().__init__(spec, org)
         self.indexes: dict[tuple[str, str], _CondIndex] = {}
         self.routes: dict[tuple[str, str], list[tuple[_CondIndex, tuple, str, str]]] = {}
+        # _STEP_READS both ways, over the clauses a norm has: (norm id, state)
+        # -> the indexes its step reads; (norm id, clause) -> the states reading it
+        self.reads: dict[tuple[str, NormState], tuple[_CondIndex, ...]] = {}
+        self.readers: dict[tuple[str, str], tuple[NormState, ...]] = {}
         for norm in spec.norms:
             for clause, cond in norm.clauses():
                 root = self.indexes[(norm.id, clause)] = _CondIndex(cond)
@@ -244,6 +258,11 @@ class _IncrementalRun(_Run):
                     p = path[0].cond
                     head = ("event", p.event_type) if isinstance(p, ast.EventPattern) else ("fact", fact_name(p))
                     self.routes.setdefault(head, []).append((path[0], tuple(zip(path, path[1:])), norm.id, clause))
+            for state, clauses in self._STEP_READS[norm.kind].items():
+                read = [(norm.id, clause) for clause in clauses if (norm.id, clause) in self.indexes]
+                self.reads[(norm.id, state)] = tuple(map(self.indexes.__getitem__, read))
+                for pair in read:
+                    self.readers[pair] = self.readers.get(pair, ()) + (state,)
         self.unspawned: dict[str, list[Match]] = {}
         self.agenda: list[tuple[int, int, _Key]] = []  # (pass, seq, key)
         self.passes = 0  # passes done: the number of the pass under way, or next
@@ -257,20 +276,25 @@ class _IncrementalRun(_Run):
                 fresh = fresh and node.join(child, fresh)
             if fresh and clause == "create":
                 self.unspawned.setdefault(norm_id, []).extend(fresh)
-            elif fresh:
+            elif fresh and (readers := self.readers.get((norm_id, clause))):  # none read an exemption
                 create = self.indexes[(norm_id, "create")]
                 for match in fresh:
                     for created in create.compatible_with(match.bindings):
                         key = (norm_id, created.bindings)
-                        if key in self.live:
+                        if key in self.live and self.instances[key].state in readers:
                             self._wake(key)
 
     def _enlist(self, key: _Key) -> None:
-        """Wake a new or still-live instance and schedule its lapse. Its own
-        detached fact, or a clause match that agrees with several of its
-        create matches, may wake it again: _pass_keys skips the repeat."""
-        self._wake(key)
-        due = self._lapse_height(self.instances[key])
+        """Wake a new or still-live instance if a clause its state reads
+        already has a match that agrees with its key, and schedule its lapse.
+        A match that agrees with several of its create matches may wake it
+        again: _pass_keys skips the repeat."""
+        inst = self.instances[key]
+        for index in self.reads[(key[0], inst.state)]:
+            if index.compatible_with(key[1]):
+                self._wake(key)
+                break
+        due = self._lapse_height(inst)
         if due is not None:
             heapq.heappush(self.lapses, (due, self.live[key], key))
 
@@ -279,10 +303,13 @@ class _IncrementalRun(_Run):
         heapq.heappush(self.agenda, (self.passes + (seq <= self.cursor), seq, key))
 
     def _lapse_keys(self, now: Position) -> Iterable[_Key]:
-        lapses, due = self.lapses, set()
+        lapses = self.lapses
+        if not lapses or lapses[0][0] >= now.block_index:
+            return ()
+        due = set()
         while lapses and lapses[0][0] < now.block_index:
             due.add(heapq.heappop(lapses)[1:])
-        return [key for _, key in sorted(due) if key in self.live] if due else ()
+        return [key for _, key in sorted(due) if key in self.live]
 
     def _pass_keys(self) -> Iterator[_Key]:
         while self.agenda and self.agenda[0][0] == self.passes:
@@ -315,8 +342,8 @@ class _IncrementalRun(_Run):
             found.sort(key=match_sort_key)
         return found
 
-    def create_matches(self, norm: ast.NormDecl) -> list[Match]:
-        waiting = self.unspawned.pop(norm.id, [])
+    def create_matches(self, norm: ast.NormDecl) -> Iterable[Match]:
+        waiting = self.unspawned.pop(norm.id, ())
         if len(waiting) > 1:
             waiting.sort(key=match_sort_key)
         return waiting

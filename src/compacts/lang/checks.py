@@ -17,6 +17,8 @@ clauses reference, in order, and enters each before following its references,
 so a reference that closes a cycle reaches nothing new: kinds, walked through
 create clauses, give a create variable reached around a cycle no kind, and
 passes over the walk's order repeat while a cycle grows a norm's event types.
+A later declaration of a duplicated id reaches what its references reach in
+the graph without that id, whose closure is computed once per such id.
 """
 
 from __future__ import annotations
@@ -335,20 +337,32 @@ def _unobservable(spec: ast.CompactSpec, rules: IntegrityRuleSet, table: dict[st
             rule.source.event_type for rule in spec.counts_as if rule.fact in facts}
 
     refs = {norm_id: _references((cond for _, cond in norm.clauses()), table) for norm_id, norm in table.items()}
-    needed, order = {norm_id: own(norm) for norm_id, norm in table.items()}, _reach(table, refs, set())
-    grown = True
-    while grown:  # after the first pass in walk order, only a cycle grows a set
-        sizes = [len(needed[norm_id]) for norm_id in order]
-        for norm_id in order:
-            needed[norm_id].update(*(needed[ref] for ref in refs[norm_id]))
-        grown = sizes != [len(needed[norm_id]) for norm_id in order]
+    owned = {norm_id: own(norm) for norm_id, norm in table.items()}
+
+    def needed(without: Optional[str]) -> dict[str, set[str]]:
+        """Each id's own event types and those of every id it reaches, in the
+        reference graph less the id without."""
+        graph = {norm_id: [r for r in refs[norm_id] if r != without] for norm_id in refs if norm_id != without}
+        types, order = {norm_id: set(owned[norm_id]) for norm_id in graph}, _reach(graph, graph, set())
+        grown = True
+        while grown:  # after the first pass in walk order, only a cycle grows a set
+            sizes = [len(types[norm_id]) for norm_id in order]
+            for norm_id in order:
+                types[norm_id].update(*(types[ref] for ref in graph[norm_id]))
+            grown = sizes != [len(types[norm_id]) for norm_id in order]
+        return types
+
+    closures = {None: needed(None)}  # and, per duplicated id, the graph's without it
     visible = {(member, t) for channel in rules.channels for member in channel.members for t in channel.carries}
     gaps: list[Diagnostic] = []
     for norm in spec.norms:
-        types = needed[norm.id]
-        if table[norm.id] is not norm:  # a later declaration walks with its id seen
-            walked = _reach(_references((cond for _, cond in norm.clauses()), table), refs, {norm.id})
-            types = own(norm).union(*(own(table[norm_id]) for norm_id in walked))
+        if table[norm.id] is norm:
+            types = closures[None][norm.id]
+        else:  # a later declaration reaches what its references do without its id
+            if norm.id not in closures:
+                closures[norm.id] = needed(norm.id)
+            reached, ids = closures[norm.id], _references((cond for _, cond in norm.clauses()), table)
+            types = own(norm).union(*(reached[ref] for ref in ids if ref != norm.id))
         context = norm.context if norm.context is not None else spec.context
         parties = (norm.subject.role, norm.object.role) + ((context,) if context in spec.roles else ())
         gaps.extend(

@@ -194,20 +194,26 @@ def hash_block_header(header: BlockHeader) -> bytes:
     return header._digest
 
 
+_EMPTY_DIGEST = hashlib.sha256(b"").digest()
+
+
 def events_digest(events: tuple[Event, ...]) -> bytes:
     """SHA-256 of the events' canonical bytes, joined in order. Each event's
-    canonical_serialize bytes are fed to one hash in turn, so the block's
-    bytes are never joined."""
+    signing bytes and its length-prefixed signature are fed to one hash in
+    turn, so an event's canonical bytes are never built."""
+    if not events:
+        return _EMPTY_DIGEST
     digest = hashlib.sha256()
     for event in events:
-        digest.update(canonical_serialize(event))
+        digest.update(event.signing_bytes())
+        digest.update(_blob_bytes(event.signature))
     return digest.digest()
 
 
 GENESIS_HEADER = BlockHeader(
     index=0,
     prev_hash=ZERO_DIGEST,
-    events_digest=hashlib.sha256(b"").digest(),
+    events_digest=_EMPTY_DIGEST,
     miner="genesis",
     nonce=0,
 )

@@ -19,8 +19,9 @@ Only blocks that carry events count. They are split in height order into
 five quintiles of equally many blocks, and each count is divided by the
 events in its quintile. If a block's work grew with the chain behind it,
 the last quintile would read more per event than the first. At seed 1 the
-largest quintile reads at most 1.048 times the smallest on peerreview and
-at most 1.071 times on datatrust; the gate is 1.1.
+largest quintile reads at most 1.093 times the smallest on peerreview and
+at most 1.098 times on datatrust, both on steps, whose quintiles do not
+rise in height order; the gate is 1.1.
 
 The network's work is counted over a whole run_network of a generated
 hospital scenario (bench generators, seed 1) at 10, 20, 40 and 80 patients,
@@ -68,6 +69,23 @@ over its references, so the count grows with the norms (slope at most 1.1;
 1.0 in both orders). A walk per norm made it grow with their square, and a
 recursive one ended in RecursionError from 400 norms in reverse order.
 
+The same count is taken on a compact whose later declarations repeat one
+norm id: chained_norms of n norms with n more declarations of its last,
+at n = 100, 200, 400 and 800 (duplicated-n). The checker reads each id's
+closure over the reference graph without that id once, so a later
+declaration costs only its own references and the count grows with the
+norms (slope at most 1.1). A walk per later declaration made it grow with
+their square.
+
+Lifecycle steps, as above, are also counted over a fold of the tick
+stream: the tick compact written below, folded over 125, 250, 500 and 1,000
+blocks of one Open and one Tick each (ticks-n, by events). Each instance
+detaches at the first Tick after its Open and stays live past the chain.
+A clause match wakes only the instances whose state reads that clause, so
+a Tick wakes no detached instance, and the steps grow with the events
+(slope at most 1.1; 1.0 at seed 1). Waking every live instance whose key
+agrees made them grow as n squared over 2.
+
 The counts must repeat exactly under every hash seed, so the test runs this
 file as a script under PYTHONHASHSEED 0 to 3; the script prints each
 workload's counts as JSON:
@@ -92,9 +110,10 @@ from compacts import evaluator, incremental, ledger, network
 from compacts.fileformats import read_network_config, read_scenario
 from compacts.governance import Organization, ruleset_from_spec
 from compacts.lang import ast, check_well_formedness, parse_compact
+from compacts.ledger import Event
 from compacts.validator import LedgerIndex
 
-from conftest import DEMOS, REPO, bench_generators, chained_norms, count_index_builds
+from conftest import DEMOS, REPO, bench_generators, build_chain, chained_norms, count_index_builds
 
 WORKLOADS = [("peerreview", 80), ("peerreview", 160), ("peerreview", 320), ("datatrust", 120), ("datatrust", 240)]
 COUNTED = {
@@ -120,6 +139,20 @@ WEIGHT = {  # what one call adds, read from its first argument; else 1
 }
 NORMS = (100, 200, 400, 800)
 ORDERS = {"in-order": False, "reversed": True}
+TICK_BLOCKS = (125, 250, 500, 1000)
+TICK = """compact Ticks context org {
+  roles R;
+  schema Open(id: text key);
+  schema Tick(n: text key);
+  schema Done(id: text key);
+  channel m members R carries Open, Tick, Done;
+  commitment C subject R object R {
+    create on Open(id);
+    antecedent Tick(n: "go");
+    consequent Done(id) within 5000 blocks;
+  }
+}
+"""
 SLOPE_BOUND = {
     "schema_checks": 1.1, "integrity_checks": 1.1, "verify_event_signature": 1.1, "events_digest": 1.1,
     "memo_entries": 1.1, "entries_copied": 2.1, "seen_scanned": 2.1, "memo_blocks": 2.1, "memo_index_entries": 2.1,
@@ -207,10 +240,40 @@ def check_work(norms: int, reverse: bool) -> dict[str, int]:
     return dict(counts)
 
 
+def duplicated_norms(count: int) -> str:
+    """chained_norms(count) with count more declarations of its last norm."""
+    lines = chained_norms(count).splitlines()
+    return "\n".join(lines[:-1] + lines[-2:-1] * count + lines[-1:]) + "\n"
+
+
+def duplicate_check_work(norms: int) -> dict[str, int]:
+    """The patterns_of calls of one check of duplicated_norms(norms)."""
+    spec, counts = parse_compact(duplicated_norms(norms)), Counter()
+    with counting({"patterns_of": [(ast, "patterns_of")]}, counts):
+        check_well_formedness(spec)
+    return dict(counts)
+
+
+def tick_work(blocks: int) -> dict[str, int]:
+    """Events and lifecycle steps of a fold of the tick stream."""
+    spec = parse_compact(TICK)
+    org = Organization.make(spec.context, {"r": ["R"]})
+    chain = build_chain([
+        [Event.make(f"o{i}", "Open", {"id": f"i{i}"}, "r"), Event.make(f"t{i}", "Tick", {"n": "go"}, "r")]
+        for i in range(blocks)
+    ])
+    counts = Counter(steps=0)
+    with counting({"steps": COUNTED["steps"]}, counts):
+        incremental.fold_chain(chain, spec, org)
+    return dict(counts, events=2 * blocks)
+
+
 def _all_work() -> dict:
     work = {f"{workload}-{size}": work_by_quintile(workload, size) for workload, size in WORKLOADS}
     work.update({f"hospital-{patients}": network_work(patients) for patients in PATIENTS})
     work.update({f"chained-{order}-{n}": check_work(n, reverse) for order, reverse in ORDERS.items() for n in NORMS})
+    work.update({f"duplicated-{n}": duplicate_check_work(n) for n in NORMS})
+    work.update({f"ticks-{2 * blocks}": tick_work(blocks) for blocks in TICK_BLOCKS})
     return work
 
 
@@ -230,6 +293,7 @@ def test_each_count_repeats_under_every_hash_seed(work_by_hash_seed):
     first = work_by_hash_seed[0]
     names = [f"{workload}-{size}" for workload, size in WORKLOADS] + [f"hospital-{p}" for p in PATIENTS]
     names += [f"chained-{order}-{n}" for order in ORDERS for n in NORMS]
+    names += [f"duplicated-{n}" for n in NORMS] + [f"ticks-{2 * blocks}" for blocks in TICK_BLOCKS]
     assert sorted(first) == sorted(names)
     assert all(run == first for run in work_by_hash_seed[1:])
 
@@ -263,6 +327,19 @@ def test_the_checker_s_work_grows_with_a_chain_of_state_references(work_by_hash_
     counts = [work_by_hash_seed[0][f"chained-{order}-{n}"]["patterns_of"] for n in NORMS]
     fit = statistics.linear_regression([math.log(n) for n in NORMS], [math.log(count) for count in counts])
     assert fit.slope <= 1.1, counts
+
+
+def test_the_checker_s_work_grows_with_the_declarations_of_a_duplicated_norm_id(work_by_hash_seed):
+    counts = [work_by_hash_seed[0][f"duplicated-{n}"]["patterns_of"] for n in NORMS]
+    fit = statistics.linear_regression([math.log(n) for n in NORMS], [math.log(count) for count in counts])
+    assert fit.slope <= 1.1, counts
+
+
+def test_the_fold_s_steps_grow_with_the_events_of_the_tick_stream(work_by_hash_seed):
+    runs = [work_by_hash_seed[0][f"ticks-{2 * blocks}"] for blocks in TICK_BLOCKS]
+    fit = statistics.linear_regression([math.log(run["events"]) for run in runs],
+                                       [math.log(run["steps"]) for run in runs])
+    assert fit.slope <= 1.1, [run["steps"] for run in runs]
 
 
 if __name__ == "__main__":
